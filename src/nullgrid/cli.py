@@ -139,8 +139,7 @@ def _cmd_verify(args):
     ring = _ring_of(args)
     f, names, _ = _load_poly(args, ring)
     grid = _load_grid(args, ring)
-    report = oracle.verify_bounds(f, grid, workers=args.threads,
-                                  point_limit=args.limit_grid)
+    report = oracle.verify_bounds(f, grid, point_limit=args.limit_grid)
     payload = {
         "command": "verify",
         "ring": str(ring),
@@ -301,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("bounds", help="list certified lower bounds"))
     v = common(sub.add_parser("verify", help="check every bound against brute force"))
     v.add_argument("--list-zeros", action="store_true")
-    v.add_argument("--threads", type=int, default=1)
     v.add_argument("--limit-grid", type=int, default=oracle.DEFAULT_POINT_LIMIT)
     common(sub.add_parser("trim", help="reduce modulo the grid annihilators"))
     c = common(sub.add_parser("coeff", help="coefficient of a monomial from grid values"))

@@ -1,24 +1,26 @@
 """Brute-force ground truth: exhaustive counting and verification.
 
 Everything else in the package makes claims; this module checks them by
-enumerating grids outright.  The enumeration core substitutes one variable
-at a time, so shared prefixes are evaluated once rather than per point,
-and it works on raw canonical integers for speed.
+evaluating polynomials at every grid point.  One exact numpy kernel
+(``_kernel_chunks``, guarded by ``_plan``) serves counting,
+``transform.grid_values`` and the value matrix of ``min_nonzero_search``.
+The pure-Python recursion ``_count_rec`` is kept on purpose as the
+independent reference the tests compare the kernel against, and runs
+wherever a kernel guard fails.  Each evaluation logs its path at DEBUG
+level on the ``nullgrid`` logger; numpy is imported on first use.
 
 Counting refuses grids above a configurable point limit instead of
-running forever.  Partitioned counting (``workers`` > 1) splits the first
-variable's values into chunks whose results are combined in chunk order,
-so the outcome is bit-identical regardless of the worker count.
+running forever.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
+from math import isqrt, prod
 
 from . import bounds as bounds_mod
 from .errors import (
@@ -27,10 +29,18 @@ from .errors import (
     UnsupportedRingError,
 )
 from .poly import GridSpec, Polynomial, check_compatible
-from .ring import RingSpec, grid_condition_check
+from .ring import RingSpec, grid_condition_check, is_prime
+
+log = logging.getLogger(__name__)
 
 DEFAULT_POINT_LIMIT = 100_000_000
 DEFAULT_ZERO_SET_CAP = 1_000_000
+# most int64 cells the kernel holds in its coefficient tensor or in any
+# intermediate of one S_1 slice (32 MiB)
+_CELL_BUDGET = 1 << 22
+# most word-size primes the kernel uses over Z before leaving it to the reference
+_MAX_PRIMES = 16
+_INT64_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -89,11 +99,14 @@ def _substitute_first(terms: dict, value: int, modulus: int | None) -> dict:
 
 
 def _count_rec(terms: dict, sets: tuple, modulus: int | None,
-               prefix: tuple, zeros: list | None) -> int:
+               prefix: tuple, zeros: list | None, values: list | None = None) -> int:
     """Nonzero count of the (partially substituted) terms over the
-    remaining sets; appends zero points to ``zeros`` when given."""
+    remaining sets; appends zero points to ``zeros`` and every value, in
+    odometer order, to ``values`` when given."""
     if not sets:
         value = terms.get((), 0)
+        if values is not None:
+            values.append(value)
         if value:
             return 1
         if zeros is not None:
@@ -104,20 +117,137 @@ def _count_rec(terms: dict, sets: tuple, modulus: int | None,
         if zeros is not None:
             for tail in itertools.product(*sets):
                 zeros.append(prefix + tail)
+        if values is not None:
+            values.extend([0] * prod(map(len, sets)))
         return 0
     nonzeros = 0
     rest = sets[1:]
     for a in sets[0]:
         sub = _substitute_first(terms, a, modulus)
-        nonzeros += _count_rec(sub, rest, modulus, prefix + (a,), zeros)
+        nonzeros += _count_rec(sub, rest, modulus, prefix + (a,), zeros, values)
     return nonzeros
+
+
+@lru_cache(maxsize=64)
+def _word_primes(width: int) -> tuple[int, ...]:
+    """The _MAX_PRIMES largest primes q with (q - 1)^2 * width < 2^63."""
+    primes: list[int] = []
+    q = isqrt((_INT64_LIMIT - 1) // width) + 1
+    while len(primes) < _MAX_PRIMES:
+        if is_prime(q):
+            primes.append(q)
+        q -= 1
+    return tuple(primes)
+
+
+def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
+    """The kernel's distinct exponents E_i, moduli and S_1 slice height,
+    or None when the reference must run instead.  Logs the choice at
+    DEBUG level.
+
+    Each contraction sums at most |E_i| products of residues below q, so
+    the guard (q - 1)^2 * max |E_i| < 2^63 keeps int64 arithmetic exact.
+    Over F_p and Z_m the one modulus is m.
+
+    Over Z the kernel takes distinct primes q under the same guard, as
+    few as make their product Q exceed the height
+    H = sum |c| * prod_i max_{a in S_i} |a|^{e_i}.  At every grid point
+    |f(a)| <= H < Q.  If f(a) vanishes modulo every q, then Q divides
+    f(a) by the Chinese remainder theorem, and 0 is the only multiple of
+    Q in [-H, H], so f(a) = 0; the converse is plain.  H = 0 means every
+    term carries a variable whose set is {0}, or there are no terms: f
+    vanishes on the whole grid, no prime is needed (the empty product
+    1 exceeds 0), and with no residue to say otherwise every point
+    counts as a zero.  Residues do not give the integer values
+    themselves, so ``values`` over Z always uses the reference.
+    """
+    exps = [sorted({key[i] for key in f.terms}) or [0] for i in range(f.arity)]
+    widths = [len(e) for e in exps]
+    m = f.ring.modulus
+    moduli: list[int] = []
+    reason = None
+    if m:
+        moduli = [m]
+        if (m - 1) ** 2 * max(widths) >= _INT64_LIMIT:
+            reason = "overflow guard"
+    elif values:
+        reason = "integer values"
+    else:
+        bounds = [max(abs(a) for a in s) for s in grid.sets]
+        height = sum(abs(c) * prod(b ** e for b, e in zip(bounds, key))
+                     for key, c in f.terms.items())
+        product = 1
+        for q in _word_primes(max(widths)):
+            if product > height:
+                break
+            moduli.append(q)
+            product *= q
+        if product <= height:
+            reason = "prime count"
+    sizes = grid.sizes
+    # cells per S_1 element of the intermediate once variables 1..i+1 are substituted
+    row = max(prod(sizes[1:i + 1]) * prod(widths[i + 1:]) for i in range(grid.arity))
+    if reason is None and (prod(widths) > _CELL_BUDGET or row > _CELL_BUDGET):
+        reason = "tensor budget"
+    rows = min(sizes[0], _CELL_BUDGET // row)
+    log.debug("grid evaluation path=%s reason=%s primes=%d chunks=%d",
+              "reference" if reason else "kernel", reason or "none",
+              0 if m else len(moduli), 0 if reason else -(-sizes[0] // rows))
+    return None if reason else (exps, moduli, rows)
+
+
+def _kernel_chunks(f: Polynomial, grid: GridSpec, exps: list[list[int]],
+                   moduli: list[int], rows: int):
+    """Yield (start, stop, residues) for successive slices S_1[start:stop]:
+    f modulo each of ``moduli`` on the slice times S_2 x ... x S_n, as
+    int64 arrays in odometer order.
+
+    The coefficient tensor T over the distinct exponents E_i is
+    contracted with the power tables V_i[a, j] = a^{E_i[j]} mod q, one
+    variable at a time, reducing mod q after each step.  ``_plan``
+    supplies moduli that keep this exact and a slice height that keeps
+    every intermediate under the cell budget.
+    """
+    import numpy as np
+
+    index = [{e: j for j, e in enumerate(ex)} for ex in exps]
+    coords = tuple(np.array([ix[key[i]] for key in f.terms], dtype=np.intp)
+                   for i, ix in enumerate(index))
+    tables = []
+    for q in moduli:
+        tensor = np.zeros([len(ex) for ex in exps], dtype=np.int64)
+        tensor[coords] = [c % q for c in f.terms.values()]
+        powers = [np.array([[pow(a, e, q) for e in ex] for a in s], dtype=np.int64)
+                  for s, ex in zip(grid.sets, exps)]
+        tables.append((q, tensor, powers))
+    first = len(grid.sets[0])
+    for start in range(0, first, rows):
+        stop = min(start + rows, first)
+        residues = []
+        for q, tensor, (head, *tail) in tables:
+            r = np.tensordot(head[start:stop], tensor, axes=1) % q
+            for v in tail:
+                r = np.tensordot(r, v, axes=([1], [1])) % q
+            residues.append(r)
+        yield start, stop, residues
+
+
+def _grid_values(f: Polynomial, grid: GridSpec) -> list[int]:
+    """f at every grid point in odometer order, as canonical integers."""
+    plan = _plan(f, grid, values=True)
+    if plan is None:
+        out: list[int] = []
+        _count_rec(f.terms, grid.sets, f.ring.modulus, (), None, out)
+        return out
+    import numpy as np
+
+    return np.concatenate([res[0].ravel() for _, _, res in _kernel_chunks(f, grid, *plan)]).tolist()
 
 
 def count_nonzeros(f: Polynomial, grid: GridSpec, *,
                    collect_zeros: bool = True,
                    zero_set_cap: int = DEFAULT_ZERO_SET_CAP,
-                   point_limit: int = DEFAULT_POINT_LIMIT,
-                   workers: int = 1) -> GridCount:
+                   point_limit: int = DEFAULT_POINT_LIMIT) -> GridCount:
     """Count the grid points where f is nonzero, by full enumeration.
 
     The zero set is collected only when the grid has at most
@@ -135,34 +265,31 @@ def count_nonzeros(f: Polynomial, grid: GridSpec, *,
     if size > point_limit:
         raise GridTooLargeError(f"grid has {size} points, limit is {point_limit}")
     want_zeros = collect_zeros and size <= zero_set_cap
-    modulus = f.ring.modulus
+    zeros: list | None = [] if want_zeros else None
+    plan = _plan(f, grid, values=False)
+    if plan is None:
+        nonzeros = _count_rec(f.terms, grid.sets, f.ring.modulus, (), zeros)
+        return GridCount(nonzeros, size - nonzeros, None if zeros is None else tuple(zeros))
 
-    if workers > 1 and len(grid.sets[0]) > 1:
-        first = grid.sets[0]
-        chunk = (len(first) + workers - 1) // workers
-        pieces = [first[i:i + chunk] for i in range(0, len(first), chunk)]
+    import numpy as np
 
-        def run(piece):
-            zs: list | None = [] if want_zeros else None
-            nz = 0
-            for a in piece:
-                nz += _count_rec(_substitute_first(f.terms, a, modulus),
-                                 grid.sets[1:], modulus, (a,), zs)
-            return nz, zs
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, pieces))
-        nonzeros = sum(nz for nz, _ in results)
-        zero_set = tuple(itertools.chain.from_iterable(zs for _, zs in results)) if want_zeros else None
-    else:
-        zs = [] if want_zeros else None
-        nonzeros = _count_rec(f.terms, grid.sets, modulus, (), zs)
-        zero_set = tuple(zs) if want_zeros else None
-    return GridCount(nonzeros, size - nonzeros, zero_set)
+    columns = [np.array(s, dtype=object) for s in grid.sets]
+    nonzeros = 0
+    for start, stop, residues in _kernel_chunks(f, grid, *plan):
+        hit = np.zeros((stop - start,) + grid.sizes[1:], dtype=bool)
+        for r in residues:
+            hit |= r != 0
+        nonzeros += int(np.count_nonzero(hit))
+        if zeros is not None:
+            at = np.argwhere(~hit)
+            at[:, 0] += start
+            # object columns hand back the grid's own ints, in odometer order
+            zeros.extend(zip(*(col[at[:, i]] for i, col in enumerate(columns))))
+    return GridCount(nonzeros, size - nonzeros, None if zeros is None else tuple(zeros))
 
 
 def verify_bounds(f: Polynomial, grid: GridSpec, *,
-                  reports=None, workers: int = 1,
+                  reports=None,
                   point_limit: int = DEFAULT_POINT_LIMIT) -> VerificationReport:
     """Hold every collected bound against the brute-force count.
 
@@ -170,8 +297,7 @@ def verify_bounds(f: Polynomial, grid: GridSpec, *,
     the classical total-degree bound that presumes a nonzero value on the
     grid is skipped when that presumption fails.
     """
-    count = count_nonzeros(f, grid, collect_zeros=False,
-                           point_limit=point_limit, workers=workers)
+    count = count_nonzeros(f, grid, collect_zeros=False, point_limit=point_limit)
     size = count.grid_size
     checks: list[BoundCheck] = []
     for rep in bounds_mod.collect_bounds(f, grid, reports):
@@ -256,13 +382,12 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
             raise HypothesisViolationError(
                 f"required monomial {required} is dominated by {m}; it must be maximal in the support")
 
-    points = list(grid.points())
     k = len(support)
     req_idx = support.index(required)
     space = (p - 1) * p ** (k - 1)
 
     # value matrix: one column per grid point, one row per support monomial
-    matrix = [[_mono_value(m, pt, p) for pt in points] for m in support]
+    matrix = [_grid_values(Polynomial.monomial(grid.arity, ring, m), grid) for m in support]
 
     if space <= exhaustive_limit:
         ranges = [range(1, p) if i == req_idx else range(p) for i in range(k)]
@@ -288,49 +413,28 @@ def _best_assignment(candidates, matrix: list[list[int]], p: int) -> tuple[int, 
 
     Scores chunks of candidates with one integer matrix product each; the
     first candidate attaining the global minimum wins, independent of the
-    chunk size.  Falls back to pure Python when p is large enough to
-    overflow 64-bit accumulation.
+    chunk size.  The product runs on Python integers (object arrays) when
+    p is large enough to overflow 64-bit accumulation.
     """
-    k = len(matrix)
-    use_numpy = p * p * k < 2**62
-    mat = np.array(matrix, dtype=np.int64) if use_numpy else None
+    import numpy as np
+
+    dtype = np.int64 if p * p * len(matrix) < 2**62 else object
+    mat = np.array(matrix, dtype=dtype)
     best_count: int | None = None
     best_coeffs: tuple[int, ...] | None = None
     while True:
         chunk = list(itertools.islice(candidates, _SCORE_CHUNK))
         if not chunk:
             break
-        if use_numpy:
-            values = (np.array(chunk, dtype=np.int64) @ mat) % p
-            counts = np.count_nonzero(values, axis=1)
-            i = int(np.argmin(counts))
-            if best_count is None or counts[i] < best_count:
-                best_count = int(counts[i])
-                best_coeffs = tuple(chunk[i])
-        else:
-            for coeffs in chunk:
-                nz = 0
-                for col in range(len(matrix[0])):
-                    acc = 0
-                    for c, row in zip(coeffs, matrix):
-                        if c:
-                            acc += c * row[col]
-                    if acc % p:
-                        nz += 1
-                if best_count is None or nz < best_count:
-                    best_count = nz
-                    best_coeffs = tuple(coeffs)
+        values = (np.array(chunk, dtype=dtype) @ mat) % p
+        counts = np.count_nonzero(values, axis=1)
+        i = int(np.argmin(counts))
+        if best_count is None or counts[i] < best_count:
+            best_count = int(counts[i])
+            best_coeffs = tuple(chunk[i])
     if best_coeffs is None:
         raise ValueError("no candidate coefficient vectors")
     return best_count, best_coeffs
-
-
-def _mono_value(exps: tuple[int, ...], point: tuple[int, ...], modulus: int) -> int:
-    v = 1
-    for x, e in zip(point, exps):
-        if e:
-            v = v * pow(x, e, modulus) % modulus
-    return v
 
 
 def random_polynomial(arity: int, caps: tuple[int, ...], density: float,

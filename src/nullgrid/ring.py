@@ -283,6 +283,24 @@ class CheckResult:
         return "; ".join(parts)
 
 
+def _prime_factors(m: int) -> tuple[int, ...] | None:
+    """The distinct prime factors of m, or None when trial division below
+    2^16 leaves a cofactor that is not certainly prime."""
+    factors = []
+    d = 2
+    while d * d <= m and d < 1 << 16:
+        if m % d == 0:
+            factors.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        if d * d <= m and not (m < _MR_VALID_BELOW and is_prime(m)):
+            return None
+        factors.append(m)
+    return tuple(factors)
+
+
 def grid_condition_check(ring: RingSpec, sets) -> CheckResult:
     """Check that no difference of two distinct elements of any S_i is a
     zero divisor.
@@ -292,13 +310,23 @@ def grid_condition_check(ring: RingSpec, sets) -> CheckResult:
     treating grid arguments (interpolation, trimming, counting bounds) as
     valid over Z_m.
 
+    A difference is a unit mod m exactly when the two elements differ
+    modulo every prime factor of m, so a set passes in linear time when
+    it is distinct modulo each factor (over Z and F_p: distinct).  Only a
+    set that fails that test, or a modulus that resists factoring, gets
+    the pairwise scan that lists the failures.
+
     ``sets`` may be a GridSpec or any iterable of per-variable element
     iterables; values are canonicalized before differencing.
     """
     raw = getattr(sets, "sets", sets)
+    factors = _prime_factors(ring.modulus) if ring.kind == ZMOD else ()
     failures = []
     for i, s in enumerate(raw):
         vals = [ring.canon(int(v)) for v in s]
+        if factors is not None and len(set(vals)) == len(vals) and all(
+                len({v % q for v in vals}) == len(vals) for q in factors):
+            continue
         for j, x in enumerate(vals):
             for y in vals[j + 1:]:
                 d = ring.sub(x, y)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import HypothesisViolationError, UnsupportedRingError
+from .oracle import _grid_values
 from .poly import (
     GridSpec,
     Polynomial,
@@ -155,7 +156,7 @@ def grid_values(f: Polynomial, grid: GridSpec) -> dict[tuple[int, ...], int]:
     """Evaluate f at every grid point: the value map consumed by
     coefficient_via_grid, keyed by canonical point tuples."""
     check_compatible(f, grid)
-    return {pt: f.eval_raw(pt) for pt in grid.points()}
+    return dict(zip(grid.points(), _grid_values(f, grid)))
 
 
 def coefficient_via_grid(values: Mapping[tuple[int, ...], int], grid: GridSpec,

@@ -1,0 +1,200 @@
+"""The numpy grid kernel against the pure-Python reference evaluator.
+
+Counts, zero sets (in odometer order) and grid values must match the
+reference exactly on every ring, including the inputs where the kernel
+hands over to the reference.
+"""
+
+import logging
+import os
+import subprocess
+import sys
+from math import gcd, prod
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nullgrid
+from nullgrid import oracle
+from nullgrid.oracle import _count_rec, count_nonzeros, min_nonzero_search
+from nullgrid.poly import GridSpec, Polynomial
+from nullgrid.ring import RingSpec
+from nullgrid.transform import grid_values
+
+Z = RingSpec.integers()
+# Z_m with its smallest prime factor: up to that many consecutive
+# multiples of a unit have pairwise unit differences
+ZMODS = ((12, 2), (35, 5), (64, 2), (9, 3), (77, 7))
+
+
+def _reference(f, grid):
+    zeros = []
+    nonzeros = _count_rec(f.terms, grid.sets, f.ring.modulus, (), zeros)
+    return nonzeros, tuple(zeros)
+
+
+def _assert_matches_reference(f, grid):
+    count = count_nonzeros(f, grid)
+    assert (count.nonzeros, count.zero_set) == _reference(f, grid)
+    assert all(isinstance(v, int) for pt in count.zero_set for v in pt)
+    values = grid_values(f, grid)
+    assert list(values) == list(grid.points())
+    assert values == {pt: f.eval_raw(pt) for pt in grid.points()}
+
+
+@st.composite
+def ring_and_grid(draw):
+    kind = draw(st.sampled_from(["fp", "int", "zmod"]))
+    arity = draw(st.integers(1, 3))
+    if kind == "fp":
+        ring = RingSpec.prime_field(draw(st.sampled_from([2, 5, 101, 10007])))
+        sets = [draw(st.lists(st.integers(0, ring.modulus - 1), min_size=1,
+                              max_size=min(ring.modulus, 5), unique=True)) for _ in range(arity)]
+    elif kind == "int":
+        ring = Z
+        sets = [draw(st.lists(st.integers(-20, 20), min_size=1, max_size=5, unique=True)
+                     | st.just([0])) for _ in range(arity)]
+    else:
+        m, smallest = draw(st.sampled_from(ZMODS))
+        ring = RingSpec.integers_mod(m)
+        sets = []
+        for _ in range(arity):
+            start = draw(st.integers(0, m - 1))
+            step = draw(st.integers(1, m - 1).filter(lambda s: gcd(s, m) == 1))
+            size = draw(st.integers(1, smallest))
+            sets.append(draw(st.permutations([(start + k * step) % m for k in range(size)])))
+    return ring, GridSpec(ring, sets)
+
+
+@st.composite
+def poly_on_grid(draw):
+    ring, grid = draw(ring_and_grid())
+    coeffs = st.integers(-10**6, 10**6) | st.integers(-10**40, 10**40)
+    exps = st.tuples(*[st.integers(0, 4) for _ in range(grid.arity)])
+    terms = draw(st.dictionaries(exps, coeffs, max_size=8))
+    return Polynomial(grid.arity, ring, terms), grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_on_grid(), st.sampled_from([oracle._CELL_BUDGET, 64, 512]))
+def test_kernel_matches_reference(case, budget):
+    f, grid = case
+    # small cell budgets force several S_1 slices, or the tensor-budget fallback
+    with mock.patch.object(oracle, "_CELL_BUDGET", budget):
+        _assert_matches_reference(f, grid)
+
+
+def test_kernel_zero_and_constant_polynomials():
+    for ring in (Z, RingSpec.prime_field(7), RingSpec.integers_mod(35)):
+        grid = GridSpec(ring, [(0, 1, 3), (2, 4)])
+        _assert_matches_reference(Polynomial.zero(2, ring), grid)
+        _assert_matches_reference(Polynomial.constant(2, ring, 3), grid)
+        _assert_matches_reference(Polynomial.constant(2, ring, -1), grid)
+
+
+def test_kernel_height_zero(caplog):
+    # every term has a positive exponent on a variable whose set is {0}:
+    # H = 0, no prime is needed, and every point is a zero
+    f = Polynomial(2, Z, {(1, 0): 5, (2, 3): -7})
+    grid = GridSpec(Z, [(0,), (-2, 1, 5)])
+    with caplog.at_level(logging.DEBUG, logger="nullgrid"):
+        count = count_nonzeros(f, grid)
+    assert "path=kernel" in caplog.records[-1].getMessage()
+    assert "primes=0" in caplog.records[-1].getMessage()
+    assert count.nonzeros == 0
+    assert count.zero_set == ((0, -2), (0, 1), (0, 5))
+    _assert_matches_reference(f, grid)
+
+
+def test_kernel_needs_every_prime():
+    # a multiple of the first three word primes vanishes modulo each of
+    # them, so only the fourth residue shows the value is nonzero
+    width1 = oracle._word_primes(1)
+    for c in (width1[0], prod(width1[:3]), -prod(width1[:3])):
+        f = Polynomial(1, Z, {(0,): c})
+        _assert_matches_reference(f, GridSpec(Z, [(-1, 0, 1)]))
+        g = Polynomial(2, Z, {(1, 0): c, (0, 1): -c})
+        _assert_matches_reference(g, GridSpec(Z, [(-1, 0, 2), (0, 2)]))
+
+
+def test_kernel_negative_integer_elements():
+    f = Polynomial(2, Z, {(3, 0): 1, (0, 2): -4, (1, 1): 2, (0, 0): 9})
+    grid = GridSpec(Z, [range(-6, 6), range(-5, 4)])
+    _assert_matches_reference(f, grid)
+
+
+def _path(caplog, call):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="nullgrid"):
+        call()
+    records = [r for r in caplog.records if r.name.startswith("nullgrid")]
+    assert len(records) == 1
+    return records[0].getMessage()
+
+
+def test_fallback_large_prime(caplog):
+    fp = RingSpec.prime_field(2**61 - 1)
+    f = Polynomial(2, fp, {(2, 1): 2**60 + 3, (0, 1): -1, (0, 0): 5})
+    grid = GridSpec(fp, [(0, 1, 2**40, 2**61 - 2), (0, 3, 2**59)])
+    assert "path=reference reason=overflow guard" in _path(caplog, lambda: count_nonzeros(f, grid))
+    assert "path=reference reason=overflow guard" in _path(caplog, lambda: grid_values(f, grid))
+    _assert_matches_reference(f, grid)
+    # the minimum search scores the same value matrix on the reference path
+    small = GridSpec(fp, [(0, 1), (0, 1)])
+    result = min_nonzero_search(((1, 0), (0, 1)), (1, 0), small, exhaustive_limit=0, sample_budget=20)
+    assert result.min_count == count_nonzeros(result.witness, small).nonzeros
+
+
+def test_fallback_tensor_budget(caplog):
+    # 200 distinct exponents per variable: a 200^3 coefficient tensor
+    terms = {}
+    for k in range(200):
+        terms[(k, 0, 0)] = k + 1
+        terms[(0, k, 0)] = 2 * k + 1
+        terms[(0, 0, k)] = 3 * k + 1
+    ring = RingSpec.prime_field(101)
+    f = Polynomial(3, ring, terms)
+    grid = GridSpec(ring, [(1, 2), (0, 5), (3, 4)])
+    assert "path=reference reason=tensor budget" in _path(caplog, lambda: count_nonzeros(f, grid))
+    _assert_matches_reference(f, grid)
+
+
+def test_fallback_prime_count(caplog):
+    f = Polynomial(2, Z, {(1, 1): 10**400, (0, 0): -(10**400)})
+    grid = GridSpec(Z, [(-1, 0, 1, 2), (1, 3)])
+    message = _path(caplog, lambda: count_nonzeros(f, grid))
+    assert "path=reference reason=prime count" in message
+    assert f"primes={oracle._MAX_PRIMES}" in message
+    _assert_matches_reference(f, grid)
+
+
+def test_integer_grid_values_use_reference(caplog):
+    f = Polynomial(1, Z, {(5,): 3, (0,): -1})
+    grid = GridSpec(Z, [(-3, 0, 7)])
+    assert "path=reference reason=integer values" in _path(caplog, lambda: grid_values(f, grid))
+    assert grid_values(f, grid) == {(-3,): -730, (0,): -1, (7,): 50420}
+
+
+def test_kernel_chunk_count_logged(caplog):
+    ring = RingSpec.prime_field(101)
+    f = Polynomial(2, ring, {(1, 1): 1, (0, 0): 4})
+    grid = GridSpec(ring, [range(10), range(10)])
+    with mock.patch.object(oracle, "_CELL_BUDGET", 30):
+        message = _path(caplog, lambda: count_nonzeros(f, grid))
+    # 10 cells per S_1 element, 3 elements per slice
+    assert message == "grid evaluation path=kernel reason=none primes=0 chunks=4"
+
+
+def test_logging_is_silent_by_default():
+    assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("nullgrid").handlers)
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(nullgrid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, nullgrid; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

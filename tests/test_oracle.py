@@ -1,10 +1,12 @@
 import itertools
+import logging
 import random
 
 import pytest
 
 from nullgrid.errors import GridTooLargeError, HypothesisViolationError
 from nullgrid.oracle import (
+    _count_rec,
     count_nonzeros,
     min_nonzero_search,
     random_polynomial,
@@ -62,14 +64,15 @@ def test_count_matches_naive_random():
             assert count.zero_set == tuple(zeros)
 
 
-def test_count_workers_agree():
+def test_count_kernel_agrees_with_reference(caplog):
     f = parse_poly("x^3*y - 2*x*z + y^2*z^2 - 7", ["x", "y", "z"], Z)
     grid = GridSpec(Z, [range(6), range(5), range(4)])
-    solo = count_nonzeros(f, grid)
-    for workers in (2, 3, 8):
-        multi = count_nonzeros(f, grid, workers=workers)
-        assert multi.nonzeros == solo.nonzeros
-        assert multi.zero_set == solo.zero_set
+    with caplog.at_level(logging.DEBUG, logger="nullgrid"):
+        count = count_nonzeros(f, grid)
+    assert "path=kernel" in caplog.records[-1].getMessage()
+    zeros = []
+    nonzeros = _count_rec(f.terms, grid.sets, None, (), zeros)
+    assert (count.nonzeros, count.zero_set) == (nonzeros, tuple(zeros))
 
 
 def test_count_zero_polynomial():

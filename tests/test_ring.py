@@ -146,3 +146,34 @@ def test_grid_condition_check():
     # every pairwise difference is even, so all three pairs fail
     assert len(res.failures) == 3
     assert "zero-divisor difference" in res.describe()
+
+
+def _pairwise_failures(ring, sets):
+    failures = []
+    for i, s in enumerate(sets):
+        vals = [ring.canon(v) for v in s]
+        for j, x in enumerate(vals):
+            for y in vals[j + 1:]:
+                if ring.is_zero_divisor(ring.sub(x, y)):
+                    failures.append((i, x, y, ring.sub(x, y)))
+    return tuple(failures)
+
+
+def test_grid_condition_fast_decision_matches_pairwise():
+    rng = random.Random(12)
+    # 65537 * 65539 resists trial division below 2^16, so it takes the pairwise scan
+    moduli = (12, 35, 64, 65537 * 65539)
+    rings = [RingSpec.integers_mod(m) for m in moduli] + [RingSpec.prime_field(101), RingSpec.integers()]
+    for ring in rings:
+        span = min(ring.modulus or 40, 200)
+        outcomes = set()
+        for _ in range(300):
+            sets = [[rng.randrange(-span, span) for _ in range(rng.randrange(1, 6))]
+                    for _ in range(rng.randrange(1, 3))]
+            if ring.modulus == 65537 * 65539 and rng.random() < 0.3:
+                sets[0].append(sets[0][0] + 65537)
+            res = grid_condition_check(ring, sets)
+            failures = _pairwise_failures(ring, sets)
+            assert (res.ok, res.failures) == (not failures, failures)
+            outcomes.add(res.ok)
+        assert outcomes == {True, False}, ring
