@@ -20,8 +20,9 @@ stronger ones force a guaranteed number of nonzeros:
 
 Each hypothesis carves out a forbidden region of exponent vectors that
 must not meet the support of f; ``forbidden_set`` materializes those
-regions, and the definitional membership predicate is shared between the
-detectors and the region enumeration so they cannot drift apart.
+regions, and one membership test per region (``_region``) is shared by
+the region enumeration and every hypothesis check, so they cannot drift
+apart.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ PARTIAL_DEGREES = "partial-degrees"
 TOTAL_DEGREE = "total-degree"
 
 CONDITIONS = (MAXIMAL_MONOMIAL, LEX_LARGEST, SUCCESSIVELY_LARGEST, D_LEADING, PARTIAL_DEGREES, TOTAL_DEGREE)
+
+MAX_ORDERS_ARITY = 4
 
 
 @dataclass(frozen=True)
@@ -71,12 +74,7 @@ def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 def maximal_monomials(f: Polynomial) -> set[tuple[int, ...]]:
     """Support elements not strictly dominated by another support element."""
     _require_nonzero(f)
-    supp = list(f.terms)
-    out = set()
-    for a in supp:
-        if not any(b != a and _dominates(b, a) for b in supp):
-            out.add(a)
-    return out
+    return {m for m in f.terms if not any(map(_region(MAXIMAL_MONOMIAL, m, None, None), f.terms))}
 
 
 def lex_largest(f: Polynomial, order: tuple[int, ...] | None = None) -> tuple[int, ...]:
@@ -120,7 +118,7 @@ def is_d_leading(f: Polynomial, e: tuple[int, ...], d: tuple[int, ...]) -> bool:
         raise ValueError(f"e = {e} is not a monomial of f")
     if not _dominates(d, e):
         raise ValueError(f"need e <= d componentwise, got e={e}, d={d}")
-    return not any(other != e and _forbidden(D_LEADING, other, d, e, None) for other in f.terms)
+    return hypothesis_holds(f, D_LEADING, d, e)
 
 
 def _check_order(arity: int, order) -> tuple[int, ...]:
@@ -132,38 +130,51 @@ def _check_order(arity: int, order) -> tuple[int, ...]:
     return order
 
 
-def _forbidden(condition: str, v: tuple[int, ...], d: tuple[int, ...],
-               e: tuple[int, ...] | None, order: tuple[int, ...] | None) -> bool:
-    """Membership predicate of the forbidden region for a condition.
+def _region(condition: str, d: tuple[int, ...], e: tuple[int, ...] | None,
+            order: tuple[int, ...] | None):
+    """Membership test of the forbidden region of a condition.
 
     A hypothesis with witnesses (d, e) holds for f exactly when no
     monomial of f lies in the forbidden region (plus, for most
     conditions, a witness-in-support requirement handled by callers).
+    The condition and witnesses are checked here once, so the returned
+    test does only the per-vector work.
     """
-    n = len(v)
+    if condition in (SUCCESSIVELY_LARGEST, D_LEADING) and e is None:
+        raise ValueError(f"{condition} needs the seed e")
     if condition == MAXIMAL_MONOMIAL:
-        return v != d and _dominates(v, d)
+        return lambda v: v != d and _dominates(v, d)
     if condition == PARTIAL_DEGREES:
-        return any(v[i] > d[i] for i in range(n))
+        return lambda v: any(vi > di for vi, di in zip(v, d))
     if condition == TOTAL_DEGREE:
-        return sum(v) > sum(d)
-    if condition == LEX_LARGEST:
-        order = order or tuple(range(n))
-        key = tuple(v[i] for i in order)
-        ref = tuple(d[i] for i in order)
-        return key > ref
-    if condition == SUCCESSIVELY_LARGEST:
-        if e is None:
-            raise ValueError("successively-largest needs the seed e")
-        order = order or tuple(range(n))
-        for j, var in enumerate(order):
-            if v[var] > d[var] and all(v[order[i]] == e[order[i]] for i in range(j)):
-                return True
-        return False
+        total = sum(d)
+        return lambda v: sum(v) > total
+    if condition in (LEX_LARGEST, SUCCESSIVELY_LARGEST):
+        # some variable exceeds d while v agrees on every earlier one with
+        # the reference (d itself for lex-largest, the seed otherwise): the
+        # first variable, in order, that exceeds d (forbidden) or leaves
+        # the reference (not forbidden) decides
+        ref = d if condition == LEX_LARGEST else e
+        order = order or tuple(range(len(ref)))
+
+        def ordered_forbidden(v) -> bool:
+            for i in order:
+                if v[i] > d[i]:
+                    return True
+                if v[i] != ref[i]:
+                    return False
+            return False
+        return ordered_forbidden
     if condition == D_LEADING:
-        if e is None:
-            raise ValueError("d-leading needs the seed e")
-        return v != e and all(v[i] == e[i] or v[i] > d[i] for i in range(n))
+        def d_leading_forbidden(v) -> bool:
+            # v != e, and every v_i equals e_i or exceeds d_i
+            if v == e:
+                return False
+            for vi, ei, di in zip(v, e, d):
+                if vi != ei and vi <= di:
+                    return False
+            return True
+        return d_leading_forbidden
     raise ValueError(f"unknown condition {condition!r}")
 
 
@@ -177,13 +188,11 @@ def forbidden_set(condition: str, d: tuple[int, ...], cap: tuple[int, ...],
     the default.
     """
     d, cap = tuple(d), tuple(cap)
+    e = None if e is None else tuple(e)
     if len(cap) != len(d):
         raise ValueError("cap and d have different lengths")
-    out = set()
-    for v in itertools.product(*(range(c + 1) for c in cap)):
-        if _forbidden(condition, v, d, e, order):
-            out.add(v)
-    return out
+    forbidden = _region(condition, d, e, order)
+    return set(filter(forbidden, itertools.product(*(range(c + 1) for c in cap))))
 
 
 def hypothesis_holds(f: Polynomial, condition: str, d: tuple[int, ...],
@@ -199,19 +208,17 @@ def hypothesis_holds(f: Polynomial, condition: str, d: tuple[int, ...],
     d = tuple(d)
     e = None if e is None else tuple(e)
     if condition in (MAXIMAL_MONOMIAL, LEX_LARGEST, TOTAL_DEGREE):
-        if d not in f.terms:
-            return False
-    if condition in (SUCCESSIVELY_LARGEST, D_LEADING):
-        if e is None or e not in f.terms or not _dominates(d, e):
-            return False
-    if condition == PARTIAL_DEGREES:
-        partial, _ = f.degrees()
-        if d != partial:
-            return False
-    return not any(_forbidden(condition, v, d, e, order) for v in f.terms)
+        witnessed = d in f.terms
+    elif condition in (SUCCESSIVELY_LARGEST, D_LEADING):
+        witnessed = e is not None and e in f.terms and _dominates(d, e)
+    elif condition == PARTIAL_DEGREES:
+        witnessed = d == f.degrees()[0]
+    else:
+        witnessed = True  # _region rejects the unknown condition
+    return witnessed and not any(map(_region(condition, d, e, order), f.terms))
 
 
-def classify(f: Polynomial, max_orders_arity: int = 4) -> list[HypothesisReport]:
+def classify(f: Polynomial) -> list[HypothesisReport]:
     """Detect every supported hypothesis of f with concrete witnesses.
 
     Emits, in deterministic order:
@@ -221,41 +228,43 @@ def classify(f: Polynomial, max_orders_arity: int = 4) -> list[HypothesisReport]
       * one d-leading report per distinct (seed, derived degree vector),
       * one partial-degrees report and one total-degree report.
 
-    All variable orders are enumerated while arity <= max_orders_arity;
+    All variable orders are enumerated while arity <= MAX_ORDERS_ARITY;
     beyond that only the identity order is used.  Every report's ``holds``
-    is computed by the definitional re-check, not assumed.
+    is computed by the definitional re-check ``hypothesis_holds``, not
+    assumed.
     """
     _require_nonzero(f)
     n = f.arity
-    if n <= max_orders_arity:
+    if n <= MAX_ORDERS_ARITY:
         orders = [tuple(p) for p in itertools.permutations(range(n))]
     else:
         orders = [tuple(range(n))]
     by_graded = lambda exps: (sum(exps), exps)
     reports: list[HypothesisReport] = []
 
+    def report(condition, d, e=None, order=None):
+        reports.append(HypothesisReport(condition, hypothesis_holds(f, condition, d, e, order), d, e, order))
+
     for m in sorted(maximal_monomials(f), key=by_graded, reverse=True):
-        reports.append(HypothesisReport(MAXIMAL_MONOMIAL, hypothesis_holds(f, MAXIMAL_MONOMIAL, m), m))
+        report(MAXIMAL_MONOMIAL, m)
 
     for order in orders:
-        d = lex_largest(f, order)
-        reports.append(HypothesisReport(LEX_LARGEST, hypothesis_holds(f, LEX_LARGEST, d, order=order), d, order=order))
+        report(LEX_LARGEST, lex_largest(f, order), order=order)
 
     seeds = sorted(f.terms, key=by_graded, reverse=True)
-    d_leading_pairs: dict[tuple, tuple] = {}
+    d_leading_pairs: set[tuple] = set()
     for order in orders:
         for seed in seeds:
             d = successively_largest(f, seed, order)
-            holds = hypothesis_holds(f, SUCCESSIVELY_LARGEST, d, e=seed, order=order)
-            reports.append(HypothesisReport(SUCCESSIVELY_LARGEST, holds, d, witness_e=seed, order=order))
-            d_leading_pairs.setdefault((seed, d), None)
+            report(SUCCESSIVELY_LARGEST, d, seed, order)
+            d_leading_pairs.add((seed, d))
 
     for seed, d in sorted(d_leading_pairs):
-        reports.append(HypothesisReport(D_LEADING, is_d_leading(f, seed, d), d, witness_e=seed))
+        report(D_LEADING, d, seed)
 
     partial, total = f.degrees()
-    reports.append(HypothesisReport(PARTIAL_DEGREES, hypothesis_holds(f, PARTIAL_DEGREES, partial), partial))
+    report(PARTIAL_DEGREES, partial)
 
     top = max((e for e in f.terms if sum(e) == total), key=by_graded)
-    reports.append(HypothesisReport(TOTAL_DEGREE, hypothesis_holds(f, TOTAL_DEGREE, top), top))
+    report(TOTAL_DEGREE, top)
     return reports

@@ -270,12 +270,10 @@ def collect_bounds(f: Polynomial, grid: GridSpec,
             out.append(report)
 
     for rep in reports:
-        if not rep.holds:
-            continue
         d = rep.witness_d
+        if not rep.holds or not _fits(sizes, d):
+            continue
         if rep.condition == analysis.MAXIMAL_MONOMIAL:
-            if not _fits(sizes, d):
-                continue
             emit(BoundReport("existence", 1, f"maximal monomial {d} and every |S_i| > d_i", d))
             emit(BoundReport("additive-existence", additive_existence_bound(sizes, d),
                              f"maximal monomial {d}; shrink-and-translate argument", d))
@@ -292,21 +290,15 @@ def collect_bounds(f: Polynomial, grid: GridSpec,
                                  f"asymptotic zero-set exponent for maximal monomial {d}", d,
                                  kind="exponent", guaranteed=False, asymptotic=True))
         elif rep.condition == analysis.LEX_LARGEST:
-            if not _fits(sizes, d):
-                continue
             emit(BoundReport("product", product_bound(sizes, d),
                              f"lex-largest monomial {d} under order {rep.order}", d, order=rep.order))
             emit(BoundReport("schwartz-additive", schwartz_additive_bound(sizes, d),
                              f"lex-largest monomial {d} under order {rep.order}", d, order=rep.order))
         elif rep.condition == analysis.SUCCESSIVELY_LARGEST:
-            if not _fits(sizes, d):
-                continue
             emit(BoundReport("product", product_bound(sizes, d),
                              f"successively largest sequence {d} for seed {rep.witness_e} under order {rep.order}",
                              d, witness_e=rep.witness_e, order=rep.order))
         elif rep.condition == analysis.D_LEADING:
-            if not _fits(sizes, d):
-                continue
             emit(BoundReport("existence", 1,
                              f"{rep.witness_e} is {d}-leading and every |S_i| > d_i", d,
                              witness_e=rep.witness_e))
@@ -314,8 +306,6 @@ def collect_bounds(f: Polynomial, grid: GridSpec,
                              f"{rep.witness_e} is {d}-leading; shrink-and-translate argument", d,
                              witness_e=rep.witness_e))
         elif rep.condition == analysis.PARTIAL_DEGREES:
-            if not _fits(sizes, d):
-                continue
             emit(BoundReport("product", product_bound(sizes, d),
                              f"exact partial degrees {d}", d))
             emit(BoundReport("schwartz-additive", schwartz_additive_bound(sizes, d),

@@ -86,7 +86,13 @@ def _load_poly(args, ring):
     names = args.vars.split(",") if args.vars else infer_variables(text)
     if not names:
         raise _UsageError(f"no variables found in {source}; pass --vars")
-    return parse_poly(text, names, ring), names, text
+    return parse_poly(text, names, ring), names
+
+
+def _load_poly_and_grid(args):
+    ring = _ring_of(args)
+    f, names = _load_poly(args, ring)
+    return ring, f, names, _load_grid(args, ring)
 
 
 def _load_grid(args, ring) -> GridSpec:
@@ -107,44 +113,38 @@ def _ring_of(args) -> RingSpec:
 # -- subcommand handlers -----------------------------------------------------
 
 
+def _poly_header(command: str, ring, names, f) -> dict:
+    """The leading fields of every subcommand that reads one polynomial."""
+    return {"command": command, "ring": str(ring), "vars": names, "polynomial": f.render(names)}
+
+
 def _cmd_analyze(args):
     ring = _ring_of(args)
-    f, names, text = _load_poly(args, ring)
+    f, names = _load_poly(args, ring)
     reports = [] if f.is_zero else analysis.classify(f)
     return {
-        "command": "analyze",
-        "ring": str(ring),
-        "vars": names,
-        "polynomial": f.render(names),
+        **_poly_header("analyze", ring, names, f),
         "is_zero": f.is_zero,
         "hypotheses": [jsonable(r) for r in reports],
     }
 
 
 def _cmd_bounds(args):
-    ring = _ring_of(args)
-    f, names, _ = _load_poly(args, ring)
-    grid = _load_grid(args, ring)
+    ring, f, names, grid = _load_poly_and_grid(args)
     return {
-        "command": "bounds",
-        "ring": str(ring),
-        "vars": names,
-        "polynomial": f.render(names),
+        **_poly_header("bounds", ring, names, f),
         "grid": [list(s) for s in grid.sets],
         "bounds": [jsonable(b) for b in bounds.collect_bounds(f, grid)],
     }
 
 
 def _cmd_verify(args):
-    ring = _ring_of(args)
-    f, names, _ = _load_poly(args, ring)
-    grid = _load_grid(args, ring)
-    report = oracle.verify_bounds(f, grid, point_limit=args.limit_grid)
+    ring, f, names, grid = _load_poly_and_grid(args)
+    count = oracle.count_nonzeros(f, grid, collect_zeros=args.list_zeros,
+                                  point_limit=args.limit_grid)
+    report = oracle.verify_bounds(f, grid, count=count)
     payload = {
-        "command": "verify",
-        "ring": str(ring),
-        "vars": names,
-        "polynomial": f.render(names),
+        **_poly_header("verify", ring, names, f),
         "grid": [list(s) for s in grid.sets],
         "grid_size": report.grid_size,
         "nonzero_count": report.nonzero_count,
@@ -156,21 +156,15 @@ def _cmd_verify(args):
         ],
     }
     if args.list_zeros:
-        count = oracle.count_nonzeros(f, grid, point_limit=args.limit_grid)
         payload["zeros"] = [list(pt) for pt in (count.zero_set or ())]
     return payload
 
 
 def _cmd_trim(args):
-    ring = _ring_of(args)
-    f, names, _ = _load_poly(args, ring)
-    grid = _load_grid(args, ring)
+    ring, f, names, grid = _load_poly_and_grid(args)
     g = transform.trim(f, grid)
     payload = {
-        "command": "trim",
-        "ring": str(ring),
-        "vars": names,
-        "polynomial": f.render(names),
+        **_poly_header("trim", ring, names, f),
         "trimmed": g.render(names),
         "term_count": len(g.terms),
     }
@@ -182,17 +176,12 @@ def _cmd_trim(args):
 
 
 def _cmd_coeff(args):
-    ring = _ring_of(args)
-    f, names, _ = _load_poly(args, ring)
-    grid = _load_grid(args, ring)
+    ring, f, names, grid = _load_poly_and_grid(args)
     d = _parse_vector(args.monomial, grid.arity)
     values = transform.grid_values(f, grid)
     c = transform.coefficient_via_grid(values, grid, d)
     return {
-        "command": "coeff",
-        "ring": str(ring),
-        "vars": names,
-        "polynomial": f.render(names),
+        **_poly_header("coeff", ring, names, f),
         "monomial": list(d),
         "coefficient": c.value,
         "stored_coefficient": f.coefficient(d).value,

@@ -289,18 +289,21 @@ def count_nonzeros(f: Polynomial, grid: GridSpec, *,
 
 
 def verify_bounds(f: Polynomial, grid: GridSpec, *,
-                  reports=None,
+                  count: GridCount | None = None,
                   point_limit: int = DEFAULT_POINT_LIMIT) -> VerificationReport:
     """Hold every collected bound against the brute-force count.
 
-    Asymptotic entries are skipped (no finite grid can falsify them), and
-    the classical total-degree bound that presumes a nonzero value on the
+    ``count`` is the ``count_nonzeros`` result of f on this grid when the
+    caller already has it; otherwise the grid is counted here.  Asymptotic
+    entries are skipped (no finite grid can falsify them), and the
+    classical total-degree bound that presumes a nonzero value on the
     grid is skipped when that presumption fails.
     """
-    count = count_nonzeros(f, grid, collect_zeros=False, point_limit=point_limit)
+    if count is None:
+        count = count_nonzeros(f, grid, collect_zeros=False, point_limit=point_limit)
     size = count.grid_size
     checks: list[BoundCheck] = []
-    for rep in bounds_mod.collect_bounds(f, grid, reports):
+    for rep in bounds_mod.collect_bounds(f, grid):
         if rep.asymptotic:
             continue
         if rep.requires_nonzero_on_grid and count.nonzeros == 0:

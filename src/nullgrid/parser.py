@@ -13,11 +13,13 @@ grammar enforces structurally.  Exponents are capped at 10**6.
 ``parse_poly`` expands the expression eagerly into a sparse Polynomial;
 ``parse_dag`` builds a hash-consed expression DAG without any expansion,
 so (x+y)^16 stays a single power node.  Both run the same grammar; the
-DAG is the primary build and expansion is a walk over it.
+DAG is the primary build and expansion is a walk over it.  ``fold_dag`` is
+that walk, shared by expansion, evaluation, degree bounds and grafting.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -106,18 +108,7 @@ class DagBuilder:
             raise RingMismatchError(f"mixed rings {dag.ring} and {self.ring}")
         if dag.arity != self.arity:
             raise ArityMismatchError(f"mixed arities {dag.arity} and {self.arity}")
-        remap: list[int] = []
-        for node in dag.nodes:
-            tag = node[0]
-            if tag in (VAR, CONST):
-                remap.append(self._intern(node))
-            elif tag == NEG:
-                remap.append(self._intern((NEG, remap[node[1]])))
-            elif tag == POW:
-                remap.append(self._intern((POW, remap[node[1]], node[2])))
-            else:
-                remap.append(self._intern((tag, remap[node[1]], remap[node[2]])))
-        return remap[dag.root]
+        return fold_dag(dag, self.var, self.const, self.add, self.sub, self.mul, self.neg, self.pow)
 
     def build(self, root: int) -> ExprDag:
         return ExprDag(self.arity, self.ring, tuple(self.nodes), root)
@@ -251,30 +242,43 @@ def parse_dag(text: str, variables: Sequence[str], ring: RingSpec) -> ExprDag:
     return builder.build(root)
 
 
-def expand_dag(dag: ExprDag) -> Polynomial:
-    """Expand a DAG into a sparse polynomial, one visit per node."""
-    memo: list[Polynomial] = []
-    arity, ring = dag.arity, dag.ring
+def fold_dag(dag: ExprDag, var, const, add, sub, mul, neg, power):
+    """The root's value under one forward pass, visiting each node once.
+
+    Leaves take ``var(index)`` and ``const(value)``; inner nodes apply
+    ``add``, ``sub`` or ``mul`` to their children's values, ``neg`` to
+    its child's, and ``power`` to its child's value and the exponent.
+    """
+    memo: list = []
     for node in dag.nodes:
         tag = node[0]
         if tag == VAR:
-            p = Polynomial.variable(arity, ring, node[1])
+            v = var(node[1])
         elif tag == CONST:
-            p = Polynomial.constant(arity, ring, node[1])
+            v = const(node[1])
         elif tag == ADD:
-            p = memo[node[1]] + memo[node[2]]
+            v = add(memo[node[1]], memo[node[2]])
         elif tag == SUB:
-            p = memo[node[1]] - memo[node[2]]
+            v = sub(memo[node[1]], memo[node[2]])
         elif tag == MUL:
-            p = memo[node[1]] * memo[node[2]]
+            v = mul(memo[node[1]], memo[node[2]])
         elif tag == NEG:
-            p = -memo[node[1]]
+            v = neg(memo[node[1]])
         elif tag == POW:
-            p = memo[node[1]] ** node[2]
+            v = power(memo[node[1]], node[2])
         else:
             raise ValueError(f"unknown node tag {tag!r}")
-        memo.append(p)
+        memo.append(v)
     return memo[dag.root]
+
+
+def expand_dag(dag: ExprDag) -> Polynomial:
+    """Expand a DAG into a sparse polynomial, one visit per node."""
+    arity, ring = dag.arity, dag.ring
+    return fold_dag(dag,
+                    lambda i: Polynomial.variable(arity, ring, i),
+                    lambda c: Polynomial.constant(arity, ring, c),
+                    operator.add, operator.sub, operator.mul, operator.neg, operator.pow)
 
 
 def parse_poly(text: str, variables: Sequence[str], ring: RingSpec) -> Polynomial:

@@ -10,12 +10,13 @@ trials that all return zero leave a failure probability of at most
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientSampleSpaceError, UnsupportedRingError
-from .parser import ADD, CONST, MUL, NEG, POW, SUB, VAR, DagBuilder, ExprDag
+from .parser import DagBuilder, ExprDag, fold_dag
 from .ring import RingElem
 
 
@@ -25,47 +26,16 @@ def eval_dag(dag: ExprDag, point) -> RingElem:
         raise ValueError(f"point of length {len(point)} for arity {dag.arity}")
     ring = dag.ring
     values = [int(v) if isinstance(v, RingElem) else ring.canon(int(v)) for v in point]
-    memo: list[int] = []
-    for node in dag.nodes:
-        tag = node[0]
-        if tag == VAR:
-            v = values[node[1]]
-        elif tag == CONST:
-            v = node[1]
-        elif tag == ADD:
-            v = ring.add(memo[node[1]], memo[node[2]])
-        elif tag == SUB:
-            v = ring.sub(memo[node[1]], memo[node[2]])
-        elif tag == MUL:
-            v = ring.mul(memo[node[1]], memo[node[2]])
-        elif tag == NEG:
-            v = ring.neg(memo[node[1]])
-        else:  # POW
-            v = ring.pow(memo[node[1]], node[2])
-        memo.append(v)
-    return RingElem(ring, memo[dag.root])
+    value = fold_dag(dag, values.__getitem__, lambda c: c,
+                     ring.add, ring.sub, ring.mul, ring.neg, ring.pow)
+    return RingElem(ring, value)
 
 
 def degree_upper_bound(dag: ExprDag) -> int:
     """Structural total-degree bound: exact for expanded forms, an upper
     bound in general (cancellation can only lower the true degree)."""
-    memo: list[int] = []
-    for node in dag.nodes:
-        tag = node[0]
-        if tag == VAR:
-            d = 1
-        elif tag == CONST:
-            d = 0
-        elif tag in (ADD, SUB):
-            d = max(memo[node[1]], memo[node[2]])
-        elif tag == MUL:
-            d = memo[node[1]] + memo[node[2]]
-        elif tag == NEG:
-            d = memo[node[1]]
-        else:  # POW
-            d = memo[node[1]] * node[2]
-        memo.append(d)
-    return memo[dag.root]
+    return fold_dag(dag, lambda i: 1, lambda c: 0, max, max,
+                    operator.add, lambda d: d, operator.mul)
 
 
 def dag_difference(g1: ExprDag, g2: ExprDag) -> ExprDag:

@@ -26,12 +26,16 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ArityMismatchError,
+    GridTooLargeError,
     RingMismatchError,
     ZeroPolynomialError,
 )
 from .ring import RingElem, RingSpec
 
 Exponents = tuple[int, ...]
+
+# most elements of one grid set read from text, checked before a range is expanded
+MAX_SET_SIZE = 10**6
 
 
 def _coerce_value(ring: RingSpec, v) -> int:
@@ -209,23 +213,15 @@ class Polynomial:
 
     def eval_raw(self, values: tuple[int, ...]) -> int:
         """Evaluate at canonical integer values.  Fast path; no validation."""
-        m = self.ring.modulus
+        ring = self.ring
         total = 0
-        if m:
-            for exps, c in self.terms.items():
-                t = c
-                for v, e in zip(values, exps):
-                    if e:
-                        t = t * pow(v, e, m) % m
-                total += t
-            return total % m
         for exps, c in self.terms.items():
             t = c
             for v, e in zip(values, exps):
                 if e:
-                    t *= v ** e
+                    t = ring.mul(t, ring.pow(v, e))
             total += t
-        return total
+        return ring.canon(total)
 
     # -- degrees -----------------------------------------------------------
 
@@ -368,8 +364,11 @@ class GridSpec:
             vals = tuple(_coerce_value(ring, v) for v in s)
             if not vals:
                 raise ValueError(f"grid set {i + 1} is empty")
-            if len(set(vals)) != len(vals):
-                raise ValueError(f"grid set {i + 1} has repeated elements after canonicalization: {vals}")
+            first: dict[int, int] = {}
+            for pos, v in enumerate(vals, 1):
+                if first.setdefault(v, pos) != pos:
+                    raise ValueError(f"grid set {i + 1} repeats {v} at positions {first[v]} and {pos} "
+                                     "after canonicalization")
             clean.append(vals)
         if not clean:
             raise ValueError("a grid needs at least one variable")
@@ -384,7 +383,8 @@ class GridSpec:
         """Parse the grid text format: one variable per line (or per
         ';'-separated segment), elements separated by commas, where an
         element is an integer or an inclusive range ``a..b``.  Blank
-        segments are ignored."""
+        segments are ignored.  A set of more than MAX_SET_SIZE elements
+        raises GridTooLargeError before any range is expanded."""
         sets = []
         for lineno, line in enumerate(text.replace(";", "\n").splitlines(), 1):
             line = line.strip()
@@ -398,9 +398,11 @@ class GridSpec:
                         lo, hi = (int(part) for part in tok.split("..", 1))
                         if hi < lo:
                             raise ValueError
-                        elems.extend(range(lo, hi + 1))
                     else:
-                        elems.append(int(tok))
+                        lo = hi = int(tok)
+                    if len(elems) + hi - lo + 1 > MAX_SET_SIZE:
+                        raise GridTooLargeError(f"grid set {len(sets) + 1} has more than {MAX_SET_SIZE} elements")
+                    elems.extend(range(lo, hi + 1))
             except ValueError:
                 raise ValueError(f"bad grid element on line {lineno}: {line!r}") from None
             sets.append(elems)

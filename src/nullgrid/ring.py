@@ -196,40 +196,32 @@ class RingElem:
     ring: RingSpec
     value: int
 
-    def _peer(self, other) -> int:
+    def _combine(self, op, other, reflected: bool = False):
+        """op(self, other), or op(other, self) when reflected, as an element
+        of this ring; NotImplemented for operands that are not ring values."""
         if isinstance(other, RingElem):
             if other.ring != self.ring:
                 raise RingMismatchError(f"mixed rings {self.ring} and {other.ring}")
-            return other.value
-        if isinstance(other, int):
-            return self.ring.canon(other)
-        return NotImplemented
+            v = other.value
+        elif isinstance(other, int):
+            v = self.ring.canon(other)
+        else:
+            return NotImplemented
+        return RingElem(self.ring, op(v, self.value) if reflected else op(self.value, v))
 
     def __add__(self, other):
-        v = self._peer(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return RingElem(self.ring, self.ring.add(self.value, v))
+        return self._combine(self.ring.add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        v = self._peer(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return RingElem(self.ring, self.ring.sub(self.value, v))
+        return self._combine(self.ring.sub, other)
 
     def __rsub__(self, other):
-        v = self._peer(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return RingElem(self.ring, self.ring.sub(v, self.value))
+        return self._combine(self.ring.sub, other, reflected=True)
 
     def __mul__(self, other):
-        v = self._peer(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return RingElem(self.ring, self.ring.mul(self.value, v))
+        return self._combine(self.ring.mul, other)
 
     __rmul__ = __mul__
 

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullgrid.analysis import (
     CONDITIONS,
@@ -126,6 +128,8 @@ def test_forbidden_set_succ_frozen():
 def test_forbidden_set_d_leading_frozen():
     got = forbidden_set(D_LEADING, (2, 1), (3, 3), e=(1, 1))
     assert got == {(1, 2), (1, 3), (3, 1), (3, 2), (3, 3)}
+    # a seed given as a list names the same region; the seed itself is allowed
+    assert forbidden_set(D_LEADING, (2, 1), (3, 3), e=[1, 1]) == got
 
 
 def test_region_identity_maximal_is_lex_intersection():
@@ -164,6 +168,19 @@ def test_hypothesis_holds_requires_witness_in_support():
     assert hypothesis_holds(ELLIPSE, TOTAL_DEGREE, (2, 0))
     assert hypothesis_holds(ELLIPSE, TOTAL_DEGREE, (1, 1))
     assert not hypothesis_holds(ELLIPSE, TOTAL_DEGREE, (1, 0))
+
+
+def test_unknown_condition_and_missing_seed_are_errors():
+    # rejected even when the witness is not in the support
+    for d in ((2, 0), (5, 5)):
+        with pytest.raises(ValueError, match="unknown condition"):
+            hypothesis_holds(ELLIPSE, "bogus", d)
+    with pytest.raises(ValueError, match="unknown condition"):
+        forbidden_set("bogus", (1, 1), (2, 2))
+    with pytest.raises(ValueError, match="needs the seed"):
+        forbidden_set(D_LEADING, (1, 1), (2, 2))
+    # without a seed the seeded hypotheses simply do not hold
+    assert not hypothesis_holds(ELLIPSE, SUCCESSIVELY_LARGEST, (2, 0))
 
 
 def test_classify_ellipse_frozen():
@@ -214,3 +231,48 @@ def test_classify_constant_poly():
     for r in rows:
         assert r.holds
         assert r.witness_d == (0, 0)
+
+
+def _exists_j(v, bound, agree, order):
+    # some variable, in order, exceeds its bound while every earlier
+    # variable agrees with the reference vector
+    return any(v[order[j]] > bound[order[j]] and all(v[order[i]] == agree[order[i]] for i in range(j))
+               for j in range(len(order)))
+
+
+@st.composite
+def _region_inputs(draw):
+    n = draw(st.integers(1, 4))
+    cap = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    d = tuple(draw(st.integers(0, 4)) for _ in range(n))
+    e = tuple(draw(st.integers(0, di)) for di in d)
+    order = tuple(draw(st.permutations(range(n))))
+    return cap, d, e, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(_region_inputs())
+def test_regions_match_their_definitions(inputs):
+    cap, d, e, order = inputs
+    box = list(itertools.product(*(range(c + 1) for c in cap)))
+    assert forbidden_set(SUCCESSIVELY_LARGEST, d, cap, e=e, order=order) == {
+        v for v in box if _exists_j(v, d, e, order)}
+    assert forbidden_set(LEX_LARGEST, d, cap, order=order) == {
+        v for v in box if _exists_j(v, d, d, order)}
+    d_leading = {v for v in box if v != e and all(vi == ei or vi > di for vi, ei, di in zip(v, e, d))}
+    assert forbidden_set(D_LEADING, d, cap, e=e) == d_leading
+    # and d-leading is successively-largest under every order at once
+    orders = list(itertools.permutations(range(len(d))))
+    assert d_leading == {v for v in box if v != e and all(_exists_j(v, d, e, o) for o in orders)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=12, unique=True),
+    st.tuples(*[st.integers(0, 2)] * n))), st.data())
+def test_is_d_leading_is_the_d_leading_hypothesis(support_and_lift, data):
+    support, lift = support_and_lift
+    f = Polynomial(len(lift), Z, {v: 1 for v in support})
+    e = data.draw(st.sampled_from(support))
+    d = tuple(ei + li for ei, li in zip(e, lift))
+    assert is_d_leading(f, e, d) == hypothesis_holds(f, D_LEADING, d, e)

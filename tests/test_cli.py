@@ -1,7 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
 
+from nullgrid import oracle
 from nullgrid.cli import main
 
 
@@ -254,3 +256,33 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == 1
+
+
+def test_verify_list_zeros_counts_the_grid_once(capsys, monkeypatch):
+    calls = []
+    real = oracle.count_nonzeros
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "count_nonzeros", counting)
+    code, out = run_cli(capsys, "verify", "--ring", "fp:5", "--grid", "0..2;1..2",
+                        "--list-zeros", "--poly", "x*y - x")
+    assert code == 0
+    assert len(calls) == 1
+    data = json.loads(out)
+    assert (data["grid_size"], data["nonzero_count"], data["zero_count"]) == (6, 2, 4)
+    assert data["zeros"] == [[0, 1], [0, 2], [1, 1], [2, 1]]
+    # digest of this output as printed when verify still counted the grid twice
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "889c01f030b92ef2a074d59decf79ad0f536eb5d71ab46f9eae070b8f6d5ce9b")
+
+
+def test_verify_huge_grid_range_is_a_resource_error(capsys):
+    # one element over the cap, so the range is never built
+    code, out = run_cli(capsys, "verify", "--grid", "0..1000000", "--poly", "x")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == "resource-limit"
+    assert len(error["message"]) < 200

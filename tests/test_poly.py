@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
-from nullgrid.errors import ArityMismatchError, ZeroPolynomialError
+from nullgrid.errors import ArityMismatchError, GridTooLargeError, ZeroPolynomialError
 from nullgrid.poly import (
     GridSpec,
     Polynomial,
@@ -194,3 +195,33 @@ def test_check_compatible():
 
     with pytest.raises(RingMismatchError):
         check_compatible(Polynomial.variable(2, F5, 0), g)
+
+
+def test_gridspec_from_text_caps_set_size_before_expanding():
+    from nullgrid.poly import MAX_SET_SIZE
+
+    # cap + 1 elements, in one range and split over a range and a list
+    for text in (f"0..{MAX_SET_SIZE}", f"5, 0..{MAX_SET_SIZE - 1}"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridTooLargeError):
+                GridSpec.from_text(text, Z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+    g = GridSpec.from_text("0..9; 1..3", Z)
+    assert g.sizes == (10, 3)
+
+
+def test_gridspec_repeat_message_names_the_repeat():
+    vals = list(range(10_000))
+    vals[7_000] = 1_234
+    with pytest.raises(ValueError) as err:
+        GridSpec(Z, [(0, 1), vals])
+    message = str(err.value)
+    assert len(message) < 200
+    assert "grid set 2" in message and "1234" in message
+    assert "1235" in message and "7001" in message  # 1-based positions
+    with pytest.raises(ValueError, match="repeats 1 at positions 2 and 3"):
+        GridSpec.from_text("0,1,6\n", F5)

@@ -116,6 +116,8 @@ def test_elem_int_mixing():
     assert (a + 2).value == 7
     assert (2 + a).value == 7
     assert (a * -1).value == -5
+    assert (2 - a).value == -3 and (a - 2).value == 3
+    assert (3 - RingSpec.prime_field(11).element(4)).value == 10
     assert a == 5
 
 
