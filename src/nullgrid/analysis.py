@@ -21,16 +21,18 @@ stronger ones force a guaranteed number of nonzeros:
 Each hypothesis carves out a forbidden region of exponent vectors that
 must not meet the support of f; ``forbidden_set`` materializes those
 regions, and one membership test per region (``_region``) is shared by
-the region enumeration and every hypothesis check, so they cannot drift
-apart.
+the region enumeration and every definitional hypothesis check, so they
+cannot drift apart.  ``classify`` decides its many seeded reports from
+prefix-maximum tables of the support instead, one per variable order.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
 
-from .errors import ZeroPolynomialError
+from .errors import ArityMismatchError, ZeroPolynomialError
 from .poly import Polynomial
 
 MAXIMAL_MONOMIAL = "maximal-monomial"
@@ -44,11 +46,13 @@ CONDITIONS = (MAXIMAL_MONOMIAL, LEX_LARGEST, SUCCESSIVELY_LARGEST, D_LEADING, PA
 
 MAX_ORDERS_ARITY = 4
 
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class HypothesisReport:
     """One detected hypothesis: the condition, its witnesses, and whether
-    the definitional re-check passed.
+    it holds for f (decided exactly, never assumed).
 
     witness_d is the degree vector; witness_e is the seed monomial for the
     seeded conditions; order is the variable order (a permutation of
@@ -71,10 +75,24 @@ def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x >= y for x, y in zip(a, b))
 
 
+def _graded(exps: tuple[int, ...]):
+    return sum(exps), exps
+
+
 def maximal_monomials(f: Polynomial) -> set[tuple[int, ...]]:
-    """Support elements not strictly dominated by another support element."""
+    """Support elements not strictly dominated by another support element.
+
+    A skyline over the support in graded-descending order: a monomial that
+    strictly dominates m has larger total degree, so it comes first, and
+    if it is not maximal itself a kept maximum dominates it and hence m.
+    So m is maximal exactly when no maximum kept so far dominates it.
+    """
     _require_nonzero(f)
-    return {m for m in f.terms if not any(map(_region(MAXIMAL_MONOMIAL, m, None, None), f.terms))}
+    kept: list[tuple[int, ...]] = []
+    for m in sorted(f.terms, key=_graded, reverse=True):
+        if not any(_dominates(k, m) for k in kept):
+            kept.append(m)
+    return set(kept)
 
 
 def lex_largest(f: Polynomial, order: tuple[int, ...] | None = None) -> tuple[int, ...]:
@@ -207,6 +225,9 @@ def hypothesis_holds(f: Polynomial, condition: str, d: tuple[int, ...],
     _require_nonzero(f)
     d = tuple(d)
     e = None if e is None else tuple(e)
+    for name, w in (("d", d), ("e", e)):
+        if w is not None and len(w) != f.arity:
+            raise ArityMismatchError(f"witness {name} = {w} has length {len(w)}, f has arity {f.arity}")
     if condition in (MAXIMAL_MONOMIAL, LEX_LARGEST, TOTAL_DEGREE):
         witnessed = d in f.terms
     elif condition in (SUCCESSIVELY_LARGEST, D_LEADING):
@@ -216,6 +237,43 @@ def hypothesis_holds(f: Polynomial, condition: str, d: tuple[int, ...],
     else:
         witnessed = True  # _region rejects the unknown condition
     return witnessed and not any(map(_region(condition, d, e, order), f.terms))
+
+
+def _prefix_maxima(terms, order: tuple[int, ...]):
+    """Index the support under one variable order, in O(T·n).
+
+    Prefixes of exponent vectors, read in ``order``, are numbered as they
+    first appear (0 is the empty prefix).  Returns ``(tops, paths)``:
+    ``tops[k][p]`` is the largest exponent of variable ``order[k]`` among
+    the monomials whose first k exponents form prefix p, and
+    ``paths[v][k]`` is the number of the length-k prefix of the monomial v.
+    """
+    tops: list[dict[int, int]] = [{} for _ in order]
+    ids: dict[tuple[int, int], int] = {}
+    paths: dict[tuple[int, ...], list[int]] = {}
+    for v in terms:
+        p, path = 0, []
+        for top, var in zip(tops, order):
+            path.append(p)
+            if top.get(p, -1) < v[var]:
+                top[p] = v[var]
+            p = ids.setdefault((p, v[var]), len(ids) + 1)
+        paths[v] = path
+    return tops, paths
+
+
+def _ordered_holds(tops, path: list[int], d: tuple[int, ...], order: tuple[int, ...]) -> bool:
+    """Exact successively-largest test of (d, e, order) for a seed e in
+    the support with prefix numbers ``path``, from the prefix-maximum
+    tables of that order.
+
+    The forbidden region holds the v that agree with e on order[:k] and
+    exceed d at order[k], for some k; the largest such exponent in the
+    support is ``tops[k][path[k]]``, so the region misses the support iff
+    no k has ``tops[k][path[k]] > d[order[k]]``.  That also requires
+    d >= e: e itself has e's prefixes, so ``tops[k][path[k]] >= e[order[k]]``.
+    """
+    return all(top[p] <= d[var] for top, p, var in zip(tops, path, order))
 
 
 def classify(f: Polynomial) -> list[HypothesisReport]:
@@ -229,9 +287,21 @@ def classify(f: Polynomial) -> list[HypothesisReport]:
       * one partial-degrees report and one total-degree report.
 
     All variable orders are enumerated while arity <= MAX_ORDERS_ARITY;
-    beyond that only the identity order is used.  Every report's ``holds``
-    is computed by the definitional re-check ``hypothesis_holds``, not
-    assumed.
+    beyond that only the identity order is used.  No ``holds`` is assumed.
+
+    The support is indexed once per order (``_prefix_maxima``): each
+    seed's successively-largest d takes n table lookups, and its ``holds``
+    is the exact table test ``_ordered_holds``.  A d-leading pair (e, d)
+    holds when the ordered test of an order that produced it does.  That
+    is exact: when d >= e, a v in the d-leading forbidden region (v != e,
+    and each v_i equals e_i or exceeds d_i) is in the successively-largest
+    forbidden region of (e, d, order) for every order, since at the first
+    index in the order where v differs from e, v exceeds d.  A pair that
+    no producing order certifies gets the definitional ``hypothesis_holds``
+    scan, as do the maximal, lex-largest, partial-degrees and
+    total-degree reports.  For T terms in n variables the cost is
+    O(orders·T·n + maxima·T) table steps and region tests, not the
+    O(orders·T²) of re-checking every seeded report against the support.
     """
     _require_nonzero(f)
     n = f.arity
@@ -239,32 +309,43 @@ def classify(f: Polynomial) -> list[HypothesisReport]:
         orders = [tuple(p) for p in itertools.permutations(range(n))]
     else:
         orders = [tuple(range(n))]
-    by_graded = lambda exps: (sum(exps), exps)
     reports: list[HypothesisReport] = []
 
-    def report(condition, d, e=None, order=None):
-        reports.append(HypothesisReport(condition, hypothesis_holds(f, condition, d, e, order), d, e, order))
+    def report(condition, d, e=None, order=None, holds=None):
+        if holds is None:
+            holds = hypothesis_holds(f, condition, d, e, order)
+        reports.append(HypothesisReport(condition, holds, d, e, order))
 
-    for m in sorted(maximal_monomials(f), key=by_graded, reverse=True):
+    for m in sorted(maximal_monomials(f), key=_graded, reverse=True):
         report(MAXIMAL_MONOMIAL, m)
 
     for order in orders:
         report(LEX_LARGEST, lex_largest(f, order), order=order)
 
-    seeds = sorted(f.terms, key=by_graded, reverse=True)
-    d_leading_pairs: set[tuple] = set()
+    seeds = sorted(f.terms, key=_graded, reverse=True)
+    certified: dict[tuple, bool] = {}
     for order in orders:
+        tops, paths = _prefix_maxima(f.terms, order)
         for seed in seeds:
-            d = successively_largest(f, seed, order)
-            report(SUCCESSIVELY_LARGEST, d, seed, order)
-            d_leading_pairs.add((seed, d))
+            path = paths[seed]
+            d = [0] * n
+            for top, p, var in zip(tops, path, order):
+                d[var] = top[p]
+            d = tuple(d)
+            holds = _ordered_holds(tops, path, d, order)
+            report(SUCCESSIVELY_LARGEST, d, seed, order, holds)
+            certified[seed, d] = certified.get((seed, d), False) or holds
 
-    for seed, d in sorted(d_leading_pairs):
-        report(D_LEADING, d, seed)
+    for seed, d in sorted(certified):
+        # a pair that no producing order certifies gets the definitional scan
+        report(D_LEADING, d, seed, holds=certified[seed, d] or None)
 
     partial, total = f.degrees()
     report(PARTIAL_DEGREES, partial)
 
-    top = max((e for e in f.terms if sum(e) == total), key=by_graded)
+    top = max((e for e in f.terms if sum(e) == total), key=_graded)
     report(TOTAL_DEGREE, top)
+    log.debug("classify terms=%d orders=%d reports=%d d_leading_certified=%d d_leading_scanned=%d",
+              len(f.terms), len(orders), len(reports), sum(certified.values()),
+              len(certified) - sum(certified.values()))
     return reports

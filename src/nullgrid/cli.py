@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from . import analysis, bounds, oracle, pit, puzzle, transform
 from .errors import (
+    ExpansionTooLargeError,
     GridTooLargeError,
     HypothesisViolationError,
     NullgridError,
@@ -365,7 +366,7 @@ def main(argv=None) -> int:
     except HypothesisViolationError as e:
         _emit_error("hypothesis-violation", str(e), fmt)
         return EXIT_HYPOTHESIS
-    except (GridTooLargeError, SearchBudgetError) as e:
+    except (ExpansionTooLargeError, GridTooLargeError, SearchBudgetError) as e:
         _emit_error("resource-limit", str(e), fmt)
         return EXIT_RESOURCE
     except (NullgridError, ValueError) as e:

@@ -42,6 +42,11 @@ class GridTooLargeError(NullgridError, RuntimeError):
     configured point limit."""
 
 
+class ExpansionTooLargeError(NullgridError, RuntimeError):
+    """Expanding an expression into a sparse polynomial was refused because
+    its work exceeds the expansion budget."""
+
+
 class SearchBudgetError(NullgridError, RuntimeError):
     """An exhaustive search space exceeds its budget; use the local search
     instead."""

@@ -8,7 +8,8 @@ Grammar (whitespace insensitive, implicit multiplication rejected):
     atom   := ident | int | "(" expr ")"
 
 Precedence is ^ above unary minus above * above binary +/-, which the
-grammar enforces structurally.  Exponents are capped at 10**6.
+grammar enforces structurally.  Exponents are capped at 10**6, and an
+expansion at MAX_EXPANSION_WORK term products.
 
 ``parse_poly`` expands the expression eagerly into a sparse Polynomial;
 ``parse_dag`` builds a hash-consed expression DAG without any expansion,
@@ -22,10 +23,12 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 from .errors import (
     ArityMismatchError,
+    ExpansionTooLargeError,
     ExponentOverflowError,
     ParseError,
     RingMismatchError,
@@ -35,6 +38,7 @@ from .poly import Polynomial
 from .ring import RingSpec
 
 MAX_EXPONENT = 10**6
+MAX_EXPANSION_WORK = 4 * 10**6
 
 # Node tags.  A node is a tuple whose first entry is the tag:
 #   ("var", index) ("const", value) ("add", l, r) ("sub", l, r)
@@ -272,13 +276,73 @@ def fold_dag(dag: ExprDag, var, const, add, sub, mul, neg, power):
     return memo[dag.root]
 
 
+def _terms_bound(f: Polynomial, j: int, cap: int) -> int:
+    """An upper bound on the number of terms of f^j, or cap + 1 once it
+    passes cap: the smaller of the box of partial degrees and the count
+    C(T-1+j, T-1) of monomials of degree j in the T terms of f."""
+    t = len(f.terms)
+    if j == 0:
+        return 1
+    if t <= 1:
+        return t
+    box = prod(j * di + 1 for di in f.degrees()[0])
+    r = min(t - 1, j)
+    c = 1
+    for i in range(1, r + 1):
+        c = c * (t - 1 + j - r + i) // i  # C(t-1+j-r+i, i), increasing in i
+        if c >= box or c > cap:
+            break
+    return min(box, c, cap + 1)
+
+
+def _power_work(f: Polynomial, k: int, cap: int) -> int:
+    """An upper bound on the term products ``f ** k`` spends, or more than
+    cap once it is passed: the square-and-multiply schedule of
+    ``Polynomial.__pow__``, each product charged len(a)·len(b) with
+    ``_terms_bound`` for the lengths."""
+    work, have, base = 0, 0, 1
+    while k and work <= cap:
+        if k & 1:
+            work += _terms_bound(f, have, cap) * _terms_bound(f, base, cap)
+            have += base
+        k >>= 1
+        if k:
+            work += _terms_bound(f, base, cap) ** 2
+            base *= 2
+    return work
+
+
 def expand_dag(dag: ExprDag) -> Polynomial:
-    """Expand a DAG into a sparse polynomial, one visit per node."""
+    """Expand a DAG into a sparse polynomial, one visit per node.
+
+    The work, counted in term products, is charged before each product
+    and each power; an expansion that would pass MAX_EXPANSION_WORK raises
+    ``ExpansionTooLargeError`` before doing the step that passes it.
+    Coefficient size is not charged, so expansions over Z with very large
+    coefficients can run slower than the budget suggests.
+    """
     arity, ring = dag.arity, dag.ring
+    budget, spent = MAX_EXPANSION_WORK, 0
+
+    def charge(work: int, step: str):
+        nonlocal spent
+        spent += work
+        if spent > budget:
+            raise ExpansionTooLargeError(f"expansion passes its budget of {budget} term products at {step}; "
+                                         "expand a smaller expression")
+
+    def mul(a: Polynomial, b: Polynomial) -> Polynomial:
+        charge(len(a.terms) * len(b.terms), f"a product of {len(a.terms)} and {len(b.terms)} terms")
+        return a * b
+
+    def power(a: Polynomial, k: int) -> Polynomial:
+        charge(_power_work(a, k, budget), f"a {len(a.terms)}-term polynomial to the power {k}")
+        return a ** k
+
     return fold_dag(dag,
                     lambda i: Polynomial.variable(arity, ring, i),
                     lambda c: Polynomial.constant(arity, ring, c),
-                    operator.add, operator.sub, operator.mul, operator.neg, operator.pow)
+                    operator.add, operator.sub, mul, operator.neg, power)
 
 
 def parse_poly(text: str, variables: Sequence[str], ring: RingSpec) -> Polynomial:

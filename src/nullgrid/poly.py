@@ -349,6 +349,16 @@ def divide_linear(f: Polynomial, var: int, a) -> tuple[Polynomial, Polynomial]:
     return recompose(q_layers, var), r
 
 
+def first_repeat(values: Sequence) -> tuple[int, int, int] | None:
+    """The first value seen a second time, with the 1-based positions of
+    its two occurrences, or None when the values are distinct."""
+    first: dict = {}
+    for pos, v in enumerate(values, 1):
+        if first.setdefault(v, pos) != pos:
+            return v, first[v], pos
+    return None
+
+
 class GridSpec:
     """A finite grid S_1 x ... x S_n of ring elements, in stored order.
 
@@ -364,11 +374,10 @@ class GridSpec:
             vals = tuple(_coerce_value(ring, v) for v in s)
             if not vals:
                 raise ValueError(f"grid set {i + 1} is empty")
-            first: dict[int, int] = {}
-            for pos, v in enumerate(vals, 1):
-                if first.setdefault(v, pos) != pos:
-                    raise ValueError(f"grid set {i + 1} repeats {v} at positions {first[v]} and {pos} "
-                                     "after canonicalization")
+            repeat = first_repeat(vals)
+            if repeat:
+                raise ValueError("grid set {} repeats {} at positions {} and {} after canonicalization"
+                                 .format(i + 1, *repeat))
             clean.append(vals)
         if not clean:
             raise ValueError("a grid needs at least one variable")

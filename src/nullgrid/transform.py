@@ -27,6 +27,7 @@ from .poly import (
     Polynomial,
     check_compatible,
     decompose_by_variable,
+    first_repeat,
     recompose,
     vanishing_poly,
 )
@@ -124,8 +125,9 @@ def vandermonde_multipliers(ring: RingSpec, elements: Sequence, d: int | None = 
     if not ring.is_field:
         raise UnsupportedRingError("multipliers need a prime field")
     vals = tuple(ring.canon(int(v)) for v in elements)
-    if len(set(vals)) != len(vals):
-        raise ValueError(f"repeated elements in {vals}")
+    repeat = first_repeat(vals)
+    if repeat:
+        raise ValueError("element set repeats {} at positions {} and {}".format(*repeat))
     if not vals:
         raise ValueError("empty element set")
     if d is None:

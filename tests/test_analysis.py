@@ -1,18 +1,22 @@
 import itertools
+import logging
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nullgrid import analysis
 from nullgrid.analysis import (
     CONDITIONS,
     D_LEADING,
     LEX_LARGEST,
+    MAX_ORDERS_ARITY,
     MAXIMAL_MONOMIAL,
     PARTIAL_DEGREES,
     SUCCESSIVELY_LARGEST,
     TOTAL_DEGREE,
+    HypothesisReport,
     classify,
     forbidden_set,
     hypothesis_holds,
@@ -27,6 +31,8 @@ from nullgrid.poly import Polynomial
 from nullgrid.ring import RingSpec
 
 Z = RingSpec.integers()
+F7 = RingSpec.prime_field(7)
+F11 = RingSpec.prime_field(11)
 
 ELLIPSE = parse_poly("x^2 - 4*x*y + y^2", ["x", "y"], Z)
 
@@ -276,3 +282,136 @@ def test_is_d_leading_is_the_d_leading_hypothesis(support_and_lift, data):
     e = data.draw(st.sampled_from(support))
     d = tuple(ei + li for ei, li in zip(e, lift))
     assert is_d_leading(f, e, d) == hypothesis_holds(f, D_LEADING, d, e)
+
+
+def test_hypothesis_holds_rejects_witness_of_wrong_length():
+    f = parse_poly("x*y + x^2", ["x", "y"], Z)
+    for condition in CONDITIONS:
+        # a short d was read through zip and truncated: d-leading held for
+        # d = (5,), and successively-largest raised a bare IndexError
+        with pytest.raises(ValueError, match="witness d = \\(5,\\) has length 1, f has arity 2"):
+            hypothesis_holds(f, condition, (5,), e=(1, 1))
+        with pytest.raises(ValueError, match="witness e = \\(1, 1, 0\\) has length 3"):
+            hypothesis_holds(f, condition, (2, 2), e=(1, 1, 0))
+        with pytest.raises(ValueError, match="witness d"):
+            hypothesis_holds(f, condition, (2, 0, 0))
+
+
+def _reference_classify(f):
+    """classify as written before the support was indexed per order: the
+    witnesses from successively_largest and lex_largest, every holds from
+    the definitional hypothesis_holds scan."""
+    n = f.arity
+    orders = list(itertools.permutations(range(n))) if n <= MAX_ORDERS_ARITY else [tuple(range(n))]
+    graded = lambda v: (sum(v), v)
+    rows = []
+
+    def report(condition, d, e=None, order=None):
+        rows.append(HypothesisReport(condition, hypothesis_holds(f, condition, d, e, order), d, e, order))
+
+    maximal = [m for m in f.terms if hypothesis_holds(f, MAXIMAL_MONOMIAL, m)]
+    for m in sorted(maximal, key=graded, reverse=True):
+        report(MAXIMAL_MONOMIAL, m)
+    for order in orders:
+        report(LEX_LARGEST, lex_largest(f, order), order=order)
+    seeds = sorted(f.terms, key=graded, reverse=True)
+    pairs = set()
+    for order in orders:
+        for seed in seeds:
+            d = successively_largest(f, seed, order)
+            report(SUCCESSIVELY_LARGEST, d, seed, order)
+            pairs.add((seed, d))
+    for seed, d in sorted(pairs):
+        report(D_LEADING, d, seed)
+    partial, total = f.degrees()
+    report(PARTIAL_DEGREES, partial)
+    report(TOTAL_DEGREE, max((e for e in f.terms if sum(e) == total), key=graded))
+    return rows
+
+
+@st.composite
+def _supports(draw):
+    # exponents 0..3 repeat per variable, so seeds share prefixes and the
+    # same (seed, d) pair comes out of several orders
+    n = draw(st.integers(1, 5))
+    top = draw(st.integers(0, 3))
+    support = draw(st.lists(st.tuples(*[st.integers(0, top)] * n), min_size=1, max_size=14, unique=True))
+    return Polynomial(n, Z, {v: 1 for v in support})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_supports())
+@example(Polynomial.constant(3, Z, 5))
+@example(Polynomial(1, Z, {(4,): 1}))
+@example(Polynomial(5, Z, {(1, 0, 2, 0, 1): 1, (1, 0, 2, 1, 0): 1, (0, 3, 0, 0, 0): 1}))
+@example(Polynomial(3, Z, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1, (2, 0, 0): 1}))
+def test_classify_matches_the_reference(f):
+    assert classify(f) == _reference_classify(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_supports(), st.data())
+def test_ordered_table_test_is_the_successively_largest_hypothesis(f, data):
+    # for any d, not only the successively-largest one, and any seed
+    e = data.draw(st.sampled_from(sorted(f.terms)))
+    d = tuple(data.draw(st.integers(0, 4)) for _ in range(f.arity))
+    order = tuple(data.draw(st.permutations(range(f.arity))))
+    tops, paths = analysis._prefix_maxima(f.terms, order)
+    assert analysis._ordered_holds(tops, paths[e], d, order) == \
+        hypothesis_holds(f, SUCCESSIVELY_LARGEST, d, e, order)
+
+
+def _acceptance_polys():
+    """The random polynomials of acceptance criteria 4 and 7, drawn as
+    those criteria draw them."""
+    F5, F101 = RingSpec.prime_field(5), RingSpec.prime_field(101)
+    rng = random.Random(404)
+    for _ in range(1000):
+        ring = rng.choice((F5, F7, F101, Z))
+        n = rng.randrange(1, 3)
+        caps = tuple(rng.randrange(1, 5) for _ in range(n))
+        yield random_polynomial(n, caps, rng.uniform(0.2, 0.7), ring, seed=rng.randrange(10**9))
+        if ring.kind == "fp" and ring.modulus <= 7 and rng.random() < 0.5:
+            continue
+        universe = range(-9, 10) if ring.kind == "int" else range(ring.modulus)
+        size = rng.randrange(1, min(9, len(universe) + 1))
+        for _ in range(n):
+            rng.sample(universe, size)
+    rng = random.Random(707)
+    for _ in range(100):
+        ring = rng.choice((F7, F11))
+        yield random_polynomial(2, (rng.randrange(1, 5), rng.randrange(1, 5)), 0.5, ring,
+                                seed=rng.randrange(10**9))
+
+
+def test_classify_matches_the_reference_on_acceptance_corpora():
+    polys = [f for f in _acceptance_polys() if not f.is_zero]
+    assert len(polys) > 1000
+    for f in polys + [ELLIPSE]:
+        assert classify(f) == _reference_classify(f), f
+
+
+def test_classify_falls_back_to_the_scan(monkeypatch, caplog):
+    # when no order certifies a d-leading pair, its holds comes from the
+    # definitional scan, not from the ordered test
+    f = parse_poly("x^2*y + x*y^3 + y^2 + x + 1", ["x", "y"], Z)
+    monkeypatch.setattr(analysis, "_ordered_holds", lambda *args: False)
+    with caplog.at_level(logging.DEBUG, logger="nullgrid"):
+        got = classify(f)
+    want = _reference_classify(f)
+    pairs = [r for r in want if r.condition == D_LEADING]
+    assert [r for r in got if r.condition == D_LEADING] == pairs
+    assert all(r.holds for r in pairs)
+    assert not any(r.holds for r in got if r.condition == SUCCESSIVELY_LARGEST)
+    assert f"d_leading_certified=0 d_leading_scanned={len(pairs)}" in caplog.records[-1].getMessage()
+
+
+def test_classify_logs_one_record(caplog):
+    with caplog.at_level(logging.DEBUG, logger="nullgrid"):
+        reports = classify(ELLIPSE)
+    records = [r for r in caplog.records if r.name.startswith("nullgrid")]
+    assert len(records) == 1
+    assert records[0].levelno == logging.DEBUG
+    assert records[0].getMessage() == (
+        "classify terms=3 orders=2 reports=19 d_leading_certified=6 d_leading_scanned=0")
+    assert len(reports) == 19

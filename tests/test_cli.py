@@ -286,3 +286,12 @@ def test_verify_huge_grid_range_is_a_resource_error(capsys):
     error = json.loads(out)["error"]
     assert error["code"] == "resource-limit"
     assert len(error["message"]) < 200
+
+
+def test_expansion_over_budget_is_a_resource_error(capsys):
+    code, out = run_cli(capsys, "analyze", "--vars", "x,y", "--poly", "(x+y)^1000000")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == "resource-limit"
+    assert "power 1000000" in error["message"]
+    assert len(error["message"]) < 200

@@ -1,9 +1,16 @@
-import pytest
+import time
 
-from nullgrid.errors import ExponentOverflowError, ParseError, UnknownVariableError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nullgrid import parser
+from nullgrid.errors import ExpansionTooLargeError, ExponentOverflowError, ParseError, UnknownVariableError
 from nullgrid.parser import (
+    MAX_EXPANSION_WORK,
     MAX_EXPONENT,
     DagBuilder,
+    _power_work,
     expand_dag,
     infer_variables,
     parse_dag,
@@ -137,3 +144,49 @@ def test_large_exponent_stays_sparse():
     # power on a monomial never expands into a dense polynomial
     f = parse_poly("x^1000000", ["x"], Z)
     assert f.terms == {(1000000,): 1}
+
+
+def test_expansion_budget_refuses_a_huge_power_fast():
+    start = time.perf_counter()
+    with pytest.raises(ExpansionTooLargeError, match="2-term polynomial to the power 1000000"):
+        parse_poly("(x + y)^1000000", ["x", "y"], Z)
+    assert time.perf_counter() - start < 1.0
+    # the budget still covers (x + y + z + 1)^40, about 4 s of expansion
+    assert _power_work(parse_poly("x + y + z + 1", ["x", "y", "z"], F7), 40, MAX_EXPANSION_WORK) \
+        < MAX_EXPANSION_WORK
+
+
+def test_expansion_budget_is_charged_before_each_product(monkeypatch):
+    dag = parse_dag("(x + 1)*(y + 1)*(x + y)", ["x", "y"], Z)
+    want = expand_dag(dag)
+    # 2·2 term products, then 4·2
+    monkeypatch.setattr(parser, "MAX_EXPANSION_WORK", 12)
+    assert expand_dag(dag) == want
+    monkeypatch.setattr(parser, "MAX_EXPANSION_WORK", 11)
+    with pytest.raises(ExpansionTooLargeError, match="product of 4 and 2 terms"):
+        expand_dag(dag)
+    monkeypatch.setattr(parser, "MAX_EXPANSION_WORK", 3)
+    with pytest.raises(ExpansionTooLargeError, match="power 2"):
+        expand_dag(parse_dag("(x + y)^2", ["x", "y"], Z))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=6, unique=True))),
+    st.integers(0, 12))
+def test_power_work_bounds_the_products_of_pow(shape, k):
+    n, support = shape
+    f = Polynomial(n, F7, {v: 1 for v in support})
+    spent = []
+    mul = Polynomial.__mul__
+
+    def counting_mul(a, b):
+        spent.append(len(a.terms) * len(b.terms))
+        return mul(a, b)
+
+    Polynomial.__mul__ = counting_mul
+    try:
+        f ** k
+    finally:
+        Polynomial.__mul__ = mul
+    assert sum(spent) <= _power_work(f, k, 10**9)

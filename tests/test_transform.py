@@ -107,6 +107,14 @@ def test_multipliers_default_degree():
     assert m.degree == 2
 
 
+def test_multipliers_repeated_element_message_is_short():
+    fp = RingSpec.prime_field(10007)
+    elements = list(range(2000)) + [10007 + 1500]
+    with pytest.raises(ValueError, match="repeats 1500 at positions 1501 and 2001") as err:
+        vandermonde_multipliers(fp, elements)
+    assert len(str(err.value)) < 200
+
+
 def test_multipliers_require_field():
     with pytest.raises(UnsupportedRingError):
         vandermonde_multipliers(Z, (0, 1), 1)
