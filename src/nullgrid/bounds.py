@@ -249,7 +249,9 @@ def collect_bounds(f: Polynomial, grid: GridSpec,
     hypotheses certify the same entry, the first in classifier order is
     recorded in the assumptions.  Bounds whose size preconditions fail for
     a witness are silently skipped: the hypothesis does not hold on this
-    grid, so there is nothing to claim.
+    grid, so there is nothing to claim.  Each entry's key is looked up
+    before the entry is built, and the product and additive-existence
+    values are computed once per distinct witness d.
     """
     check_compatible(f, grid)
     if f.is_zero:
@@ -262,74 +264,94 @@ def collect_bounds(f: Polynomial, grid: GridSpec,
 
     out: list[BoundReport] = []
     seen: set[tuple] = set()
+    # per distinct d: (product bound, additive existence bound), or () when d does not fit
+    per_d: dict[tuple[int, ...], tuple] = {}
 
-    def emit(report: BoundReport):
-        key = (report.name, report.witness_d, report.witness_e)
-        if key not in seen:
-            seen.add(key)
-            out.append(report)
+    def fresh(name: str, d, e=None) -> bool:
+        """Whether (name, d, e) has no entry yet; marks it as taken."""
+        key = (name, d, e)
+        if key in seen:
+            return False
+        seen.add(key)
+        return True
 
     for rep in reports:
-        d = rep.witness_d
-        if not rep.holds or not _fits(sizes, d):
+        d, e = rep.witness_d, rep.witness_e
+        if not rep.holds:
             continue
+        facts = per_d.get(d)
+        if facts is None:
+            facts = per_d[d] = ((product_bound(sizes, d), additive_existence_bound(sizes, d))
+                                if _fits(sizes, d) else ())
+        if not facts:
+            continue
+        product, additive = facts
         if rep.condition == analysis.MAXIMAL_MONOMIAL:
-            emit(BoundReport("existence", 1, f"maximal monomial {d} and every |S_i| > d_i", d))
-            emit(BoundReport("additive-existence", additive_existence_bound(sizes, d),
-                             f"maximal monomial {d}; shrink-and-translate argument", d))
-            emit(BoundReport("product-if-maximal", prod(s - di for s, di in zip(sizes, d)),
-                             f"DIAGNOSTIC: maximality of {d} alone does not imply the product bound", d,
-                             guaranteed=False))
-            if max(d) >= 1:
+            if fresh("existence", d):
+                out.append(BoundReport("existence", 1, f"maximal monomial {d} and every |S_i| > d_i", d))
+            if fresh("additive-existence", d):
+                out.append(BoundReport("additive-existence", additive,
+                                       f"maximal monomial {d}; shrink-and-translate argument", d))
+            if fresh("product-if-maximal", d):
+                out.append(BoundReport("product-if-maximal", product,
+                                       f"DIAGNOSTIC: maximality of {d} alone does not imply the product bound", d,
+                                       guaranteed=False))
+            if max(d) >= 1 and fresh("erdos-density", d):
                 l = max(d) + 1
-                emit(BoundReport("erdos-density", erdos_density_bound(n, l, min(sizes)),
-                                 f"asymptotic zero-density threshold, l = 1 + max d_i = {l}", d,
-                                 kind="density", guaranteed=False, asymptotic=True))
-            if n == 2:
-                emit(BoundReport("kst-exponent", kst_exponent(d[0], d[1]),
-                                 f"asymptotic zero-set exponent for maximal monomial {d}", d,
-                                 kind="exponent", guaranteed=False, asymptotic=True))
+                out.append(BoundReport("erdos-density", erdos_density_bound(n, l, min(sizes)),
+                                       f"asymptotic zero-density threshold, l = 1 + max d_i = {l}", d,
+                                       kind="density", guaranteed=False, asymptotic=True))
+            if n == 2 and fresh("kst-exponent", d):
+                out.append(BoundReport("kst-exponent", kst_exponent(d[0], d[1]),
+                                       f"asymptotic zero-set exponent for maximal monomial {d}", d,
+                                       kind="exponent", guaranteed=False, asymptotic=True))
         elif rep.condition == analysis.LEX_LARGEST:
-            emit(BoundReport("product", product_bound(sizes, d),
-                             f"lex-largest monomial {d} under order {rep.order}", d, order=rep.order))
-            emit(BoundReport("schwartz-additive", schwartz_additive_bound(sizes, d),
-                             f"lex-largest monomial {d} under order {rep.order}", d, order=rep.order))
+            if fresh("product", d):
+                out.append(BoundReport("product", product,
+                                       f"lex-largest monomial {d} under order {rep.order}", d, order=rep.order))
+            if fresh("schwartz-additive", d):
+                out.append(BoundReport("schwartz-additive", schwartz_additive_bound(sizes, d),
+                                       f"lex-largest monomial {d} under order {rep.order}", d, order=rep.order))
         elif rep.condition == analysis.SUCCESSIVELY_LARGEST:
-            emit(BoundReport("product", product_bound(sizes, d),
-                             f"successively largest sequence {d} for seed {rep.witness_e} under order {rep.order}",
-                             d, witness_e=rep.witness_e, order=rep.order))
+            if fresh("product", d, e):
+                out.append(BoundReport("product", product,
+                                       f"successively largest sequence {d} for seed {e} under order {rep.order}",
+                                       d, witness_e=e, order=rep.order))
         elif rep.condition == analysis.D_LEADING:
-            emit(BoundReport("existence", 1,
-                             f"{rep.witness_e} is {d}-leading and every |S_i| > d_i", d,
-                             witness_e=rep.witness_e))
-            emit(BoundReport("additive-existence", additive_existence_bound(sizes, d),
-                             f"{rep.witness_e} is {d}-leading; shrink-and-translate argument", d,
-                             witness_e=rep.witness_e))
+            if fresh("existence", d, e):
+                out.append(BoundReport("existence", 1, f"{e} is {d}-leading and every |S_i| > d_i", d,
+                                       witness_e=e))
+            if fresh("additive-existence", d, e):
+                out.append(BoundReport("additive-existence", additive,
+                                       f"{e} is {d}-leading; shrink-and-translate argument", d,
+                                       witness_e=e))
         elif rep.condition == analysis.PARTIAL_DEGREES:
-            emit(BoundReport("product", product_bound(sizes, d),
-                             f"exact partial degrees {d}", d))
-            emit(BoundReport("schwartz-additive", schwartz_additive_bound(sizes, d),
-                             f"exact partial degrees {d}", d))
-            value, argmin = gen_alon_furedi_bound(AFInstance(sizes, d, total))
-            emit(BoundReport("gen-alon-furedi", value,
-                             f"partial degrees {d} and total degree {total}", d, argmin=argmin))
+            if fresh("product", d):
+                out.append(BoundReport("product", product, f"exact partial degrees {d}", d))
+            if fresh("schwartz-additive", d):
+                out.append(BoundReport("schwartz-additive", schwartz_additive_bound(sizes, d),
+                                       f"exact partial degrees {d}", d))
+            if fresh("gen-alon-furedi", d):
+                value, argmin = gen_alon_furedi_bound(AFInstance(sizes, d, total))
+                out.append(BoundReport("gen-alon-furedi", value,
+                                       f"partial degrees {d} and total degree {total}", d, argmin=argmin))
 
     # bounds keyed to the total degree alone
     if len(set(sizes)) == 1:
         s = sizes[0]
         if s > total:
-            emit(BoundReport("schwartz-zippel", schwartz_zippel_count(s, total, n),
-                             f"total degree {total}, common size {s}", None))
-            emit(BoundReport("schwartz-zippel-probability", sz_probability(total, s),
-                             f"vanishing probability at most d/s with d = {total}, s = {s}", None,
-                             kind="zero-probability"))
-            emit(BoundReport("demillo-lipton", demillo_lipton_bound(s, total, n),
-                             f"total degree {total}, common size {s}", None))
+            out.append(BoundReport("schwartz-zippel", schwartz_zippel_count(s, total, n),
+                                   f"total degree {total}, common size {s}", None))
+            out.append(BoundReport("schwartz-zippel-probability", sz_probability(total, s),
+                                   f"vanishing probability at most d/s with d = {total}, s = {s}", None,
+                                   kind="zero-probability"))
+            out.append(BoundReport("demillo-lipton", demillo_lipton_bound(s, total, n),
+                                   f"total degree {total}, common size {s}", None))
         if s > max(partial):
-            emit(BoundReport("zippel", zippel_bound(s, max(partial), n),
-                             f"per-variable degree at most {max(partial)}, common size {s}", None))
+            out.append(BoundReport("zippel", zippel_bound(s, max(partial), n),
+                                   f"per-variable degree at most {max(partial)}, common size {s}", None))
     if 0 <= total <= sum(s - 1 for s in sizes):
-        emit(BoundReport("alon-furedi", alon_furedi_original_bound(sizes, total),
-                         f"total degree {total}; assumes f is not identically zero on the grid", None,
-                         requires_nonzero_on_grid=True))
+        out.append(BoundReport("alon-furedi", alon_furedi_original_bound(sizes, total),
+                               f"total degree {total}; assumes f is not identically zero on the grid", None,
+                               requires_nonzero_on_grid=True))
     return out

@@ -4,7 +4,9 @@ Subcommands: analyze, bounds, verify, trim, coeff, pit, puzzle, tightness.
 Output is JSON by default ("schema": 1, keys sorted, byte-stable across
 runs for fixed inputs and seeds) or a terse text rendering with --format
 text.  Exit codes: 0 success, 1 usage or input error, 2 a theorem
-hypothesis is violated, 3 a resource limit was hit.
+hypothesis is violated, 3 a resource limit was hit.  -v sends the
+``nullgrid`` logger's DEBUG records (which code path each evaluation and
+search took) to stderr; stdout is the same with or without it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import os
 import sys
 from fractions import Fraction
@@ -270,6 +273,8 @@ def _parse_vector(text: str, arity: int) -> tuple[int, ...]:
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="nullgrid", description=__doc__.splitlines()[0])
     top.add_argument("--format", choices=("json", "text"), default="json")
+    top.add_argument("-v", "--verbose", action="store_true",
+                     help="log which code paths ran to stderr (DEBUG level)")
     sub = top.add_subparsers(dest="cmd", required=True)
 
     def common(p, grid=True, poly=True):
@@ -353,9 +358,16 @@ def _emit_error(code: str, message: str, fmt: str):
 def main(argv=None) -> int:
     parser = build_parser()
     fmt = "json"
+    logger = logging.getLogger("nullgrid")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
     try:
         args = parser.parse_args(argv)
         fmt = args.format
+        if args.verbose:
+            logger.addHandler(handler)
+            logger.setLevel(logging.DEBUG)
         payload = _HANDLERS[args.cmd](args)
     except _UsageError as e:
         _emit_error("usage", str(e), fmt)
@@ -372,6 +384,9 @@ def main(argv=None) -> int:
     except (NullgridError, ValueError) as e:
         _emit_error("invalid-input", str(e), fmt)
         return EXIT_USAGE
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
     _emit(payload, fmt)
     return EXIT_OK
 

@@ -6,8 +6,12 @@ evaluating polynomials at every grid point.  One exact numpy kernel
 ``transform.grid_values`` and the value matrix of ``min_nonzero_search``.
 The pure-Python recursion ``_count_rec`` is kept on purpose as the
 independent reference the tests compare the kernel against, and runs
-wherever a kernel guard fails.  Each evaluation logs its path at DEBUG
-level on the ``nullgrid`` logger; numpy is imported on first use.
+wherever a kernel guard fails.  ``min_nonzero_search`` scores its
+candidate coefficient vectors in int64 blocks, decoded in mixed radix
+when it enumerates the space and drawn from bulk generator words (the
+exact ``randrange`` stream of its seed) when it samples.  Each
+evaluation and each search logs its path at DEBUG level on the
+``nullgrid`` logger; numpy is imported on first use.
 
 Counting refuses grids above a configurable point limit instead of
 running forever.
@@ -369,6 +373,36 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
     coefficient vectors; when that exceeds ``exhaustive_limit`` a seeded
     random sample of ``sample_budget`` candidates is scored instead and
     the result is flagged non-exhaustive.
+
+    Candidates come in int64 blocks of at most ``_BLOCK_ROWS`` rows
+    (fewer when the grid is large, so one block's value matrix stays
+    under the cell budget), and the first candidate that reaches the
+    global minimum wins, so the answer does not depend on the block size.
+    The exhaustive path decodes an index range in mixed radix
+    (``_product_blocks``), which is ``itertools.product`` order.  The
+    sampled path yields, for every seed, exactly the vectors of
+    ``rng = random.Random(seed)`` and
+    ``rng.randrange(1, p) if i == req else rng.randrange(p)`` for
+    i = 0..k-1, one vector after another (``_sample_blocks``).  When p
+    has more than 32 bits, each draw takes several generator words and
+    ``randrange`` itself fills the blocks.  Otherwise each draw of
+    ``randrange(n)`` takes one 32-bit Mersenne Twister output w at a
+    time, keeps its top b = n.bit_length() bits, and stops at the first
+    value below n.  ``getrandbits(32 m)`` returns the next m outputs as
+    the little-endian words of one integer, so the block reads the same
+    outputs in the same order.  The required slot uses n = p - 1 and
+    adds 1; the others use n = p.  When p > 2, p - 1 and p have the
+    same bit length b, so every slot reads the same top b bits t of an
+    output: t < p - 1 is taken by every slot, t >= p by none, and only
+    t = p - 1 depends on the slot (the required slot rejects it, the
+    others take it).  At p = 2 the required slot reads one bit and the
+    others two, and both take exactly the outputs whose top bit is 0.
+    ``_accepted_values`` takes the outputs every slot takes at once and
+    walks only the slot-dependent ones in order, counting the outputs
+    taken before each to know its slot.
+    Accepted values left over after a block are kept for the next.
+    One DEBUG record on the ``nullgrid`` logger names the path, the
+    candidate and block counts, and the source of the values.
     """
     ring = grid.ring
     if not ring.is_field:
@@ -391,33 +425,105 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
 
     # value matrix: one column per grid point, one row per support monomial
     matrix = [_grid_values(Polynomial.monomial(grid.arity, ring, m), grid) for m in support]
+    rows = max(1, min(_BLOCK_ROWS, _CELL_BUDGET // grid.size()))
 
     if space <= exhaustive_limit:
-        ranges = [range(1, p) if i == req_idx else range(p) for i in range(k)]
-        candidates = itertools.product(*ranges)
-        exhaustive, tried = True, space
+        blocks = _product_blocks(p, k, req_idx, space, rows)
+        exhaustive, tried, source = True, space, "radix"
     else:
-        rng = random.Random(seed)
-        candidates = (tuple(rng.randrange(1, p) if i == req_idx else rng.randrange(p)
-                            for i in range(k))
-                      for _ in range(sample_budget))
+        blocks = _sample_blocks(random.Random(seed), p, k, req_idx, sample_budget, rows)
         exhaustive, tried = False, sample_budget
+        source = "words" if p.bit_length() <= 32 else "randrange"
+    log.debug("min search path=%s candidates=%d blocks=%d source=%s",
+              "exhaustive" if exhaustive else "sampled", tried, -(-tried // rows), source)
 
-    best_count, best_coeffs = _best_assignment(candidates, matrix, p)
+    best_count, best_coeffs = _best_assignment(blocks, matrix, p)
     witness = Polynomial(grid.arity, ring, dict(zip(support, best_coeffs)))
     return MinNonzeroResult(best_count, witness, exhaustive, tried)
 
 
-_SCORE_CHUNK = 1 << 15
+# most candidate rows in one block
+_BLOCK_ROWS = 4096
 
 
-def _best_assignment(candidates, matrix: list[list[int]], p: int) -> tuple[int, tuple[int, ...]]:
-    """Scan coefficient vectors for the fewest nonzero grid values.
+def _product_blocks(p: int, k: int, req: int, space: int, rows: int):
+    """Yield the vectors of ``itertools.product`` over range(1, p) in slot
+    ``req`` and range(p) elsewhere, as int64 blocks of ``rows`` rows:
+    candidate number t is t written in mixed radix (p - 1 for slot req,
+    p for the others, last slot least significant), plus 1 in slot req."""
+    import numpy as np
 
-    Scores chunks of candidates with one integer matrix product each; the
-    first candidate attaining the global minimum wins, independent of the
-    chunk size.  The product runs on Python integers (object arrays) when
-    p is large enough to overflow 64-bit accumulation.
+    radices = [p - 1 if i == req else p for i in range(k)]
+    for start in range(0, space, rows):
+        index = np.arange(start, min(start + rows, space), dtype=np.int64)
+        block = np.empty((len(index), k), dtype=np.int64)
+        for i in reversed(range(k)):
+            index, block[:, i] = np.divmod(index, radices[i])
+        block[:, req] += 1
+        yield block
+
+
+def _sample_blocks(rng: random.Random, p: int, k: int, req: int, budget: int, rows: int):
+    """Yield ``budget`` vectors drawn as ``rng.randrange(1, p)`` in slot
+    ``req`` and ``rng.randrange(p)`` elsewhere, in blocks of ``rows``
+    rows: int64 from bulk generator words when p has at most 32 bits,
+    from ``randrange`` itself (object dtype) otherwise."""
+    import numpy as np
+
+    if p.bit_length() > 32:
+        for start in range(0, budget, rows):
+            yield np.array([[rng.randrange(1, p) if i == req else rng.randrange(p)
+                             for i in range(k)] for _ in range(min(rows, budget - start))],
+                           dtype=object)
+        return
+    pending = np.empty(0, dtype=np.int64)  # accepted values not yet handed out, from slot 0
+    for start in range(0, budget, rows):
+        need = min(rows, budget - start) * k
+        parts, have = [pending], len(pending)
+        while have < need:
+            # every slot accepts an output with probability at least (p - 1) / 2^b
+            m = ((need - have) << p.bit_length()) // (p - 1) + 16
+            words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
+            values = _accepted_values(words.astype(np.int64), p, k, req, have % k)
+            parts.append(values)
+            have += len(values)
+        pending = np.concatenate(parts)
+        yield pending[:need].reshape(-1, k)
+        pending = pending[need:]
+
+
+def _accepted_values(words, p: int, k: int, req: int, slot: int):
+    """The values that ``randrange`` draws from the 32-bit outputs
+    ``words`` when the first output goes to slot ``slot`` of a vector of
+    k slots (see ``min_nonzero_search`` for why this is exact)."""
+    import numpy as np
+
+    top_req = words >> (32 - (p - 1).bit_length())
+    top = words >> (32 - p.bit_length())
+    ok_req = top_req < p - 1
+    ok = top < p
+    taken = ok & ok_req
+    # outputs taken by every slot before each output, then the walk over the rest
+    before = np.cumsum(taken) - taken
+    mixed = np.flatnonzero(ok != ok_req)
+    extra = 0
+    for j, ahead, yes_req, yes in zip(mixed.tolist(), before[mixed].tolist(),
+                                      ok_req[mixed].tolist(), ok[mixed].tolist()):
+        if yes_req if (slot + ahead + extra) % k == req else yes:
+            taken[j] = True
+            extra += 1
+    at = np.flatnonzero(taken)
+    slots = (slot + np.arange(len(at))) % k
+    return np.where(slots == req, top_req[at] + 1, top[at])
+
+
+def _best_assignment(blocks, matrix: list[list[int]], p: int) -> tuple[int, tuple[int, ...]]:
+    """Scan blocks of coefficient vectors for the fewest nonzero grid values.
+
+    Scores each block with one integer matrix product; the first
+    candidate attaining the global minimum wins, independent of the block
+    size.  The product runs on Python integers (object arrays) when p is
+    large enough to overflow 64-bit accumulation.
     """
     import numpy as np
 
@@ -425,16 +531,13 @@ def _best_assignment(candidates, matrix: list[list[int]], p: int) -> tuple[int, 
     mat = np.array(matrix, dtype=dtype)
     best_count: int | None = None
     best_coeffs: tuple[int, ...] | None = None
-    while True:
-        chunk = list(itertools.islice(candidates, _SCORE_CHUNK))
-        if not chunk:
-            break
-        values = (np.array(chunk, dtype=dtype) @ mat) % p
+    for block in blocks:
+        values = (block.astype(dtype, copy=False) @ mat) % p
         counts = np.count_nonzero(values, axis=1)
         i = int(np.argmin(counts))
         if best_count is None or counts[i] < best_count:
             best_count = int(counts[i])
-            best_coeffs = tuple(chunk[i])
+            best_coeffs = tuple(int(c) for c in block[i])
     if best_coeffs is None:
         raise ValueError("no candidate coefficient vectors")
     return best_count, best_coeffs

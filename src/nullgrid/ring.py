@@ -15,6 +15,7 @@ mixed-ring arithmetic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
@@ -258,21 +259,27 @@ class RingElem:
 class CheckResult:
     """Outcome of the grid condition check.
 
-    failures lists (variable index, x, y, x - y) for every ordered pair of
-    distinct set elements whose difference is a zero divisor.
+    failures lists (variable index, x, y, x - y) for the first
+    ``LISTED_FAILURES`` ordered pairs of distinct set elements, in scan
+    order, whose difference is a zero divisor; count is how many such
+    pairs there are in all.
     """
 
     ok: bool
     failures: tuple[tuple[int, int, int, int], ...] = ()
+    count: int = 0
 
     def describe(self, limit: int = 3) -> str:
-        parts = [
-            f"S_{i + 1} contains {x} and {y} with zero-divisor difference {d}"
-            for i, x, y, d in self.failures[:limit]
-        ]
-        if len(self.failures) > limit:
-            parts.append(f"and {len(self.failures) - limit} more")
+        shown = self.failures[:limit]
+        parts = [f"S_{i + 1} contains {x} and {y} with zero-divisor difference {d}"
+                 for i, x, y, d in shown]
+        if self.count > len(shown):
+            parts.append(f"and {self.count - len(shown)} more")
         return "; ".join(parts)
+
+
+# failing pairs a CheckResult lists; the rest are only counted
+LISTED_FAILURES = 10
 
 
 def _prime_factors(m: int) -> tuple[int, ...] | None:
@@ -303,25 +310,91 @@ def grid_condition_check(ring: RingSpec, sets) -> CheckResult:
     valid over Z_m.
 
     A difference is a unit mod m exactly when the two elements differ
-    modulo every prime factor of m, so a set passes in linear time when
-    it is distinct modulo each factor (over Z and F_p: distinct).  Only a
-    set that fails that test, or a modulus that resists factoring, gets
-    the pairwise scan that lists the failures.
+    modulo every prime factor q of m, so a pair fails exactly when its
+    elements agree modulo some q (over Z and F_p: when they are equal).
+    A set distinct modulo every q passes in linear time.  Otherwise
+    ``_pairs_agreeing`` counts the failing pairs by inclusion-exclusion
+    and ``_first_pairs`` lists the first few from the residue classes,
+    without enumerating pairs.  Only a modulus that resists factoring
+    gets the pairwise scan.
 
     ``sets`` may be a GridSpec or any iterable of per-variable element
     iterables; values are canonicalized before differencing.
     """
     raw = getattr(sets, "sets", sets)
-    factors = _prime_factors(ring.modulus) if ring.kind == ZMOD else ()
-    failures = []
+    # moduli whose residues decide a failing pair; 0 compares the values themselves
+    moduli = _prime_factors(ring.modulus) if ring.kind == ZMOD else (0,)
+    failures: list[tuple[int, int, int, int]] = []
+    count = 0
     for i, s in enumerate(raw):
         vals = [ring.canon(int(v)) for v in s]
-        if factors is not None and len(set(vals)) == len(vals) and all(
-                len({v % q for v in vals}) == len(vals) for q in factors):
+        if moduli is None:
+            for j, x in enumerate(vals):
+                for y in vals[j + 1:]:
+                    d = ring.sub(x, y)
+                    if ring.is_zero_divisor(d):
+                        count += 1
+                        if len(failures) < LISTED_FAILURES:
+                            failures.append((i, x, y, d))
             continue
-        for j, x in enumerate(vals):
-            for y in vals[j + 1:]:
-                d = ring.sub(x, y)
-                if ring.is_zero_divisor(d):
-                    failures.append((i, x, y, d))
-    return CheckResult(not failures, tuple(failures))
+        if all(len({v % q for v in vals} if q else set(vals)) == len(vals) for q in moduli):
+            continue
+        count += _pairs_agreeing(vals, moduli)
+        failures += [(i, x, y, ring.sub(x, y))
+                     for x, y in _first_pairs(vals, moduli, LISTED_FAILURES - len(failures))]
+    return CheckResult(count == 0, tuple(failures), count)
+
+
+def _residue(v: int, q: int) -> int:
+    return v % q if q else v
+
+
+def _pairs_agreeing(vals: list[int], moduli: tuple[int, ...]) -> int:
+    """How many pairs j < l have vals[j] = vals[l] modulo at least one
+    of the pairwise coprime ``moduli``.
+
+    Inclusion-exclusion over the nonempty subsets T of the moduli: pairs
+    that agree modulo every q in T agree modulo their product, and there
+    are sum C(c, 2) of them over the residue classes of sizes c.  Each
+    subset refines its parent's classes by one more modulus and keeps
+    only classes of two or more, so a subset none of whose pairs agree
+    is never extended.
+    """
+    total = 0
+    stack = [(0, 1, [vals])]
+    while stack:
+        first, sign, groups = stack.pop()
+        for j in range(first, len(moduli)):
+            q = moduli[j]
+            refined = []
+            for group in groups:
+                classes: dict[int, list[int]] = {}
+                for v in group:
+                    classes.setdefault(_residue(v, q), []).append(v)
+                refined += [c for c in classes.values() if len(c) > 1]
+            if refined:
+                total += sign * sum(len(c) * (len(c) - 1) // 2 for c in refined)
+                stack.append((j + 1, -sign, refined))
+    return total
+
+
+def _first_pairs(vals: list[int], moduli: tuple[int, ...], limit: int) -> list[tuple[int, int]]:
+    """The first ``limit`` pairs (vals[j], vals[l]), j < l, in scan order,
+    that agree modulo one of the moduli."""
+    positions: list[dict[int, list[int]]] = []
+    for q in moduli:
+        classes: dict[int, list[int]] = {}
+        for at, v in enumerate(vals):
+            classes.setdefault(_residue(v, q), []).append(at)
+        positions.append(classes)
+    pairs: list[tuple[int, int]] = []
+    for j, x in enumerate(vals):
+        if len(pairs) >= limit:
+            break
+        later: set[int] = set()
+        for q, classes in zip(moduli, positions):
+            group = classes[_residue(x, q)]
+            start = bisect_right(group, j)
+            later.update(group[start:start + limit])
+        pairs += [(x, vals[l]) for l in sorted(later)[:limit - len(pairs)]]
+    return pairs

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import logging
 import subprocess
 import sys
+import time
 
 from nullgrid import oracle
 from nullgrid.cli import main
@@ -295,3 +297,40 @@ def test_expansion_over_budget_is_a_resource_error(capsys):
     assert error["code"] == "resource-limit"
     assert "power 1000000" in error["message"]
     assert len(error["message"]) < 200
+
+
+def test_verbose_logs_to_stderr_and_leaves_stdout_alone(capsys):
+    argv = ["verify", "--ring", "fp:7", "--grid", "0..3;0..3", "--poly", "x*y + 1"]
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    assert main(["-v", *argv]) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out
+    assert quiet.err == ""
+    assert "nullgrid.oracle: grid evaluation path=kernel" in loud.err
+    assert "nullgrid.analysis: classify terms=2" in loud.err
+    logger = logging.getLogger("nullgrid")
+    assert logger.level == logging.NOTSET
+    assert not any(isinstance(h, logging.StreamHandler) for h in logger.handlers)
+
+
+def test_verbose_text_output_and_errors_are_unchanged(capsys):
+    for argv in (["--format", "text", "tightness", "--ring", "fp:5", "--grid", "0..4;0..4", "--d", "2,3"],
+                 ["verify", "--ring", "zmod:6", "--grid", "0,2;0,1", "--poly", "x"]):
+        code = main(argv)
+        quiet = capsys.readouterr().out
+        assert main(["-v", *argv]) == code
+        assert capsys.readouterr().out == quiet
+
+
+def test_verify_on_millions_of_failing_pairs_exits_fast(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "verify", "--ring", "zmod:1000000", "--grid", "0..2999;0..1",
+                        "--poly", "x+y")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == (
+        "grid fails the zero-divisor difference condition: "
+        "S_1 contains 0 and 2 with zero-divisor difference 999998; "
+        "S_1 contains 0 and 4 with zero-divisor difference 999996; "
+        "S_1 contains 0 and 5 with zero-divisor difference 999995; and 2698497 more")

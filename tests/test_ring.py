@@ -1,9 +1,10 @@
 import random
+import time
 
 import pytest
 
 from nullgrid.errors import RingMismatchError, UnsupportedRingError
-from nullgrid.ring import RingSpec, grid_condition_check, is_prime
+from nullgrid.ring import LISTED_FAILURES, RingSpec, grid_condition_check, is_prime
 
 
 def test_is_prime_small():
@@ -176,6 +177,39 @@ def test_grid_condition_fast_decision_matches_pairwise():
                 sets[0].append(sets[0][0] + 65537)
             res = grid_condition_check(ring, sets)
             failures = _pairwise_failures(ring, sets)
-            assert (res.ok, res.failures) == (not failures, failures)
+            assert (res.ok, res.count) == (not failures, len(failures))
+            assert res.failures == failures[:LISTED_FAILURES]
             outcomes.add(res.ok)
         assert outcomes == {True, False}, ring
+
+
+def test_grid_condition_counts_beyond_the_listed_pairs():
+    rng = random.Random(5)
+    # 30030 and 210 have several prime factors, so pairs fail modulo different ones
+    rings = [RingSpec.integers_mod(m) for m in (30030, 210, 1000000, 64, 7 * 11 * 13)]
+    rings += [RingSpec.prime_field(11), RingSpec.integers()]
+    for ring in rings:
+        for _ in range(40):
+            span = min(ring.modulus or 30, 400)
+            sets = [[rng.randrange(-span, span) for _ in range(rng.randrange(1, 40))]
+                    for _ in range(rng.randrange(1, 4))]
+            res = grid_condition_check(ring, sets)
+            failures = _pairwise_failures(ring, sets)
+            assert (res.ok, res.count) == (not failures, len(failures))
+            assert res.failures == failures[:LISTED_FAILURES]
+
+
+def test_grid_condition_counts_millions_of_pairs_without_listing_them():
+    ring = RingSpec.integers_mod(1000000)
+    start = time.perf_counter()
+    res = grid_condition_check(ring, [range(3000), range(2)])
+    assert time.perf_counter() - start < 0.5
+    # pairs agreeing mod 2 or mod 5: 2 C(1500, 2) + 5 C(600, 2) - 10 C(300, 2)
+    assert res.count == 2698500
+    assert res.failures[:3] == ((0, 0, 2, 999998), (0, 0, 4, 999996), (0, 0, 5, 999995))
+    assert len(res.failures) == LISTED_FAILURES
+    assert res.describe() == (
+        "S_1 contains 0 and 2 with zero-divisor difference 999998; "
+        "S_1 contains 0 and 4 with zero-divisor difference 999996; "
+        "S_1 contains 0 and 5 with zero-divisor difference 999995; and 2698497 more")
+    assert res.describe(limit=LISTED_FAILURES).endswith(f"; and {2698500 - LISTED_FAILURES} more")
