@@ -262,20 +262,6 @@ def _prefix_maxima(terms, order: tuple[int, ...]):
     return tops, paths
 
 
-def _ordered_holds(tops, path: list[int], d: tuple[int, ...], order: tuple[int, ...]) -> bool:
-    """Exact successively-largest test of (d, e, order) for a seed e in
-    the support with prefix numbers ``path``, from the prefix-maximum
-    tables of that order.
-
-    The forbidden region holds the v that agree with e on order[:k] and
-    exceed d at order[k], for some k; the largest such exponent in the
-    support is ``tops[k][path[k]]``, so the region misses the support iff
-    no k has ``tops[k][path[k]] > d[order[k]]``.  That also requires
-    d >= e: e itself has e's prefixes, so ``tops[k][path[k]] >= e[order[k]]``.
-    """
-    return all(top[p] <= d[var] for top, p, var in zip(tops, path, order))
-
-
 def classify(f: Polynomial) -> list[HypothesisReport]:
     """Detect every supported hypothesis of f with concrete witnesses.
 
@@ -287,19 +273,23 @@ def classify(f: Polynomial) -> list[HypothesisReport]:
       * one partial-degrees report and one total-degree report.
 
     All variable orders are enumerated while arity <= MAX_ORDERS_ARITY;
-    beyond that only the identity order is used.  No ``holds`` is assumed.
+    beyond that only the identity order is used.  Every ``holds`` is
+    decided: the seeded reports hold by construction (proved below), and
+    the maximal, lex-largest, partial-degrees and total-degree reports
+    get the definitional ``hypothesis_holds`` scan.
 
     The support is indexed once per order (``_prefix_maxima``): each
-    seed's successively-largest d takes n table lookups, and its ``holds``
-    is the exact table test ``_ordered_holds``.  A d-leading pair (e, d)
-    holds when the ordered test of an order that produced it does.  That
-    is exact: when d >= e, a v in the d-leading forbidden region (v != e,
-    and each v_i equals e_i or exceeds d_i) is in the successively-largest
-    forbidden region of (e, d, order) for every order, since at the first
-    index in the order where v differs from e, v exceeds d.  A pair that
-    no producing order certifies gets the definitional ``hypothesis_holds``
-    scan, as do the maximal, lex-largest, partial-degrees and
-    total-degree reports.  For T terms in n variables the cost is
+    seed's successively-largest d takes n table lookups, d at order[k]
+    being ``tops[k][path[k]]``, the largest exponent of that variable
+    among the monomials that agree with the seed e on order[:k].  So the
+    report holds: its forbidden region (the v that agree with e on
+    order[:k] and exceed d at order[k], for some k) misses the support,
+    and d >= e because e is one of those monomials.  Every d-leading pair
+    (e, d) holds too: when d >= e, a v in the d-leading forbidden region
+    (v != e, and each v_i equals e_i or exceeds d_i) is in the
+    successively-largest forbidden region of (e, d, order) for every
+    order, since at the first index in the order where v differs from e,
+    v exceeds d.  For T terms in n variables the cost is
     O(orders·T·n + maxima·T) table steps and region tests, not the
     O(orders·T²) of re-checking every seeded report against the support.
     """
@@ -323,29 +313,25 @@ def classify(f: Polynomial) -> list[HypothesisReport]:
         report(LEX_LARGEST, lex_largest(f, order), order=order)
 
     seeds = sorted(f.terms, key=_graded, reverse=True)
-    certified: dict[tuple, bool] = {}
+    pairs: set[tuple] = set()
     for order in orders:
         tops, paths = _prefix_maxima(f.terms, order)
         for seed in seeds:
-            path = paths[seed]
             d = [0] * n
-            for top, p, var in zip(tops, path, order):
+            for top, p, var in zip(tops, paths[seed], order):
                 d[var] = top[p]
             d = tuple(d)
-            holds = _ordered_holds(tops, path, d, order)
-            report(SUCCESSIVELY_LARGEST, d, seed, order, holds)
-            certified[seed, d] = certified.get((seed, d), False) or holds
+            report(SUCCESSIVELY_LARGEST, d, seed, order, holds=True)
+            pairs.add((seed, d))
 
-    for seed, d in sorted(certified):
-        # a pair that no producing order certifies gets the definitional scan
-        report(D_LEADING, d, seed, holds=certified[seed, d] or None)
+    for seed, d in sorted(pairs):
+        report(D_LEADING, d, seed, holds=True)
 
     partial, total = f.degrees()
     report(PARTIAL_DEGREES, partial)
 
     top = max((e for e in f.terms if sum(e) == total), key=_graded)
     report(TOTAL_DEGREE, top)
-    log.debug("classify terms=%d orders=%d reports=%d d_leading_certified=%d d_leading_scanned=%d",
-              len(f.terms), len(orders), len(reports), sum(certified.values()),
-              len(certified) - sum(certified.values()))
+    log.debug("classify terms=%d orders=%d reports=%d d_leading=%d",
+              len(f.terms), len(orders), len(reports), len(pairs))
     return reports

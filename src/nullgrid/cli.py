@@ -55,8 +55,6 @@ def jsonable(obj):
     """Recursively convert package values to JSON-stable primitives."""
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, float):
-        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: jsonable(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, dict):
@@ -129,7 +127,7 @@ def _cmd_analyze(args):
     return {
         **_poly_header("analyze", ring, names, f),
         "is_zero": f.is_zero,
-        "hypotheses": [jsonable(r) for r in reports],
+        "hypotheses": reports,
     }
 
 
@@ -137,8 +135,8 @@ def _cmd_bounds(args):
     ring, f, names, grid = _load_poly_and_grid(args)
     return {
         **_poly_header("bounds", ring, names, f),
-        "grid": [list(s) for s in grid.sets],
-        "bounds": [jsonable(b) for b in bounds.collect_bounds(f, grid)],
+        "grid": grid.sets,
+        "bounds": bounds.collect_bounds(f, grid),
     }
 
 
@@ -149,18 +147,15 @@ def _cmd_verify(args):
     report = oracle.verify_bounds(f, grid, count=count)
     payload = {
         **_poly_header("verify", ring, names, f),
-        "grid": [list(s) for s in grid.sets],
+        "grid": grid.sets,
         "grid_size": report.grid_size,
         "nonzero_count": report.nonzero_count,
         "zero_count": report.zero_count,
         "all_guaranteed_sound": report.all_guaranteed_sound,
-        "checks": [
-            {"bound": jsonable(c.report), "sound": c.sound, "slack": c.slack}
-            for c in report.checks
-        ],
+        "checks": [{"bound": c.report, "sound": c.sound, "slack": c.slack} for c in report.checks],
     }
     if args.list_zeros:
-        payload["zeros"] = [list(pt) for pt in (count.zero_set or ())]
+        payload["zeros"] = count.zero_set or ()
     return payload
 
 
@@ -173,9 +168,9 @@ def _cmd_trim(args):
         "term_count": len(g.terms),
     }
     if not f.is_zero:
-        payload["degrees_before"] = list(f.degrees()[0])
+        payload["degrees_before"] = f.degrees()[0]
     if not g.is_zero:
-        payload["degrees_after"] = list(g.degrees()[0])
+        payload["degrees_after"] = g.degrees()[0]
     return payload
 
 
@@ -186,7 +181,7 @@ def _cmd_coeff(args):
     c = transform.coefficient_via_grid(values, grid, d)
     return {
         **_poly_header("coeff", ring, names, f),
-        "monomial": list(d),
+        "monomial": d,
         "coefficient": c.value,
         "stored_coefficient": f.coefficient(d).value,
     }
@@ -206,7 +201,7 @@ def _cmd_pit(args):
         "command": "pit",
         "ring": str(ring),
         "vars": names,
-        "verdict": jsonable(verdict),
+        "verdict": verdict,
     }
 
 
@@ -218,13 +213,13 @@ def _cmd_puzzle(args):
         result = puzzle.local_search(args.size, budget=args.budget, seed=args.seed,
                                      value_range=args.range)
         extra = {"steps": result.steps, "restarts": result.restarts,
-                 "history": [list(h) for h in result.history]}
+                 "history": result.history}
     inst = result.instance
     return {
         "command": "puzzle",
         "mode": args.mode,
         "s": inst.s,
-        "instance": jsonable(inst),
+        "instance": inst,
         "multiplication_table": inst.multiplication_table(),
         "addition_table": inst.addition_table(),
         "agreements": sorted(result.pattern.cells),
@@ -248,8 +243,8 @@ def _cmd_tightness(args):
     return {
         "command": "tightness",
         "ring": str(ring),
-        "grid": [list(s) for s in grid.sets],
-        "d": list(d),
+        "grid": grid.sets,
+        "d": d,
         "polynomial": f.render(),
         "nonzero_count": count.nonzeros,
         "product_value": expected,
@@ -337,13 +332,13 @@ _HANDLERS = {
 
 
 def _emit(payload: dict, fmt: str):
-    payload = {"schema": SCHEMA, **payload}
+    payload = jsonable({"schema": SCHEMA, **payload})
     if fmt == "json":
-        print(json.dumps(jsonable(payload), sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for key, value in payload.items():
             if isinstance(value, (list, dict)):
-                value = json.dumps(jsonable(value), sort_keys=True)
+                value = json.dumps(value, sort_keys=True)
             print(f"{key}: {value}")
 
 

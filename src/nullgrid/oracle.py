@@ -3,10 +3,11 @@
 Everything else in the package makes claims; this module checks them by
 evaluating polynomials at every grid point.  One exact numpy kernel
 (``_kernel_chunks``, guarded by ``_plan``) serves counting,
-``transform.grid_values`` and the value matrix of ``min_nonzero_search``.
-The pure-Python recursion ``_count_rec`` is kept on purpose as the
-independent reference the tests compare the kernel against, and runs
-wherever a kernel guard fails.  ``min_nonzero_search`` scores its
+``transform.grid_values`` and the value matrix of ``min_nonzero_search``
+over every ring; over Z, ``_garner`` rebuilds integer values from the
+residues.  The pure-Python recursion ``_count_rec`` is kept on purpose
+as the independent reference the tests compare the kernel against, and
+runs wherever a kernel guard fails.  ``min_nonzero_search`` scores its
 candidate coefficient vectors in int64 blocks, decoded in mixed radix
 when it enumerates the space and drawn from bulk generator words (the
 exact ``randrange`` stream of its seed) when it samples.  Each
@@ -14,7 +15,8 @@ evaluation and each search logs its path at DEBUG level on the
 ``nullgrid`` logger; numpy is imported on first use.
 
 Counting refuses grids above a configurable point limit instead of
-running forever.
+running forever, and grid values, which are held all at once, refuse
+grids above ``DEFAULT_ZERO_SET_CAP`` points.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
     HypothesisViolationError,
     UnsupportedRingError,
 )
-from .poly import GridSpec, Polynomial, check_compatible
+from .poly import GridSpec, Polynomial, annihilator, check_compatible
 from .ring import RingSpec, grid_condition_check, is_prime
 
 log = logging.getLogger(__name__)
@@ -155,15 +157,16 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
 
     Over Z the kernel takes distinct primes q under the same guard, as
     few as make their product Q exceed the height
-    H = sum |c| * prod_i max_{a in S_i} |a|^{e_i}.  At every grid point
-    |f(a)| <= H < Q.  If f(a) vanishes modulo every q, then Q divides
-    f(a) by the Chinese remainder theorem, and 0 is the only multiple of
-    Q in [-H, H], so f(a) = 0; the converse is plain.  H = 0 means every
-    term carries a variable whose set is {0}, or there are no terms: f
+    H = sum |c| * prod_i max_{a in S_i} |a|^{e_i}, or 2H for ``values``.
+    At every grid point |f(a)| <= H.  If f(a) vanishes modulo every q,
+    then Q divides f(a) by the Chinese remainder theorem, and 0 is the
+    only multiple of Q in [-H, H], so f(a) = 0; the converse is plain.
+    When Q > 2H, f(a) is the one residue of its class modulo Q in
+    (-Q/2, Q/2], which ``_garner`` rebuilds.  H = 0 means every term
+    carries a variable whose set is {0}, or there are no terms: f
     vanishes on the whole grid, no prime is needed (the empty product
-    1 exceeds 0), and with no residue to say otherwise every point
-    counts as a zero.  Residues do not give the integer values
-    themselves, so ``values`` over Z always uses the reference.
+    1 exceeds 0), and with no residue to say otherwise every point is
+    a zero of value 0.
     """
     exps = [sorted({key[i] for key in f.terms}) or [0] for i in range(f.arity)]
     widths = [len(e) for e in exps]
@@ -174,12 +177,10 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
         moduli = [m]
         if (m - 1) ** 2 * max(widths) >= _INT64_LIMIT:
             reason = "overflow guard"
-    elif values:
-        reason = "integer values"
     else:
         bounds = [max(abs(a) for a in s) for s in grid.sets]
-        height = sum(abs(c) * prod(b ** e for b, e in zip(bounds, key))
-                     for key, c in f.terms.items())
+        height = (2 if values else 1) * sum(abs(c) * prod(b ** e for b, e in zip(bounds, key))
+                                            for key, c in f.terms.items())
         product = 1
         for q in _word_primes(max(widths)):
             if product > height:
@@ -236,16 +237,38 @@ def _kernel_chunks(f: Polynomial, grid: GridSpec, exps: list[list[int]],
         yield start, stop, residues
 
 
+def _garner(residues, moduli: list[int]):
+    """The values in (-Q/2, Q/2], Q = prod(moduli), with the given int64
+    residues, as object arrays: Garner's mixed-radix algorithm adds one
+    digit t_k < q_k per modulus, so the partial value v stays below the
+    product P of the moduli so far and v + P t_k = r_k (mod q_k)."""
+    import numpy as np
+
+    value, product = 0, 1
+    for r, q in zip(residues, moduli):
+        digit = (r.astype(object) - value) * pow(product, -1, q) % q
+        value, product = value + product * digit, product * q
+    return np.where(value > product // 2, value - product, value)
+
+
 def _grid_values(f: Polynomial, grid: GridSpec) -> list[int]:
-    """f at every grid point in odometer order, as canonical integers."""
+    """f at every grid point in odometer order, as canonical integers;
+    grids over DEFAULT_ZERO_SET_CAP points raise GridTooLargeError."""
+    size = grid.size()
+    if size > DEFAULT_ZERO_SET_CAP:
+        raise GridTooLargeError(f"grid has {size} points, value limit is {DEFAULT_ZERO_SET_CAP}")
     plan = _plan(f, grid, values=True)
     if plan is None:
         out: list[int] = []
         _count_rec(f.terms, grid.sets, f.ring.modulus, (), None, out)
         return out
+    moduli = plan[1]
+    if not moduli:  # H = 0 over Z
+        return [0] * size
     import numpy as np
 
-    return np.concatenate([res[0].ravel() for _, _, res in _kernel_chunks(f, grid, *plan)]).tolist()
+    rebuild = (lambda res: res[0]) if f.ring.modulus else (lambda res: _garner(res, moduli))
+    return np.concatenate([rebuild(res).ravel() for _, _, res in _kernel_chunks(f, grid, *plan)]).tolist()
 
 
 def count_nonzeros(f: Polynomial, grid: GridSpec, *,
@@ -342,12 +365,11 @@ def tightness_family(grid: GridSpec, d: tuple[int, ...],
             raise HypothesisViolationError(f"need 0 <= d_{i + 1} <= |S_{i + 1}|, got {di}")
         if len(sub) != di or any(v not in s for v in sub):
             raise ValueError(f"subset {sub} is not a {di}-element subset of set {i + 1}")
-    out = Polynomial.constant(grid.arity, ring, 1)
-    for i, sub in enumerate(subsets):
-        x = Polynomial.variable(grid.arity, ring, i)
-        for a in sub:
-            out = out * (x - a)
-    return out
+    # a product of univariate factors in distinct variables: each
+    # coefficient is a product of one coefficient per factor
+    factors = [[(k, c) for k, c in enumerate(annihilator(ring, sub)) if c] for sub in subsets]
+    return Polynomial(grid.arity, ring, {tuple(k for k, _ in combo): prod(c for _, c in combo)
+                                         for combo in itertools.product(*factors)})
 
 
 @dataclass(frozen=True)

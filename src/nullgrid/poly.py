@@ -107,9 +107,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self) -> set[Exponents]:
-        return set(self.terms)
-
     def coefficient(self, exps: Sequence[int]) -> RingElem:
         return RingElem(self.ring, self.terms.get(tuple(exps), 0))
 
@@ -236,9 +233,6 @@ class Polynomial:
 
     def partial_degree(self, index: int) -> int:
         return self.degrees()[0][index]
-
-    def total_degree(self) -> int:
-        return self.degrees()[1]
 
     # -- rendering ---------------------------------------------------------
 
@@ -444,6 +438,16 @@ class GridSpec:
         return f"GridSpec({self.sets} over {self.ring})"
 
 
+def annihilator(ring: RingSpec, elements: Iterable[int]) -> list[int]:
+    """Coefficients of the monic univariate prod_{a in elements} (x - a),
+    lowest degree first, as canonical integers of ``ring``."""
+    coeffs = [1]
+    for a in elements:
+        # times (x - a): the new coefficient of x^k is c_{k-1} - a * c_k
+        coeffs = [ring.sub(hi, ring.mul(a, lo)) for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
 def vanishing_poly(grid: GridSpec, var: int) -> Polynomial:
     """The monic polynomial prod_{a in S_var} (x_var - a).
 
@@ -452,12 +456,10 @@ def vanishing_poly(grid: GridSpec, var: int) -> Polynomial:
     """
     if not 0 <= var < grid.arity:
         raise ArityMismatchError(f"variable index {var} out of range")
-    ring = grid.ring
-    out = Polynomial.constant(grid.arity, ring, 1)
-    x = Polynomial.variable(grid.arity, ring, var)
-    for a in grid.sets[var]:
-        out = out * (x - a)
-    return out
+    zero = (0,) * grid.arity
+    return Polynomial(grid.arity, grid.ring,
+                      {zero[:var] + (k,) + zero[var + 1:]: c
+                       for k, c in enumerate(annihilator(grid.ring, grid.sets[var]))})
 
 
 def check_compatible(f: Polynomial, grid: GridSpec):

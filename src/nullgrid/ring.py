@@ -117,10 +117,6 @@ class RingSpec:
     def is_field(self) -> bool:
         return self.kind == FP
 
-    @property
-    def characteristic(self) -> int:
-        return self.modulus or 0
-
     # -- raw integer arithmetic --------------------------------------------
 
     def canon(self, v: int) -> int:
@@ -173,12 +169,6 @@ class RingSpec:
 
     def element(self, v: int) -> "RingElem":
         return RingElem(self, self.canon(int(v)))
-
-    def zero(self) -> "RingElem":
-        return RingElem(self, 0)
-
-    def one(self) -> "RingElem":
-        return RingElem(self, self.canon(1))
 
     def __str__(self) -> str:
         return self.kind if self.modulus is None else f"{self.kind}:{self.modulus}"

@@ -25,11 +25,11 @@ from .oracle import _grid_values
 from .poly import (
     GridSpec,
     Polynomial,
+    annihilator,
     check_compatible,
     decompose_by_variable,
     first_repeat,
     recompose,
-    vanishing_poly,
 )
 from .ring import RingElem, RingSpec, grid_condition_check
 
@@ -60,13 +60,11 @@ def _reduce_variable(f: Polynomial, grid: GridSpec, var: int) -> Polynomial:
     s = len(grid.sets[var])
     if f.is_zero or f.partial_degree(var) < s:
         return f
+    ring = f.ring
     # x_var^s is congruent to -(lower part of the annihilator)
-    annihilator = vanishing_poly(grid, var)
-    lower = decompose_by_variable(annihilator, var)[:-1]  # degree < s, coefficients are constants
-    replacement = [(-c).value for c in (h.coefficient((0,) * f.arity) for h in lower)]
+    replacement = [ring.neg(c) for c in annihilator(ring, grid.sets[var])[:-1]]
 
     layers = {k: dict(h.terms) for k, h in enumerate(decompose_by_variable(f, var)) if h.terms}
-    ring = f.ring
     add, mul = ring.add, ring.mul
     while layers:
         top = max(layers)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nullgrid import analysis
 from nullgrid.analysis import (
     CONDITIONS,
     D_LEADING,
@@ -349,18 +348,6 @@ def test_classify_matches_the_reference(f):
     assert classify(f) == _reference_classify(f)
 
 
-@settings(max_examples=200, deadline=None)
-@given(_supports(), st.data())
-def test_ordered_table_test_is_the_successively_largest_hypothesis(f, data):
-    # for any d, not only the successively-largest one, and any seed
-    e = data.draw(st.sampled_from(sorted(f.terms)))
-    d = tuple(data.draw(st.integers(0, 4)) for _ in range(f.arity))
-    order = tuple(data.draw(st.permutations(range(f.arity))))
-    tops, paths = analysis._prefix_maxima(f.terms, order)
-    assert analysis._ordered_holds(tops, paths[e], d, order) == \
-        hypothesis_holds(f, SUCCESSIVELY_LARGEST, d, e, order)
-
-
 def _acceptance_polys():
     """The random polynomials of acceptance criteria 4 and 7, drawn as
     those criteria draw them."""
@@ -391,21 +378,6 @@ def test_classify_matches_the_reference_on_acceptance_corpora():
         assert classify(f) == _reference_classify(f), f
 
 
-def test_classify_falls_back_to_the_scan(monkeypatch, caplog):
-    # when no order certifies a d-leading pair, its holds comes from the
-    # definitional scan, not from the ordered test
-    f = parse_poly("x^2*y + x*y^3 + y^2 + x + 1", ["x", "y"], Z)
-    monkeypatch.setattr(analysis, "_ordered_holds", lambda *args: False)
-    with caplog.at_level(logging.DEBUG, logger="nullgrid"):
-        got = classify(f)
-    want = _reference_classify(f)
-    pairs = [r for r in want if r.condition == D_LEADING]
-    assert [r for r in got if r.condition == D_LEADING] == pairs
-    assert all(r.holds for r in pairs)
-    assert not any(r.holds for r in got if r.condition == SUCCESSIVELY_LARGEST)
-    assert f"d_leading_certified=0 d_leading_scanned={len(pairs)}" in caplog.records[-1].getMessage()
-
-
 def test_classify_logs_one_record(caplog):
     with caplog.at_level(logging.DEBUG, logger="nullgrid"):
         reports = classify(ELLIPSE)
@@ -413,5 +385,5 @@ def test_classify_logs_one_record(caplog):
     assert len(records) == 1
     assert records[0].levelno == logging.DEBUG
     assert records[0].getMessage() == (
-        "classify terms=3 orders=2 reports=19 d_leading_certified=6 d_leading_scanned=0")
+        "classify terms=3 orders=2 reports=19 d_leading=6")
     assert len(reports) == 19

@@ -5,6 +5,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from nullgrid import oracle
 from nullgrid.cli import main
 
@@ -334,3 +336,66 @@ def test_verify_on_millions_of_failing_pairs_exits_fast(capsys):
         "S_1 contains 0 and 2 with zero-divisor difference 999998; "
         "S_1 contains 0 and 4 with zero-divisor difference 999996; "
         "S_1 contains 0 and 5 with zero-divisor difference 999995; and 2698497 more")
+
+
+def test_coeff_on_a_grid_over_the_value_cap_is_a_resource_error(capsys):
+    # 1001 x 1000 points, one row over oracle.DEFAULT_ZERO_SET_CAP
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "coeff", "--ring", "fp:1000003", "--grid", "0..1000;0..999",
+                        "--monomial", "1,1", "--poly", "x*y")
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == "resource-limit"
+    assert error["message"] == "grid has 1001000 points, value limit is 1000000"
+
+
+# (argv, exit code, sha256 of stdout), recorded before integer grid values
+# moved into the kernel and the annihilator got one builder
+GOLDEN = [
+    (["analyze", "--ring", "int", "--poly", "x^2 - 4*x*y + y^2"], 0,
+     "378fbf7073da55a4cdfcbf3477481cd791c41f0abf698232940f66c2f9cf7279"),
+    (["--format", "text", "analyze", "--ring", "fp:7", "--poly", "3*x^3*y + x*y^2 + 5"], 0,
+     "348f03c37d222ea6c75062546d8e5c38c9b396dbe0bfc1c1a1898053d42330cb"),
+    (["bounds", "--ring", "fp:7", "--grid", "0..4;0..3", "--poly", "x^3*y + 2*x*y^2 + 1"], 0,
+     "f8642f9a7447f3d6355abd00988f18e8e1b1169af4296a941b2b4363431811d2"),
+    (["verify", "--ring", "int", "--grid", "0..4;0..4", "--list-zeros",
+      "--poly", "x^2 - 4*x*y + y^2"], 0,
+     "31eccf6efc4d11f29029e4bd2e23a527b8ec53020cf72187510fb00e8aee6431"),
+    (["verify", "--ring", "zmod:35", "--grid", "0,1,3;0..2", "--list-zeros", "--poly", "x*y - x + 6"], 0,
+     "58ada019d8b5d2a89513c99415e6b202029e104c38f252be9feed9ea24b67292"),
+    (["--format", "text", "verify", "--ring", "fp:5", "--grid", "0..4;0..4",
+      "--poly", "x*y^3 + x^2*y^2 + 3*x^3*y"], 0,
+     "a9b84f6b82c8d5c80f42a72fcb9264d48897a441a1205edbaf41c876e29e4983"),
+    (["trim", "--ring", "int", "--grid", "0..3;-1..2", "--poly", "x^5*y^4 - 3*x^2*y + 7"], 0,
+     "dc85ba6a619fd9a2c402a313be18b3a15b43e2d0d9099e9cad6076112e1aac81"),
+    (["trim", "--ring", "zmod:35", "--grid", "0,1,3;2,5", "--poly", "(x + 2*y)^4 - 1"], 0,
+     "c674bd2252c676f304e9adb8e81bd6c0205763cc3cf5a902360c2d84b928e0a6"),
+    (["coeff", "--ring", "fp:11", "--grid", "0..4;0..3", "--monomial", "2,1",
+      "--poly", "x^2*y - 4*x*y + y^3"], 0,
+     "adce8ccb921e2d8b4ad1b41e0b9d5c1a92fec309abeab3b017189b81784b1061"),
+    (["pit", "(x + y)^2", "x^2 + 2*x*y + y^2", "--samples", "50", "--trials", "20"], 0,
+     "1ac8271adc7e2f9baf6bac3ab5da1849a6b87d5f4d8f46b76b42466cdd95a972"),
+    (["--format", "text", "pit", "x^2 - y^2", "(x + y)*(x - y - 1)", "--samples", "50"], 0,
+     "c9b2b0e7766ab8e3d39c2bb9ea595586b5e4f47d5f47e28f68326e27ae7a3eb9"),
+    (["puzzle", "exhaustive", "--size", "2", "--range", "3", "--budget", "100000000"], 0,
+     "e774d775d7e3b2bd8ec41caf3f7c8eadcc21238cd3e1e9f7830266375a61259e"),
+    (["puzzle", "local", "--size", "3", "--budget", "2000", "--seed", "3"], 0,
+     "353dff101e6e63e0e958e3011fd0167b0c0f38e8f515950fc5a822924b5e659c"),
+    (["tightness", "--ring", "int", "--grid=-2..3;0..2;5,7", "--d", "3,1,2"], 0,
+     "666d7cc7a5ec1dae0ddce18ef29047733348b40c16f2b261fb1d0823b9869917"),
+    (["--format", "text", "tightness", "--ring", "fp:11", "--grid", "0..3;0..2", "--d", "2,1"], 0,
+     "7265270485f4dee09bfff200baf01737c63eb84806c055c395728c4a95d40cea"),
+    (["analyze", "--ring", "fp:6", "--poly", "x"], 1,
+     "e369c37c97c151882aea3984d53b99452696d08e4749fb6b2cd15fb6825ff92a"),
+    (["trim", "--ring", "zmod:6", "--grid", "0,2,4", "--poly", "x^5 + 1"], 2,
+     "081bebeda274a5bae1b618c3f452bc96eee228e26bd4a57181d946fa8e754dd1"),
+    (["--format", "text", "verify", "--grid", "0..99;0..99", "--limit-grid", "9999", "--poly", "x*y"], 3,
+     "f73a3149353b9afaade38245f89489ff72dbd18513e6291f7bc640ddf6aec82c"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(g[0][:3]) for g in GOLDEN])
+def test_golden_output(capsys, argv, code, digest):
+    got, out = run_cli(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

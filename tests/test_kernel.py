@@ -13,11 +13,13 @@ from math import gcd, prod
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nullgrid
 from nullgrid import oracle
+from nullgrid.errors import GridTooLargeError
 from nullgrid.oracle import _count_rec, count_nonzeros, min_nonzero_search
 from nullgrid.poly import GridSpec, Polynomial
 from nullgrid.ring import RingSpec
@@ -170,11 +172,52 @@ def test_fallback_prime_count(caplog):
     _assert_matches_reference(f, grid)
 
 
-def test_integer_grid_values_use_reference(caplog):
+def test_integer_grid_values_use_kernel(caplog):
     f = Polynomial(1, Z, {(5,): 3, (0,): -1})
     grid = GridSpec(Z, [(-3, 0, 7)])
-    assert "path=reference reason=integer values" in _path(caplog, lambda: grid_values(f, grid))
+    assert "path=kernel reason=none primes=1" in _path(caplog, lambda: grid_values(f, grid))
     assert grid_values(f, grid) == {(-3,): -730, (0,): -1, (7,): 50420}
+
+
+def test_integer_grid_values_over_several_primes(caplog):
+    # coefficients near 10^30 need several word primes; the values have both signs
+    f = Polynomial(2, Z, {(3, 1): 10**30 + 7, (0, 2): -(10**30) + 11, (1, 0): -3, (0, 0): 10**29})
+    grid = GridSpec(Z, [range(-7, 6), (-4, -1, 0, 2, 9)])
+    message = _path(caplog, lambda: grid_values(f, grid))
+    assert "path=kernel reason=none" in message
+    assert int(message.split("primes=")[1].split()[0]) >= 3
+    values = grid_values(f, grid)
+    assert values == {pt: f.eval_raw(pt) for pt in grid.points()}
+    assert min(values.values()) < -(10**32) and max(values.values()) > 10**32
+    # several S_1 slices rebuild the same values
+    with mock.patch.object(oracle, "_CELL_BUDGET", 16):
+        assert grid_values(f, grid) == values
+    # one prime q separates q - 1 from 0 when counting, but values need Q > 2H
+    q = oracle._word_primes(1)[0]
+    g = Polynomial(1, Z, {(0,): q - 1})
+    assert "primes=2" in _path(caplog, lambda: grid_values(g, GridSpec(Z, [(0, 1)])))
+    assert grid_values(g, GridSpec(Z, [(0, 1)])) == {(0,): q - 1, (1,): q - 1}
+
+
+def test_integer_grid_values_at_height_zero(caplog):
+    f = Polynomial(2, Z, {(1, 0): 5, (2, 3): -7})
+    grid = GridSpec(Z, [(0,), (-2, 1, 5)])
+    assert "path=kernel reason=none primes=0" in _path(caplog, lambda: grid_values(f, grid))
+    assert grid_values(f, grid) == {(0, -2): 0, (0, 1): 0, (0, 5): 0}
+    empty = Polynomial.zero(2, Z)
+    assert grid_values(empty, GridSpec(Z, [(1, 2), (3,)])) == {(1, 3): 0, (2, 3): 0}
+
+
+def test_grid_values_refuse_grids_over_the_value_cap():
+    grid = GridSpec(Z, [range(1001), range(1000)])
+    with pytest.raises(GridTooLargeError, match="1001000 points"):
+        grid_values(Polynomial.constant(2, Z, 1), grid)
+    # a grid at the cap is evaluated, one point more is refused
+    small = GridSpec(Z, [range(4), range(3)])
+    with mock.patch.object(oracle, "DEFAULT_ZERO_SET_CAP", 12):
+        assert len(grid_values(Polynomial.constant(2, Z, 1), small)) == 12
+    with mock.patch.object(oracle, "DEFAULT_ZERO_SET_CAP", 11), pytest.raises(GridTooLargeError):
+        grid_values(Polynomial.constant(2, Z, 1), small)
 
 
 def test_kernel_chunk_count_logged(caplog):

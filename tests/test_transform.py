@@ -1,11 +1,14 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullgrid.errors import HypothesisViolationError, UnsupportedRingError
-from nullgrid.oracle import random_polynomial
+from nullgrid.oracle import random_polynomial, tightness_family
 from nullgrid.parser import parse_poly
-from nullgrid.poly import GridSpec, Polynomial
+from nullgrid.poly import GridSpec, Polynomial, decompose_by_variable, vanishing_poly
 from nullgrid.ring import RingSpec
 from nullgrid.transform import (
     coefficient_via_grid,
@@ -176,3 +179,75 @@ def test_coefficient_via_grid_validation():
     incomplete.pop((0, 0))
     with pytest.raises(ValueError):
         coefficient_via_grid(incomplete, grid, (1, 1))
+
+
+# -- the grid annihilators against repeated multiplication --------------------
+
+# Z_m with its smallest prime factor: up to that many consecutive multiples
+# of a unit have pairwise unit differences, so trim accepts the set
+ZMODS = ((12, 2), (35, 5), (64, 2), (9, 3), (77, 7))
+
+
+@st.composite
+def _annihilator_cases(draw):
+    """A ring, a grid that passes the zero-divisor condition, a polynomial
+    of partial degrees up to 6 and a degree vector within the set sizes."""
+    kind = draw(st.sampled_from(["fp", "int", "zmod"]))
+    arity = draw(st.integers(1, 3))
+    if kind == "fp":
+        ring = RingSpec.prime_field(draw(st.sampled_from([2, 5, 101, 10007])))
+        sets = [draw(st.lists(st.integers(0, ring.modulus - 1), min_size=1,
+                              max_size=min(ring.modulus, 5), unique=True)) for _ in range(arity)]
+    elif kind == "int":
+        ring = Z
+        sets = [draw(st.lists(st.integers(-30, 30), min_size=1, max_size=5, unique=True))
+                for _ in range(arity)]
+    else:
+        m, smallest = draw(st.sampled_from(ZMODS))
+        ring = RingSpec.integers_mod(m)
+        sets = []
+        for _ in range(arity):
+            start = draw(st.integers(0, m - 1))
+            step = draw(st.integers(1, m - 1).filter(lambda s: gcd(s, m) == 1))
+            size = draw(st.integers(1, smallest))
+            sets.append([(start + k * step) % m for k in range(size)])
+    grid = GridSpec(ring, sets)
+    exps = st.tuples(*[st.integers(0, 6)] * arity)
+    f = Polynomial(arity, ring, draw(st.dictionaries(exps, st.integers(-10**6, 10**6), max_size=8)))
+    d = tuple(draw(st.integers(0, s)) for s in grid.sizes)
+    return grid, f, d
+
+
+def _linear_product(grid, var, elements):
+    """prod (x_var - a) over the elements, one Polynomial product at a time."""
+    out = Polynomial.constant(grid.arity, grid.ring, 1)
+    x = Polynomial.variable(grid.arity, grid.ring, var)
+    for a in elements:
+        out = out * (x - a)
+    return out
+
+
+def _reference_trim(f, grid):
+    """Long division by each repeated-multiplication annihilator in turn:
+    subtract lead * x_var^(top - s) * g until the degree in x_var is below s."""
+    for var, elements in enumerate(grid.sets):
+        g, s = _linear_product(grid, var, elements), len(elements)
+        while not f.is_zero and f.partial_degree(var) >= s:
+            top = f.partial_degree(var)
+            lead = decompose_by_variable(f, var)[top]
+            shift = tuple(top - s if i == var else 0 for i in range(grid.arity))
+            f = f - lead * Polynomial.monomial(grid.arity, grid.ring, shift) * g
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(_annihilator_cases())
+def test_annihilators_match_repeated_multiplication(case):
+    grid, f, d = case
+    for var, elements in enumerate(grid.sets):
+        assert vanishing_poly(grid, var) == _linear_product(grid, var, elements)
+    family = _linear_product(grid, 0, grid.sets[0][:d[0]])
+    for var in range(1, grid.arity):
+        family = family * _linear_product(grid, var, grid.sets[var][:d[var]])
+    assert tightness_family(grid, d) == family
+    assert trim(f, grid) == _reference_trim(f, grid)
