@@ -7,204 +7,59 @@ cover grid trimming, coefficient extraction from grid values, randomized
 identity testing of expression DAGs, and an extremal search over small
 multiplication/addition table pairs.
 
+Public names load their module on first access (PEP 562), so importing
+the package, or one command of the command line driver, loads only the
+modules that command runs.
+
 Diagnostics go to the ``nullgrid`` logger, which is silent unless the
 application configures logging.
 """
 
+import importlib
 import logging
 
-from .analysis import (
-    CONDITIONS,
-    D_LEADING,
-    LEX_LARGEST,
-    MAXIMAL_MONOMIAL,
-    PARTIAL_DEGREES,
-    SUCCESSIVELY_LARGEST,
-    TOTAL_DEGREE,
-    HypothesisReport,
-    classify,
-    forbidden_set,
-    hypothesis_holds,
-    is_d_leading,
-    lex_largest,
-    maximal_monomials,
-    successively_largest,
-)
-from .bounds import (
-    AFInstance,
-    BoundReport,
-    additive_existence_bound,
-    alon_furedi_original_bound,
-    collect_bounds,
-    demillo_lipton_bound,
-    erdos_density_bound,
-    gen_alon_furedi_bound,
-    kst_exponent,
-    min_products_by_total,
-    product_bound,
-    schwartz_additive_bound,
-    schwartz_zippel_count,
-    sz_probability,
-    zippel_bound,
-)
-from .errors import (
-    ArityMismatchError,
-    ExpansionTooLargeError,
-    ExponentOverflowError,
-    GridTooLargeError,
-    HypothesisViolationError,
-    InsufficientSampleSpaceError,
-    NullgridError,
-    ParseError,
-    RingMismatchError,
-    SearchBudgetError,
-    UnknownVariableError,
-    UnsupportedRingError,
-    ZeroPolynomialError,
-)
-from .oracle import (
-    BoundCheck,
-    GridCount,
-    MinNonzeroResult,
-    VerificationReport,
-    count_nonzeros,
-    min_nonzero_search,
-    random_polynomial,
-    tightness_family,
-    verify_bounds,
-)
-from .parser import (
-    ExprDag,
-    DagBuilder,
-    expand_dag,
-    infer_variables,
-    parse_dag,
-    parse_poly,
-)
-from .pit import PitVerdict, dag_difference, degree_upper_bound, eval_dag, identity_test
-from .poly import (
-    GridSpec,
-    Polynomial,
-    check_compatible,
-    decompose_by_variable,
-    divide_linear,
-    recompose,
-    vanishing_poly,
-)
-from .puzzle import (
-    AgreementPattern,
-    LocalSearchResult,
-    PuzzleInstance,
-    SearchResult,
-    agreement_count,
-    exhaustive_search,
-    from_polynomial,
-    k22_check,
-    local_search,
-    zarankiewicz_k22_bound,
-)
-from .ring import CheckResult, RingElem, RingSpec, grid_condition_check, is_prime
-from .transform import (
-    Multipliers,
-    coefficient_via_grid,
-    grid_values,
-    trim,
-    vandermonde_multipliers,
-)
+_EXPORTS = {
+    "analysis": """CONDITIONS D_LEADING LEX_LARGEST MAXIMAL_MONOMIAL PARTIAL_DEGREES
+        SUCCESSIVELY_LARGEST TOTAL_DEGREE HypothesisReport classify forbidden_set
+        hypothesis_holds is_d_leading lex_largest maximal_monomials successively_largest""",
+    "bounds": """AFInstance BoundReport additive_existence_bound alon_furedi_original_bound
+        collect_bounds demillo_lipton_bound erdos_density_bound gen_alon_furedi_bound
+        kst_exponent min_products_by_total product_bound schwartz_additive_bound
+        schwartz_zippel_count sz_probability zippel_bound""",
+    "errors": """ArityMismatchError ExpansionTooLargeError ExponentOverflowError
+        GridTooLargeError HypothesisViolationError InsufficientSampleSpaceError
+        NullgridError ParseError RingMismatchError SearchBudgetError UnknownVariableError
+        UnsupportedRingError ZeroPolynomialError""",
+    "oracle": """BoundCheck GridCount MinNonzeroResult VerificationReport count_nonzeros
+        min_nonzero_search random_polynomial tightness_family verify_bounds""",
+    "parser": "ExprDag DagBuilder expand_dag infer_variables parse_dag parse_poly",
+    "pit": "PitVerdict dag_difference degree_upper_bound eval_dag identity_test",
+    "poly": """GridSpec Polynomial check_compatible decompose_by_variable divide_linear
+        recompose vanishing_poly""",
+    "puzzle": """AgreementPattern LocalSearchResult PuzzleInstance SearchResult
+        agreement_count exhaustive_search from_polynomial k22_check local_search
+        zarankiewicz_k22_bound""",
+    "ring": "CheckResult RingElem RingSpec grid_condition_check is_prime",
+    "transform": "Multipliers coefficient_via_grid grid_values trim vandermonde_multipliers",
+}
+# public name -> the submodule that defines it
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = {*_EXPORTS, "cli"}
+
+__all__ = sorted(_HOME)
+__version__ = "0.1.0"
 
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
-__version__ = "0.1.0"
 
-__all__ = [
-    "AFInstance",
-    "AgreementPattern",
-    "ArityMismatchError",
-    "BoundCheck",
-    "BoundReport",
-    "CONDITIONS",
-    "CheckResult",
-    "D_LEADING",
-    "DagBuilder",
-    "ExpansionTooLargeError",
-    "ExponentOverflowError",
-    "ExprDag",
-    "GridCount",
-    "GridSpec",
-    "GridTooLargeError",
-    "HypothesisReport",
-    "HypothesisViolationError",
-    "InsufficientSampleSpaceError",
-    "LEX_LARGEST",
-    "LocalSearchResult",
-    "MAXIMAL_MONOMIAL",
-    "MinNonzeroResult",
-    "Multipliers",
-    "NullgridError",
-    "PARTIAL_DEGREES",
-    "ParseError",
-    "PitVerdict",
-    "Polynomial",
-    "PuzzleInstance",
-    "RingElem",
-    "RingMismatchError",
-    "RingSpec",
-    "SUCCESSIVELY_LARGEST",
-    "SearchBudgetError",
-    "SearchResult",
-    "TOTAL_DEGREE",
-    "UnknownVariableError",
-    "UnsupportedRingError",
-    "VerificationReport",
-    "ZeroPolynomialError",
-    "additive_existence_bound",
-    "agreement_count",
-    "alon_furedi_original_bound",
-    "check_compatible",
-    "classify",
-    "coefficient_via_grid",
-    "collect_bounds",
-    "count_nonzeros",
-    "dag_difference",
-    "decompose_by_variable",
-    "degree_upper_bound",
-    "demillo_lipton_bound",
-    "divide_linear",
-    "erdos_density_bound",
-    "eval_dag",
-    "exhaustive_search",
-    "expand_dag",
-    "forbidden_set",
-    "from_polynomial",
-    "gen_alon_furedi_bound",
-    "grid_condition_check",
-    "grid_values",
-    "hypothesis_holds",
-    "identity_test",
-    "infer_variables",
-    "is_d_leading",
-    "is_prime",
-    "k22_check",
-    "kst_exponent",
-    "lex_largest",
-    "local_search",
-    "maximal_monomials",
-    "min_nonzero_search",
-    "min_products_by_total",
-    "parse_dag",
-    "parse_poly",
-    "product_bound",
-    "random_polynomial",
-    "recompose",
-    "schwartz_additive_bound",
-    "schwartz_zippel_count",
-    "successively_largest",
-    "sz_probability",
-    "tightness_family",
-    "trim",
-    "vandermonde_multipliers",
-    "vanishing_poly",
-    "verify_bounds",
-    "zarankiewicz_k22_bound",
-    "zippel_bound",
-]
+def __getattr__(name):
+    # nothing is cached here, so a name always reads its module's attribute
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

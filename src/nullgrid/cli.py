@@ -19,7 +19,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import analysis, bounds, oracle, pit, puzzle, transform
 from .errors import (
     ExpansionTooLargeError,
     GridTooLargeError,
@@ -28,9 +27,6 @@ from .errors import (
     ParseError,
     SearchBudgetError,
 )
-from .parser import infer_variables, parse_dag, parse_poly
-from .poly import GridSpec
-from .ring import RingSpec
 
 SCHEMA = 1
 
@@ -77,6 +73,8 @@ def _read_text(path: str) -> str:
 
 
 def _load_poly(args, ring):
+    from .parser import infer_variables, parse_poly
+
     if args.poly is not None and args.polyfile is not None:
         raise _UsageError("pass the polynomial inline with --poly or as a file, not both")
     if args.poly is not None:
@@ -97,7 +95,9 @@ def _load_poly_and_grid(args):
     return ring, f, names, _load_grid(args, ring)
 
 
-def _load_grid(args, ring) -> GridSpec:
+def _load_grid(args, ring):
+    from .poly import GridSpec
+
     spec = getattr(args, "grid", None)
     if not spec:
         raise _UsageError("this subcommand needs --grid")
@@ -105,7 +105,9 @@ def _load_grid(args, ring) -> GridSpec:
     return GridSpec.from_text(text, ring)
 
 
-def _ring_of(args) -> RingSpec:
+def _ring_of(args):
+    from .ring import RingSpec
+
     try:
         return RingSpec.from_string(args.ring)
     except ValueError as e:
@@ -121,6 +123,8 @@ def _poly_header(command: str, ring, names, f) -> dict:
 
 
 def _cmd_analyze(args):
+    from . import analysis
+
     ring = _ring_of(args)
     f, names = _load_poly(args, ring)
     reports = [] if f.is_zero else analysis.classify(f)
@@ -132,6 +136,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_bounds(args):
+    from . import bounds
+
     ring, f, names, grid = _load_poly_and_grid(args)
     return {
         **_poly_header("bounds", ring, names, f),
@@ -141,9 +147,11 @@ def _cmd_bounds(args):
 
 
 def _cmd_verify(args):
+    from . import oracle
+
     ring, f, names, grid = _load_poly_and_grid(args)
     count = oracle.count_nonzeros(f, grid, collect_zeros=args.list_zeros,
-                                  point_limit=args.limit_grid)
+                                  point_limit=_point_limit(args))
     report = oracle.verify_bounds(f, grid, count=count)
     payload = {
         **_poly_header("verify", ring, names, f),
@@ -160,6 +168,8 @@ def _cmd_verify(args):
 
 
 def _cmd_trim(args):
+    from . import transform
+
     ring, f, names, grid = _load_poly_and_grid(args)
     g = transform.trim(f, grid)
     payload = {
@@ -175,6 +185,8 @@ def _cmd_trim(args):
 
 
 def _cmd_coeff(args):
+    from . import transform
+
     ring, f, names, grid = _load_poly_and_grid(args)
     d = _parse_vector(args.monomial, grid.arity)
     values = transform.grid_values(f, grid)
@@ -188,6 +200,9 @@ def _cmd_coeff(args):
 
 
 def _cmd_pit(args):
+    from . import pit
+    from .parser import infer_variables, parse_dag
+
     ring = _ring_of(args)
     names = args.vars.split(",") if args.vars else sorted(
         set(infer_variables(args.expr1)) | set(infer_variables(args.expr2)))
@@ -206,6 +221,8 @@ def _cmd_pit(args):
 
 
 def _cmd_puzzle(args):
+    from . import puzzle
+
     if args.mode == "exhaustive":
         result = puzzle.exhaustive_search(args.size, args.range, budget=args.budget)
         extra = {"examined": result.examined}
@@ -231,12 +248,14 @@ def _cmd_puzzle(args):
 
 
 def _cmd_tightness(args):
+    from . import oracle
+
     ring = _ring_of(args)
     grid = _load_grid(args, ring)
     d = _parse_vector(args.d, grid.arity)
     f = oracle.tightness_family(grid, d)
     count = oracle.count_nonzeros(f, grid, collect_zeros=False,
-                                  point_limit=args.limit_grid)
+                                  point_limit=_point_limit(args))
     expected = 1
     for s, di in zip(grid.sizes, d):
         expected *= s - di
@@ -250,6 +269,14 @@ def _cmd_tightness(args):
         "product_value": expected,
         "slack": count.nonzeros - expected,
     }
+
+
+def _point_limit(args) -> int:
+    """--limit-grid, or the oracle's default; read here, not when the
+    parser is built, so that commands without a count load no oracle."""
+    from .oracle import DEFAULT_POINT_LIMIT
+
+    return DEFAULT_POINT_LIMIT if args.limit_grid is None else args.limit_grid
 
 
 def _parse_vector(text: str, arity: int) -> tuple[int, ...]:
@@ -290,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("bounds", help="list certified lower bounds"))
     v = common(sub.add_parser("verify", help="check every bound against brute force"))
     v.add_argument("--list-zeros", action="store_true")
-    v.add_argument("--limit-grid", type=int, default=oracle.DEFAULT_POINT_LIMIT)
+    v.add_argument("--limit-grid", type=int, default=None)
     common(sub.add_parser("trim", help="reduce modulo the grid annihilators"))
     c = common(sub.add_parser("coeff", help="coefficient of a monomial from grid values"))
     c.add_argument("--monomial", required=True, help="comma-separated exponents")
@@ -315,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--ring", default="int")
     t.add_argument("--grid", required=True)
     t.add_argument("--d", required=True, help="comma-separated subset sizes")
-    t.add_argument("--limit-grid", type=int, default=oracle.DEFAULT_POINT_LIMIT)
+    t.add_argument("--limit-grid", type=int, default=None)
     return top
 
 

@@ -38,8 +38,9 @@ class InsufficientSampleSpaceError(HypothesisViolationError):
 
 
 class GridTooLargeError(NullgridError, RuntimeError):
-    """Brute-force enumeration was refused because the grid exceeds the
-    configured point limit."""
+    """Work on a grid was refused before it started: enumeration past the
+    configured point limit, or a grid set too large to evaluate on or to
+    build its annihilator from within the package's work budgets."""
 
 
 class ExpansionTooLargeError(NullgridError, RuntimeError):

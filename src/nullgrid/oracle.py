@@ -7,16 +7,19 @@ evaluating polynomials at every grid point.  One exact numpy kernel
 over every ring; over Z, ``_garner`` rebuilds integer values from the
 residues.  The pure-Python recursion ``_count_rec`` is kept on purpose
 as the independent reference the tests compare the kernel against, and
-runs wherever a kernel guard fails.  ``min_nonzero_search`` scores its
-candidate coefficient vectors in int64 blocks, decoded in mixed radix
-when it enumerates the space and drawn from bulk generator words (the
-exact ``randrange`` stream of its seed) when it samples.  Each
-evaluation and each search logs its path at DEBUG level on the
-``nullgrid`` logger; numpy is imported on first use.
+runs wherever a kernel guard fails and on small grids, where it costs
+less than importing numpy.  ``min_nonzero_search`` scores its candidate
+coefficient vectors in int64 blocks, decoded in mixed radix when it
+enumerates the space and drawn from bulk generator words (the exact
+``randrange`` stream of its seed) when it samples.  Each evaluation and
+each search logs its path at DEBUG level on the ``nullgrid`` logger.
+numpy is imported only when the kernel or the search runs, so small
+grids never load it.
 
 Counting refuses grids above a configurable point limit instead of
-running forever, and grid values, which are held all at once, refuse
-grids above ``DEFAULT_ZERO_SET_CAP`` points.
+running forever, the reference refuses work above ``_REFERENCE_WORK``,
+and grid values, which are held all at once, refuse grids above
+``DEFAULT_ZERO_SET_CAP`` points.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, prod
+from typing import TYPE_CHECKING
 
-from . import bounds as bounds_mod
 from .errors import (
     GridTooLargeError,
     HypothesisViolationError,
@@ -36,6 +39,9 @@ from .errors import (
 )
 from .poly import GridSpec, Polynomial, annihilator, check_compatible
 from .ring import RingSpec, grid_condition_check, is_prime
+
+if TYPE_CHECKING:
+    from .bounds import BoundReport
 
 log = logging.getLogger(__name__)
 
@@ -47,6 +53,11 @@ _CELL_BUDGET = 1 << 22
 # most word-size primes the kernel uses over Z before leaving it to the reference
 _MAX_PRIMES = 16
 _INT64_LIMIT = 1 << 63
+# most grid points x terms sent to the reference without trying the kernel
+_SMALL_GRID = 1024
+# most grid points x coefficient words the reference may evaluate (about 1.5 s
+# on a 2-vCPU VM); beyond it evaluation is refused
+_REFERENCE_WORK = 3 * 10**7
 
 
 @dataclass(frozen=True)
@@ -69,7 +80,7 @@ class BoundCheck:
     claim is from tight: nonzeros minus the claimed count (or, for
     zero-probability claims, allowed zeros minus actual zeros)."""
 
-    report: bounds_mod.BoundReport
+    report: BoundReport
     sound: bool
     slack: int
 
@@ -151,6 +162,15 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     or None when the reference must run instead.  Logs the choice at
     DEBUG level.
 
+    Grids whose points times terms are at most ``_SMALL_GRID`` go to the
+    reference ("small grid"), so a short run never imports numpy.  There
+    the reference takes at most about half a millisecond, a few per cent
+    of importing numpy; with numpy already loaded the kernel can still
+    be up to three times faster over F_p and Z_m, and is often slower
+    over Z.  The reference is refused with GridTooLargeError when points
+    times the words of every term's largest value exceed
+    ``_REFERENCE_WORK``.
+
     Each contraction sums at most |E_i| products of residues below q, so
     the guard (q - 1)^2 * max |E_i| < 2^63 keeps int64 arithmetic exact.
     Over F_p and Z_m the one modulus is m.
@@ -171,14 +191,18 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     exps = [sorted({key[i] for key in f.terms}) or [0] for i in range(f.arity)]
     widths = [len(e) for e in exps]
     m = f.ring.modulus
+    bounds = [max(abs(a) for a in s) for s in grid.sets]
+    sizes = grid.sizes
+    points = prod(sizes)
     moduli: list[int] = []
     reason = None
-    if m:
+    if points * len(f.terms) <= _SMALL_GRID:
+        reason = "small grid"
+    elif m:
         moduli = [m]
         if (m - 1) ** 2 * max(widths) >= _INT64_LIMIT:
             reason = "overflow guard"
     else:
-        bounds = [max(abs(a) for a in s) for s in grid.sets]
         height = (2 if values else 1) * sum(abs(c) * prod(b ** e for b, e in zip(bounds, key))
                                             for key, c in f.terms.items())
         product = 1
@@ -189,7 +213,6 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
             product *= q
         if product <= height:
             reason = "prime count"
-    sizes = grid.sizes
     # cells per S_1 element of the intermediate once variables 1..i+1 are substituted
     row = max(prod(sizes[1:i + 1]) * prod(widths[i + 1:]) for i in range(grid.arity))
     if reason is None and (prod(widths) > _CELL_BUDGET or row > _CELL_BUDGET):
@@ -198,7 +221,19 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     log.debug("grid evaluation path=%s reason=%s primes=%d chunks=%d",
               "reference" if reason else "kernel", reason or "none",
               0 if m else len(moduli), 0 if reason else -(-sizes[0] // rows))
-    return None if reason else (exps, moduli, rows)
+    if reason is None:
+        return exps, moduli, rows
+    # the reference works on residues below m, or on integers up to |c| * prod b_i^e_i
+    if m:
+        words = len(f.terms) * (m.bit_length() // 64 + 1)
+    else:
+        bits = [b.bit_length() for b in bounds]
+        words = sum((abs(c).bit_length() + sum(e * b for e, b in zip(key, bits))) // 64 + 1
+                    for key, c in f.terms.items())
+    if points * words > _REFERENCE_WORK:
+        raise GridTooLargeError(f"reference evaluation needs {points} points x {words} "
+                                f"coefficient words, limit is {_REFERENCE_WORK}")
+    return None
 
 
 def _kernel_chunks(f: Polynomial, grid: GridSpec, exps: list[list[int]],
@@ -326,11 +361,13 @@ def verify_bounds(f: Polynomial, grid: GridSpec, *,
     classical total-degree bound that presumes a nonzero value on the
     grid is skipped when that presumption fails.
     """
+    from . import bounds
+
     if count is None:
         count = count_nonzeros(f, grid, collect_zeros=False, point_limit=point_limit)
     size = count.grid_size
     checks: list[BoundCheck] = []
-    for rep in bounds_mod.collect_bounds(f, grid):
+    for rep in bounds.collect_bounds(f, grid):
         if rep.asymptotic:
             continue
         if rep.requires_nonzero_on_grid and count.nonzeros == 0:

@@ -36,6 +36,8 @@ Exponents = tuple[int, ...]
 
 # most elements of one grid set read from text, checked before a range is expanded
 MAX_SET_SIZE = 10**6
+# most word-size products annihilator may charge (about 0.25 s on a 2-vCPU VM)
+MAX_ANNIHILATOR_WORK = 4 * 10**6
 
 
 def _coerce_value(ring: RingSpec, v) -> int:
@@ -438,9 +440,25 @@ class GridSpec:
         return f"GridSpec({self.sets} over {self.ring})"
 
 
-def annihilator(ring: RingSpec, elements: Iterable[int]) -> list[int]:
+def annihilator(ring: RingSpec, elements: Sequence[int]) -> list[int]:
     """Coefficients of the monic univariate prod_{a in elements} (x - a),
-    lowest degree first, as canonical integers of ``ring``."""
+    lowest degree first, as canonical integers of ``ring``.
+
+    Building it takes |S|(|S| + 1)/2 products.  Before the first one,
+    |S|^2 products are charged against MAX_ANNIHILATOR_WORK, and past it
+    GridTooLargeError is raised.  A product of a w_a-word element and a
+    w_c-word coefficient counts 1 + w_a * w_c // 128; over Z,
+    |coefficient| <= prod (1 + |a|)."""
+    m = ring.modulus
+    if m:
+        width = height = m.bit_length() // 64 + 1
+    else:
+        width = max((abs(a).bit_length() for a in elements), default=0) // 64 + 1
+        height = sum(abs(a).bit_length() + 1 for a in elements) // 64 + 1
+    work = len(elements) ** 2 * (1 + width * height // 128)
+    if work > MAX_ANNIHILATOR_WORK:
+        raise GridTooLargeError(f"prod(x - a) over {len(elements)} elements needs {work} "
+                                f"products, limit is {MAX_ANNIHILATOR_WORK}")
     coeffs = [1]
     for a in elements:
         # times (x - a): the new coefficient of x^k is c_{k-1} - a * c_k

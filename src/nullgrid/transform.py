@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import HypothesisViolationError, UnsupportedRingError
-from .oracle import _grid_values
 from .poly import (
     GridSpec,
     Polynomial,
@@ -155,6 +154,8 @@ def vandermonde_multipliers(ring: RingSpec, elements: Sequence, d: int | None = 
 def grid_values(f: Polynomial, grid: GridSpec) -> dict[tuple[int, ...], int]:
     """Evaluate f at every grid point: the value map consumed by
     coefficient_via_grid, keyed by canonical point tuples."""
+    from .oracle import _grid_values
+
     check_compatible(f, grid)
     return dict(zip(grid.points(), _grid_values(f, grid)))
 

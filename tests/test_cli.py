@@ -302,7 +302,8 @@ def test_expansion_over_budget_is_a_resource_error(capsys):
 
 
 def test_verbose_logs_to_stderr_and_leaves_stdout_alone(capsys):
-    argv = ["verify", "--ring", "fp:7", "--grid", "0..3;0..3", "--poly", "x*y + 1"]
+    # 1024 points x 2 terms: above the small-grid constant, so the kernel runs
+    argv = ["verify", "--ring", "fp:101", "--grid", "0..31;0..31", "--poly", "x*y + 1"]
     assert main(argv) == 0
     quiet = capsys.readouterr()
     assert main(["-v", *argv]) == 0
@@ -336,6 +337,34 @@ def test_verify_on_millions_of_failing_pairs_exits_fast(capsys):
         "S_1 contains 0 and 2 with zero-divisor difference 999998; "
         "S_1 contains 0 and 4 with zero-divisor difference 999996; "
         "S_1 contains 0 and 5 with zero-divisor difference 999995; and 2698497 more")
+
+
+@pytest.mark.parametrize("argv", [
+    ["trim", "--ring", "fp:10007", "--grid", "0..9999", "--poly", "x^10000"],
+    ["tightness", "--ring", "fp:10007", "--grid", "0..4999", "--d", "5000"],
+], ids=["trim", "tightness"])
+def test_annihilator_over_its_budget_is_a_resource_error(capsys, argv):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == "resource-limit"
+    assert "prod(x - a)" in error["message"] and len(error["message"]) < 200
+
+
+@pytest.mark.parametrize("n,refused", [(1000, "reference evaluation needs 1000 points"),
+                                        (1500, "prod(x - a) over 1500 elements")])
+def test_integer_tightness_past_a_budget_exits_fast(capsys, n, refused):
+    # n + 1 coefficients of thousands of bits: the kernel would need more
+    # than its 16 word primes, and the reference would take minutes
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "tightness", "--ring", "int", "--grid", f"0..{n - 1}", "--d", str(n))
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == "resource-limit"
+    assert error["message"].startswith(refused)
 
 
 def test_coeff_on_a_grid_over_the_value_cap_is_a_resource_error(capsys):

@@ -25,6 +25,8 @@ from nullgrid.poly import GridSpec, Polynomial
 from nullgrid.ring import RingSpec
 from nullgrid.transform import grid_values
 
+pytestmark = pytest.mark.usefixtures("kernel_on_small_grids")
+
 Z = RingSpec.integers()
 # Z_m with its smallest prime factor: up to that many consecutive
 # multiples of a unit have pairwise unit differences
@@ -170,6 +172,26 @@ def test_fallback_prime_count(caplog):
     assert "path=reference reason=prime count" in message
     assert f"primes={oracle._MAX_PRIMES}" in message
     _assert_matches_reference(f, grid)
+
+
+def test_reference_work_is_charged_before_evaluating(caplog):
+    # 8 points x 21 words for each of the two 1333- and 1329-bit terms
+    f = Polynomial(2, Z, {(1, 1): 10**400, (0, 0): -(10**400)})
+    grid = GridSpec(Z, [(-1, 0, 1, 2), (1, 3)])
+    with mock.patch.object(oracle, "_REFERENCE_WORK", 336):
+        assert count_nonzeros(f, grid).nonzeros == 7
+    with mock.patch.object(oracle, "_REFERENCE_WORK", 335), \
+            pytest.raises(GridTooLargeError, match="8 points x 42 coefficient words"):
+        count_nonzeros(f, grid)
+    # one word per term below a word-size modulus, whatever the reason
+    fp = RingSpec.prime_field(2**61 - 1)
+    g = Polynomial(2, fp, {(2, 1): 2**60 + 3, (0, 1): -1, (0, 0): 5})
+    big = GridSpec(fp, [(0, 1, 2**40, 2**61 - 2), (0, 3, 2**59)])
+    with caplog.at_level(logging.DEBUG, logger="nullgrid"), \
+            mock.patch.object(oracle, "_REFERENCE_WORK", 35), \
+            pytest.raises(GridTooLargeError, match="12 points x 3 coefficient words"):
+        grid_values(g, big)
+    assert "path=reference reason=overflow guard" in caplog.records[-1].getMessage()
 
 
 def test_integer_grid_values_use_kernel(caplog):

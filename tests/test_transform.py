@@ -1,14 +1,17 @@
 import random
+import time
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullgrid.errors import HypothesisViolationError, UnsupportedRingError
+from nullgrid import poly
+from nullgrid.errors import GridTooLargeError, HypothesisViolationError, UnsupportedRingError
 from nullgrid.oracle import random_polynomial, tightness_family
 from nullgrid.parser import parse_poly
-from nullgrid.poly import GridSpec, Polynomial, decompose_by_variable, vanishing_poly
+from nullgrid.poly import GridSpec, Polynomial, annihilator, decompose_by_variable, vanishing_poly
 from nullgrid.ring import RingSpec
 from nullgrid.transform import (
     coefficient_via_grid,
@@ -251,3 +254,20 @@ def test_annihilators_match_repeated_multiplication(case):
         family = family * _linear_product(grid, var, grid.sets[var][:d[var]])
     assert tightness_family(grid, d) == family
     assert trim(f, grid) == _reference_trim(f, grid)
+
+
+def test_annihilator_work_is_charged_before_building():
+    # over a word-size modulus each of the |S|^2 products counts one
+    f101 = RingSpec.prime_field(101)
+    with mock.patch.object(poly, "MAX_ANNIHILATOR_WORK", 100):
+        assert len(annihilator(f101, tuple(range(10)))) == 11
+        with pytest.raises(GridTooLargeError, match="11 elements needs 121 products"):
+            annihilator(f101, tuple(range(11)))
+    # over Z a product counts the words of the element times the words of
+    # the coefficient bound prod (1 + |a|): 300 small integers fit, 300
+    # elements of 1001 bits charge 588 per product and are refused at once
+    assert len(annihilator(Z, tuple(range(300)))) == 301
+    start = time.perf_counter()
+    with pytest.raises(GridTooLargeError, match="300 elements needs 52920000 products"):
+        annihilator(Z, tuple(2**1000 + k for k in range(300)))
+    assert time.perf_counter() - start < 0.1
