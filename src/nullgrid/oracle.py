@@ -7,14 +7,15 @@ evaluating polynomials at every grid point.  One exact numpy kernel
 over every ring; over Z, ``_garner`` rebuilds integer values from the
 residues.  The pure-Python recursion ``_count_rec`` is kept on purpose
 as the independent reference the tests compare the kernel against, and
-runs wherever a kernel guard fails and on small grids, where it costs
-less than importing numpy.  ``min_nonzero_search`` scores its candidate
-coefficient vectors in int64 blocks, decoded in mixed radix when it
-enumerates the space and drawn from bulk generator words (the exact
-``randrange`` stream of its seed) when it samples.  Each evaluation and
+runs wherever a kernel guard fails, on small grids, and on larger ones
+until numpy is loaded or a work budget under its import cost is spent.
+``min_nonzero_search`` scores its candidate coefficient vectors in
+int64 blocks, decoded in mixed radix when it enumerates the space and
+drawn from bulk generator words (the exact ``randrange`` stream of its
+seed) when it samples.  Each evaluation and
 each search logs its path at DEBUG level on the ``nullgrid`` logger.
-numpy is imported only when the kernel or the search runs, so small
-grids never load it.
+numpy is imported only when the kernel or the search runs, so a short
+run never loads it.
 
 Counting refuses grids above a configurable point limit instead of
 running forever, the reference refuses work above ``_REFERENCE_WORK``,
@@ -27,6 +28,7 @@ from __future__ import annotations
 import itertools
 import logging
 import random
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, prod
@@ -55,6 +57,11 @@ _MAX_PRIMES = 16
 _INT64_LIMIT = 1 << 63
 # most grid points x terms sent to the reference without trying the kernel
 _SMALL_GRID = 1024
+# grid points x coefficient words the reference may still take on, beyond
+# small grids, while numpy is not loaded: tens of ms in all, less than
+# importing numpy, so a short run never loads it and a long one loses at
+# most about one import's time before the kernel takes over
+_cold_work_left = 200_000
 # most grid points x coefficient words the reference may evaluate (about 1.5 s
 # on a 2-vCPU VM); beyond it evaluation is refused
 _REFERENCE_WORK = 3 * 10**7
@@ -157,18 +164,33 @@ def _word_primes(width: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
+def _reference_words(f: Polynomial, bounds: list[int]) -> int:
+    """Machine words the reference handles per grid point: residues below
+    m, or integers up to |c| * prod b_i^e_i for the set bounds b_i over Z."""
+    m = f.ring.modulus
+    if m:
+        return len(f.terms) * (m.bit_length() // 64 + 1)
+    bits = [b.bit_length() for b in bounds]
+    return sum((abs(c).bit_length() + sum(e * b for e, b in zip(key, bits))) // 64 + 1
+               for key, c in f.terms.items())
+
+
 def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     """The kernel's distinct exponents E_i, moduli and S_1 slice height,
     or None when the reference must run instead.  Logs the choice at
     DEBUG level.
 
     Grids whose points times terms are at most ``_SMALL_GRID`` go to the
-    reference ("small grid"), so a short run never imports numpy.  There
-    the reference takes at most about half a millisecond, a few per cent
-    of importing numpy; with numpy already loaded the kernel can still
-    be up to three times faster over F_p and Z_m, and is often slower
-    over Z.  The reference is refused with GridTooLargeError when points
-    times the words of every term's largest value exceed
+    reference ("small grid").  There the reference takes at most about
+    half a millisecond, a few per cent of importing numpy; with numpy
+    already loaded the kernel can still be up to three times faster over
+    F_p and Z_m, and is often slower over Z.  While numpy is not loaded,
+    larger grids go to the reference too ("numpy not loaded") until
+    their points times coefficient words add up to ``_cold_work_left``,
+    less work than importing numpy costs; after that the kernel runs.
+    So a short run never imports numpy, whatever its input, and a long
+    one pays it once.  The reference is refused with GridTooLargeError
+    when points times the words of every term's largest value exceed
     ``_REFERENCE_WORK``.
 
     Each contraction sums at most |E_i| products of residues below q, so
@@ -188,6 +210,7 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     1 exceeds 0), and with no residue to say otherwise every point is
     a zero of value 0.
     """
+    global _cold_work_left
     exps = [sorted({key[i] for key in f.terms}) or [0] for i in range(f.arity)]
     widths = [len(e) for e in exps]
     m = f.ring.modulus
@@ -198,6 +221,9 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     reason = None
     if points * len(f.terms) <= _SMALL_GRID:
         reason = "small grid"
+    elif "numpy" not in sys.modules and points * _reference_words(f, bounds) <= _cold_work_left:
+        _cold_work_left -= points * _reference_words(f, bounds)
+        reason = "numpy not loaded"
     elif m:
         moduli = [m]
         if (m - 1) ** 2 * max(widths) >= _INT64_LIMIT:
@@ -223,13 +249,7 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
               0 if m else len(moduli), 0 if reason else -(-sizes[0] // rows))
     if reason is None:
         return exps, moduli, rows
-    # the reference works on residues below m, or on integers up to |c| * prod b_i^e_i
-    if m:
-        words = len(f.terms) * (m.bit_length() // 64 + 1)
-    else:
-        bits = [b.bit_length() for b in bounds]
-        words = sum((abs(c).bit_length() + sum(e * b for e, b in zip(key, bits))) // 64 + 1
-                    for key, c in f.terms.items())
+    words = _reference_words(f, bounds)
     if points * words > _REFERENCE_WORK:
         raise GridTooLargeError(f"reference evaluation needs {points} points x {words} "
                                 f"coefficient words, limit is {_REFERENCE_WORK}")

@@ -301,6 +301,7 @@ def test_expansion_over_budget_is_a_resource_error(capsys):
     assert len(error["message"]) < 200
 
 
+@pytest.mark.usefixtures("numpy_counted_as_loaded")
 def test_verbose_logs_to_stderr_and_leaves_stdout_alone(capsys):
     # 1024 points x 2 terms: above the small-grid constant, so the kernel runs
     argv = ["verify", "--ring", "fp:101", "--grid", "0..31;0..31", "--poly", "x*y + 1"]

@@ -78,6 +78,7 @@ def test_count_kernel_agrees_with_reference(caplog):
     assert (count.nonzeros, count.zero_set) == (nonzeros, tuple(zeros))
 
 
+@pytest.mark.usefixtures("numpy_counted_as_loaded")
 @pytest.mark.parametrize("ring", [Z, RingSpec.prime_field(101), RingSpec.integers_mod(1009 * 1013)])
 def test_small_grid_constant_selects_the_reference(caplog, ring):
     # one term, so points x terms is the point count: the constant itself,

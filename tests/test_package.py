@@ -5,6 +5,7 @@ driver imports only the modules its command runs; the subprocess tests
 read a fresh interpreter's imports from ``python -X importtime``.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -37,11 +38,48 @@ NO_COUNT = {"nullgrid.oracle", "numpy"}
     (["analyze", "--poly", "x^2*y - 3*y + 1"], NO_COUNT),
     (["trim", "--ring", "fp:7", "--grid", "0..2;0..3", "--poly", "x^4*y - y^5"], NO_COUNT),
     (["verify", "--grid", "0..4;0..4", "--poly", "x*y - 2*x + 1"], {"numpy"}),
-], ids=["pit", "puzzle", "analyze", "trim", "verify-5x5"])
+    # 36 points x 36 terms, above the small-grid constant
+    (["tightness", "--ring", "fp:11", "--grid", "2,3,7,8,9,10;2,4,5,6,7,8", "--d", "5,5"], {"numpy"}),
+], ids=["pit", "puzzle", "analyze", "trim", "verify-5x5", "tightness-6x6"])
 def test_command_leaves_modules_unloaded(argv, absent):
     loaded = _imports("-m", "nullgrid", *argv)
     assert "nullgrid.cli" in loaded
     assert not loaded & absent
+
+
+COLD_RUN = """
+import json, logging, sys
+from nullgrid import oracle
+from nullgrid.poly import GridSpec, Polynomial
+from nullgrid.ring import RingSpec
+
+messages = []
+handler = logging.Handler()
+handler.emit = lambda record: messages.append(record.getMessage())
+logging.getLogger("nullgrid").addHandler(handler)
+logging.getLogger("nullgrid").setLevel(logging.DEBUG)
+F = RingSpec.prime_field(101)
+f = Polynomial(2, F, {(1, 1): 1, (0, 0): 1})
+grid = GridSpec(F, [range(40), range(40)])
+oracle._cold_work_left = 10_000
+rows = []
+for _ in range(5):
+    count = oracle.count_nonzeros(f, grid)
+    rows.append([count.nonzeros, count.zero_set, "numpy" in sys.modules, messages[-1]])
+print(json.dumps(rows))
+"""
+
+
+def test_numpy_loads_once_the_cold_budget_is_spent():
+    # each count charges 1600 points x 2 words against 10,000: three fit
+    proc = subprocess.run([sys.executable, "-c", COLD_RUN], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert [loaded for _, _, loaded, _ in rows] == [False] * 3 + [True] * 2
+    assert all("path=reference reason=numpy not loaded" in m for _, _, _, m in rows[:3])
+    assert all("path=kernel reason=none" in m for _, _, _, m in rows[3:])
+    assert all(row[:2] == rows[0][:2] for row in rows)
 
 
 def test_import_loads_no_submodule():
