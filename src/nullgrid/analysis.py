@@ -22,8 +22,9 @@ Each hypothesis carves out a forbidden region of exponent vectors that
 must not meet the support of f; ``forbidden_set`` materializes those
 regions, and one membership test per region (``_region``) is shared by
 the region enumeration and every definitional hypothesis check, so they
-cannot drift apart.  ``classify`` decides its many seeded reports from
-prefix-maximum tables of the support instead, one per variable order.
+cannot drift apart.  ``classify`` rescans nothing: it builds each witness
+so that its hypothesis holds by construction, the seeded ones from
+prefix-maximum tables of the support, one per variable order.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class HypothesisReport:
     """One detected hypothesis: the condition, its witnesses, and whether
-    it holds for f (decided exactly, never assumed).
+    it holds for f (decided by construction in ``classify``, with
+    ``hypothesis_holds`` as the definitional check).
 
     witness_d is the degree vector; witness_e is the seed monomial for the
     seeded conditions; order is the variable order (a permutation of
@@ -273,10 +275,14 @@ def classify(f: Polynomial) -> list[HypothesisReport]:
       * one partial-degrees report and one total-degree report.
 
     All variable orders are enumerated while arity <= MAX_ORDERS_ARITY;
-    beyond that only the identity order is used.  Every ``holds`` is
-    decided: the seeded reports hold by construction (proved below), and
-    the maximal, lex-largest, partial-degrees and total-degree reports
-    get the definitional ``hypothesis_holds`` scan.
+    beyond that only the identity order is used.  Every report holds by
+    construction, so none rescans the support (``hypothesis_holds`` is the
+    definitional check):
+      * maximal: the skyline keeps no monomial that another dominates;
+      * lex-largest: it is the maximum under the order's key;
+      * partial-degrees: d is ``f.degrees()[0]``;
+      * total-degree: ``top`` has the largest total degree;
+      * successively-largest and d-leading: as follows.
 
     The support is indexed once per order (``_prefix_maxima``): each
     seed's successively-largest d takes n table lookups, d at order[k]
@@ -289,9 +295,8 @@ def classify(f: Polynomial) -> list[HypothesisReport]:
     (v != e, and each v_i equals e_i or exceeds d_i) is in the
     successively-largest forbidden region of (e, d, order) for every
     order, since at the first index in the order where v differs from e,
-    v exceeds d.  For T terms in n variables the cost is
-    O(orders·T·n + maxima·T) table steps and region tests, not the
-    O(orders·T²) of re-checking every seeded report against the support.
+    v exceeds d.  For T terms in n variables this takes O(orders·T·n)
+    table steps plus the skyline.
     """
     _require_nonzero(f)
     n = f.arity
@@ -299,18 +304,9 @@ def classify(f: Polynomial) -> list[HypothesisReport]:
         orders = [tuple(p) for p in itertools.permutations(range(n))]
     else:
         orders = [tuple(range(n))]
-    reports: list[HypothesisReport] = []
-
-    def report(condition, d, e=None, order=None, holds=None):
-        if holds is None:
-            holds = hypothesis_holds(f, condition, d, e, order)
-        reports.append(HypothesisReport(condition, holds, d, e, order))
-
-    for m in sorted(maximal_monomials(f), key=_graded, reverse=True):
-        report(MAXIMAL_MONOMIAL, m)
-
-    for order in orders:
-        report(LEX_LARGEST, lex_largest(f, order), order=order)
+    reports = [HypothesisReport(MAXIMAL_MONOMIAL, True, m)
+               for m in sorted(maximal_monomials(f), key=_graded, reverse=True)]
+    reports += [HypothesisReport(LEX_LARGEST, True, lex_largest(f, order), order=order) for order in orders]
 
     seeds = sorted(f.terms, key=_graded, reverse=True)
     pairs: set[tuple] = set()
@@ -321,17 +317,13 @@ def classify(f: Polynomial) -> list[HypothesisReport]:
             for top, p, var in zip(tops, paths[seed], order):
                 d[var] = top[p]
             d = tuple(d)
-            report(SUCCESSIVELY_LARGEST, d, seed, order, holds=True)
+            reports.append(HypothesisReport(SUCCESSIVELY_LARGEST, True, d, seed, order))
             pairs.add((seed, d))
-
-    for seed, d in sorted(pairs):
-        report(D_LEADING, d, seed, holds=True)
+    reports += [HypothesisReport(D_LEADING, True, d, seed) for seed, d in sorted(pairs)]
 
     partial, total = f.degrees()
-    report(PARTIAL_DEGREES, partial)
-
     top = max((e for e in f.terms if sum(e) == total), key=_graded)
-    report(TOTAL_DEGREE, top)
+    reports += [HypothesisReport(PARTIAL_DEGREES, True, partial), HypothesisReport(TOTAL_DEGREE, True, top)]
     log.debug("classify terms=%d orders=%d reports=%d d_leading=%d",
               len(f.terms), len(orders), len(reports), len(pairs))
     return reports

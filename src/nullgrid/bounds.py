@@ -240,24 +240,22 @@ def _fits(sizes: tuple[int, ...], d: tuple[int, ...]) -> bool:
     return all(s > di for s, di in zip(sizes, d))
 
 
-def collect_bounds(f: Polynomial, grid: GridSpec,
-                   reports: list[analysis.HypothesisReport] | None = None) -> list[BoundReport]:
-    """Every bound whose hypothesis is certified by the classifier, plus
-    diagnostic and asymptotic entries.
+def collect_bounds(f: Polynomial, grid: GridSpec) -> list[BoundReport]:
+    """Every bound licensed by a hypothesis ``analysis.classify`` finds for
+    f, plus diagnostic and asymptotic entries.
 
-    One entry per (bound name, witness degree vector); when several
-    hypotheses certify the same entry, the first in classifier order is
-    recorded in the assumptions.  Bounds whose size preconditions fail for
-    a witness are silently skipped: the hypothesis does not hold on this
-    grid, so there is nothing to claim.  Each entry's key is looked up
-    before the entry is built, and the product and additive-existence
-    values are computed once per distinct witness d.
+    Every classifier report holds by construction, so each one licenses
+    its bounds.  One entry per (bound name, witness degree vector); when
+    several hypotheses certify the same entry, the first in classifier
+    order is recorded in the assumptions.  Bounds whose size
+    preconditions fail for a witness are silently skipped: the hypothesis
+    does not hold on this grid, so there is nothing to claim.  Each
+    entry's key is looked up before the entry is built, and the product
+    and additive-existence values are computed once per distinct witness d.
     """
     check_compatible(f, grid)
     if f.is_zero:
         return []
-    if reports is None:
-        reports = analysis.classify(f)
     sizes = grid.sizes
     n = grid.arity
     partial, total = f.degrees()
@@ -275,10 +273,8 @@ def collect_bounds(f: Polynomial, grid: GridSpec,
         seen.add(key)
         return True
 
-    for rep in reports:
+    for rep in analysis.classify(f):
         d, e = rep.witness_d, rep.witness_e
-        if not rep.holds:
-            continue
         facts = per_d.get(d)
         if facts is None:
             facts = per_d[d] = ((product_bound(sizes, d), additive_existence_bound(sizes, d))

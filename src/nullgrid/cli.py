@@ -52,15 +52,13 @@ def jsonable(obj):
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+        return {fl.name: jsonable(getattr(obj, fl.name)) for fl in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
         return sorted(jsonable(v) for v in obj)
-    if hasattr(obj, "value") and hasattr(obj, "ring"):
-        return obj.value
     return obj
 
 

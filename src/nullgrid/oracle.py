@@ -31,7 +31,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, prod
+from math import floor, isqrt, prod
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -393,7 +393,7 @@ def verify_bounds(f: Polynomial, grid: GridSpec, *,
         if rep.requires_nonzero_on_grid and count.nonzeros == 0:
             continue
         if rep.kind == "zero-probability":
-            allowed = (rep.value * size).__floor__() if hasattr(rep.value, "__floor__") else int(rep.value * size)
+            allowed = floor(rep.value * size)
             slack = allowed - count.zeros
         else:
             slack = count.nonzeros - rep.value

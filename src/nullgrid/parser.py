@@ -9,7 +9,7 @@ Grammar (whitespace insensitive, implicit multiplication rejected):
 
 Precedence is ^ above unary minus above * above binary +/-, which the
 grammar enforces structurally.  Exponents are capped at 10**6, and an
-expansion at MAX_EXPANSION_WORK term products.
+expansion at MAX_EXPANSION_WORK term products weighted by coefficient size.
 
 ``parse_poly`` expands the expression eagerly into a sparse Polynomial;
 ``parse_dag`` builds a hash-consed expression DAG without any expansion,
@@ -295,19 +295,40 @@ def _terms_bound(f: Polynomial, j: int, cap: int) -> int:
     return min(box, c, cap + 1)
 
 
+def _words(p: Polynomial) -> int:
+    """Machine words of p's largest coefficient (of the modulus over F_p, Z_m)."""
+    m = p.ring.modulus or max(map(abs, p.terms.values()), default=0)
+    return m.bit_length() // 64 + 1
+
+
+def _product_work(ta: int, wa: int, tb: int, wb: int) -> int:
+    """ta·tb term products of wa- and wb-word coefficients, each counting
+    1 + wa·wb // 128 as in ``poly.annihilator``."""
+    return ta * tb * (1 + wa * wb // 128)
+
+
 def _power_work(f: Polynomial, k: int, cap: int) -> int:
-    """An upper bound on the term products ``f ** k`` spends, or more than
-    cap once it is passed: the square-and-multiply schedule of
-    ``Polynomial.__pow__``, each product charged len(a)·len(b) with
-    ``_terms_bound`` for the lengths."""
+    """An upper bound on the work ``f ** k`` spends, or more than cap once
+    it is passed: the square-and-multiply schedule of
+    ``Polynomial.__pow__``, with ``_terms_bound`` for the lengths.  Over Z
+    a coefficient of f^j is at most ‖f‖₁^j <= 2^(j·b), b the bits of ‖f‖₁ - 1."""
+    m = f.ring.modulus
+    b = (sum(map(abs, f.terms.values())) - 1).bit_length()
+
+    def words(j: int) -> int:
+        return m.bit_length() // 64 + 1 if m else (j * b + 1) // 64 + 1
+
+    def product(i: int, j: int) -> int:  # f^i times f^j
+        return _product_work(_terms_bound(f, i, cap), words(i), _terms_bound(f, j, cap), words(j))
+
     work, have, base = 0, 0, 1
     while k and work <= cap:
         if k & 1:
-            work += _terms_bound(f, have, cap) * _terms_bound(f, base, cap)
+            work += product(have, base)
             have += base
         k >>= 1
         if k:
-            work += _terms_bound(f, base, cap) ** 2
+            work += product(base, base)
             base *= 2
     return work
 
@@ -315,11 +336,10 @@ def _power_work(f: Polynomial, k: int, cap: int) -> int:
 def expand_dag(dag: ExprDag) -> Polynomial:
     """Expand a DAG into a sparse polynomial, one visit per node.
 
-    The work, counted in term products, is charged before each product
-    and each power; an expansion that would pass MAX_EXPANSION_WORK raises
+    The work, counted in term products weighted by coefficient words
+    (``_product_work``), is charged before each product and each power; an
+    expansion that would pass MAX_EXPANSION_WORK raises
     ``ExpansionTooLargeError`` before doing the step that passes it.
-    Coefficient size is not charged, so expansions over Z with very large
-    coefficients can run slower than the budget suggests.
     """
     arity, ring = dag.arity, dag.ring
     budget, spent = MAX_EXPANSION_WORK, 0
@@ -332,7 +352,8 @@ def expand_dag(dag: ExprDag) -> Polynomial:
                                          "expand a smaller expression")
 
     def mul(a: Polynomial, b: Polynomial) -> Polynomial:
-        charge(len(a.terms) * len(b.terms), f"a product of {len(a.terms)} and {len(b.terms)} terms")
+        charge(_product_work(len(a.terms), _words(a), len(b.terms), _words(b)),
+               f"a product of {len(a.terms)} and {len(b.terms)} terms")
         return a * b
 
     def power(a: Polynomial, k: int) -> Polynomial:

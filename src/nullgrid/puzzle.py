@@ -208,21 +208,12 @@ def local_search(s: int, *, budget: int = 100_000, seed: int = 0,
         seq = rng.randrange(4)
         arr = state[seq]
         move = rng.randrange(3)
-        if move == 0:  # nudge
+        if move < 2:  # nudge by +-1, or resample
             i = rng.randrange(s)
             old = arr[i]
-            cand = old + (1 if rng.randrange(2) else -1)
+            cand = old + (1 if rng.randrange(2) else -1) if move == 0 else rng.randint(-R, R)
             if cand < -R or cand > R:
                 continue
-            arr[i] = cand
-            if seq < 2 and len(set(arr)) != s:
-                arr[i] = old
-                continue
-            undo = (seq, i, old)
-        elif move == 1:  # resample
-            i = rng.randrange(s)
-            old = arr[i]
-            cand = rng.randint(-R, R)
             arr[i] = cand
             if seq < 2 and len(set(arr)) != s:
                 arr[i] = old

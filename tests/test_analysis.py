@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nullgrid import analysis
 from nullgrid.analysis import (
     CONDITIONS,
     D_LEADING,
@@ -226,6 +227,24 @@ def test_classify_holds_flags_true_by_construction():
         for rep in classify(f):
             assert rep.holds, rep
             assert rep.condition in CONDITIONS
+
+
+def test_classify_never_rescans_the_support(monkeypatch):
+    # every report holds by construction, so classify makes no definitional
+    # check, with all orders (ELLIPSE) or the identity order alone (arity 5)
+    calls = []
+    holds = analysis.hypothesis_holds
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return holds(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "hypothesis_holds", counting)
+    wide = parse_poly("x1*x2^2 + x3*x4 + x5^3 + x1*x5 + 2", [f"x{i}" for i in range(1, 6)], Z)
+    assert wide.arity > MAX_ORDERS_ARITY
+    for f in (ELLIPSE, wide):
+        assert all(rep.holds for rep in classify(f))
+    assert calls == []
 
 
 def test_classify_constant_poly():

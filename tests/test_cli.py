@@ -301,6 +301,15 @@ def test_expansion_over_budget_is_a_resource_error(capsys):
     assert len(error["message"]) < 200
 
 
+def test_expansion_over_z_is_charged_for_its_coefficients(capsys):
+    # its term products alone fit the budget; its ~3000-bit coefficients do not
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "analyze", "--ring", "int", "--poly", "(x+y)^3000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert json.loads(out)["error"]["code"] == "resource-limit"
+
+
 @pytest.mark.usefixtures("numpy_counted_as_loaded")
 def test_verbose_logs_to_stderr_and_leaves_stdout_alone(capsys):
     # 1024 points x 2 terms: above the small-grid constant, so the kernel runs

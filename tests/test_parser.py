@@ -11,6 +11,8 @@ from nullgrid.parser import (
     MAX_EXPONENT,
     DagBuilder,
     _power_work,
+    _product_work,
+    _words,
     expand_dag,
     infer_variables,
     parse_dag,
@@ -190,3 +192,41 @@ def test_power_work_bounds_the_products_of_pow(shape, k):
     finally:
         Polynomial.__mul__ = mul
     assert sum(spent) <= _power_work(f, k, 10**9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4, unique=True),
+       st.lists(st.integers(-2**1600, 2**1600).filter(bool), min_size=4, max_size=4),
+       st.integers(0, 6))
+def test_power_work_bounds_the_word_weighted_products_of_pow_over_z(support, coeffs, k):
+    # coefficients of ~25 words weigh each term product above 1
+    f = Polynomial(2, Z, dict(zip(support, coeffs)))
+    spent = []
+    mul = Polynomial.__mul__
+
+    def counting_mul(a, b):
+        spent.append(_product_work(len(a.terms), _words(a), len(b.terms), _words(b)))
+        return mul(a, b)
+
+    Polynomial.__mul__ = counting_mul
+    try:
+        f ** k
+    finally:
+        Polynomial.__mul__ = mul
+    assert sum(spent) <= _power_work(f, k, 10**9)
+
+
+def test_expansion_budget_weighs_coefficient_words(monkeypatch):
+    dag = parse_dag(f"(x + {2**1000})*(y - {2**1000})", ["x", "y"], Z)
+    # 2·2 term products of 16-word coefficients, each counting 1 + 16·16 // 128 = 3
+    assert _words(parse_poly(f"x + {2**1000}", ["x"], Z)) == 16
+    monkeypatch.setattr(parser, "MAX_EXPANSION_WORK", 12)
+    want = expand_dag(dag)
+    assert want.terms[(0, 0)] == -2**2000
+    monkeypatch.setattr(parser, "MAX_EXPANSION_WORK", 11)
+    with pytest.raises(ExpansionTooLargeError, match="product of 2 and 2 terms"):
+        expand_dag(dag)
+    # (x + y)^3000 has coefficients of ~3000 bits over Z, one word over F_101
+    assert _power_work(parse_poly("x + y", ["x", "y"], Z), 3000, MAX_EXPANSION_WORK) > MAX_EXPANSION_WORK
+    assert _power_work(parse_poly("x + y", ["x", "y"], RingSpec.prime_field(101)), 3000, MAX_EXPANSION_WORK) \
+        < MAX_EXPANSION_WORK
