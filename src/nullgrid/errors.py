@@ -39,8 +39,9 @@ class InsufficientSampleSpaceError(HypothesisViolationError):
 
 class GridTooLargeError(NullgridError, RuntimeError):
     """Work on a grid was refused before it started: enumeration past the
-    configured point limit, or a grid set too large to evaluate on or to
-    build its annihilator from within the package's work budgets."""
+    configured point limit, or a grid set too large to evaluate on, to
+    build its annihilator from, to reduce modulo that annihilator or to
+    check pair by pair within the package's work budgets."""
 
 
 class ExpansionTooLargeError(NullgridError, RuntimeError):

@@ -39,8 +39,8 @@ from .errors import (
     HypothesisViolationError,
     UnsupportedRingError,
 )
-from .poly import GridSpec, Polynomial, annihilator, check_compatible
-from .ring import RingSpec, grid_condition_check, is_prime
+from .poly import GridSpec, Polynomial, annihilator, check_compatible, words
+from .ring import RingSpec, is_prime, require_grid_condition
 
 if TYPE_CHECKING:
     from .bounds import BoundReport
@@ -169,9 +169,9 @@ def _reference_words(f: Polynomial, bounds: list[int]) -> int:
     m, or integers up to |c| * prod b_i^e_i for the set bounds b_i over Z."""
     m = f.ring.modulus
     if m:
-        return len(f.terms) * (m.bit_length() // 64 + 1)
+        return len(f.terms) * words(m.bit_length())
     bits = [b.bit_length() for b in bounds]
-    return sum((abs(c).bit_length() + sum(e * b for e, b in zip(key, bits))) // 64 + 1
+    return sum(words(abs(c).bit_length() + sum(e * b for e, b in zip(key, bits)))
                for key, c in f.terms.items())
 
 
@@ -328,25 +328,21 @@ def _grid_values(f: Polynomial, grid: GridSpec) -> list[int]:
 
 def count_nonzeros(f: Polynomial, grid: GridSpec, *,
                    collect_zeros: bool = True,
-                   zero_set_cap: int = DEFAULT_ZERO_SET_CAP,
                    point_limit: int = DEFAULT_POINT_LIMIT) -> GridCount:
     """Count the grid points where f is nonzero, by full enumeration.
 
     The zero set is collected only when the grid has at most
-    ``zero_set_cap`` points and ``collect_zeros`` is set.  Grids larger
-    than ``point_limit`` raise GridTooLargeError.  The grid must pass the
-    zero-divisor difference condition; otherwise zero counts over Z_m
-    would not mean what callers assume.
+    ``DEFAULT_ZERO_SET_CAP`` points and ``collect_zeros`` is set.  Grids
+    larger than ``point_limit`` raise GridTooLargeError.  The grid must
+    pass the zero-divisor difference condition; otherwise zero counts
+    over Z_m would not mean what callers assume.
     """
     check_compatible(f, grid)
-    condition = grid_condition_check(f.ring, grid)
-    if not condition.ok:
-        raise HypothesisViolationError(
-            f"grid fails the zero-divisor difference condition: {condition.describe()}")
+    require_grid_condition(f.ring, grid)
     size = grid.size()
     if size > point_limit:
         raise GridTooLargeError(f"grid has {size} points, limit is {point_limit}")
-    want_zeros = collect_zeros and size <= zero_set_cap
+    want_zeros = collect_zeros and size <= DEFAULT_ZERO_SET_CAP
     zeros: list | None = [] if want_zeros else None
     plan = _plan(f, grid, values=False)
     if plan is None:
@@ -371,8 +367,7 @@ def count_nonzeros(f: Polynomial, grid: GridSpec, *,
 
 
 def verify_bounds(f: Polynomial, grid: GridSpec, *,
-                  count: GridCount | None = None,
-                  point_limit: int = DEFAULT_POINT_LIMIT) -> VerificationReport:
+                  count: GridCount | None = None) -> VerificationReport:
     """Hold every collected bound against the brute-force count.
 
     ``count`` is the ``count_nonzeros`` result of f on this grid when the
@@ -384,7 +379,7 @@ def verify_bounds(f: Polynomial, grid: GridSpec, *,
     from . import bounds
 
     if count is None:
-        count = count_nonzeros(f, grid, collect_zeros=False, point_limit=point_limit)
+        count = count_nonzeros(f, grid, collect_zeros=False)
     size = count.grid_size
     checks: list[BoundCheck] = []
     for rep in bounds.collect_bounds(f, grid):

@@ -34,7 +34,7 @@ from .errors import (
     RingMismatchError,
     UnknownVariableError,
 )
-from .poly import Polynomial
+from .poly import Polynomial, product_work, words
 from .ring import RingSpec
 
 MAX_EXPONENT = 10**6
@@ -297,14 +297,7 @@ def _terms_bound(f: Polynomial, j: int, cap: int) -> int:
 
 def _words(p: Polynomial) -> int:
     """Machine words of p's largest coefficient (of the modulus over F_p, Z_m)."""
-    m = p.ring.modulus or max(map(abs, p.terms.values()), default=0)
-    return m.bit_length() // 64 + 1
-
-
-def _product_work(ta: int, wa: int, tb: int, wb: int) -> int:
-    """ta·tb term products of wa- and wb-word coefficients, each counting
-    1 + wa·wb // 128 as in ``poly.annihilator``."""
-    return ta * tb * (1 + wa * wb // 128)
+    return words((p.ring.modulus or max(map(abs, p.terms.values()), default=0)).bit_length())
 
 
 def _power_work(f: Polynomial, k: int, cap: int) -> int:
@@ -315,11 +308,11 @@ def _power_work(f: Polynomial, k: int, cap: int) -> int:
     m = f.ring.modulus
     b = (sum(map(abs, f.terms.values())) - 1).bit_length()
 
-    def words(j: int) -> int:
-        return m.bit_length() // 64 + 1 if m else (j * b + 1) // 64 + 1
+    def bits(j: int) -> int:  # of the coefficients of f^j
+        return m.bit_length() if m else j * b + 1
 
     def product(i: int, j: int) -> int:  # f^i times f^j
-        return _product_work(_terms_bound(f, i, cap), words(i), _terms_bound(f, j, cap), words(j))
+        return product_work(_terms_bound(f, i, cap), words(bits(i)), _terms_bound(f, j, cap), words(bits(j)))
 
     work, have, base = 0, 0, 1
     while k and work <= cap:
@@ -337,7 +330,7 @@ def expand_dag(dag: ExprDag) -> Polynomial:
     """Expand a DAG into a sparse polynomial, one visit per node.
 
     The work, counted in term products weighted by coefficient words
-    (``_product_work``), is charged before each product and each power; an
+    (``poly.product_work``), is charged before each product and each power; an
     expansion that would pass MAX_EXPANSION_WORK raises
     ``ExpansionTooLargeError`` before doing the step that passes it.
     """
@@ -352,7 +345,7 @@ def expand_dag(dag: ExprDag) -> Polynomial:
                                          "expand a smaller expression")
 
     def mul(a: Polynomial, b: Polynomial) -> Polynomial:
-        charge(_product_work(len(a.terms), _words(a), len(b.terms), _words(b)),
+        charge(product_work(len(a.terms), _words(a), len(b.terms), _words(b)),
                f"a product of {len(a.terms)} and {len(b.terms)} terms")
         return a * b
 

@@ -10,7 +10,9 @@ Representation:
         entries.  Values are canonical integers of ``ring`` and never zero.
 
 Polynomials are immutable by convention: no public method mutates
-``terms``, and arithmetic always builds a new object.
+``terms``, and arithmetic always builds a new object.  The constructor is
+the one place that reduces coefficients and drops zeros: arithmetic sums
+and multiplies plain ints and hands the raw dict to it.
 
 GridSpec lives here too: a finite evaluation grid S_1 x ... x S_n whose
 per-variable sets keep their stored order.  Order matters downstream
@@ -40,6 +42,16 @@ MAX_SET_SIZE = 10**6
 MAX_ANNIHILATOR_WORK = 4 * 10**6
 
 
+def words(bits: int) -> int:
+    """Machine words of a ``bits``-bit integer, the unit of every work budget."""
+    return bits // 64 + 1
+
+
+def product_work(ta: int, wa: int, tb: int, wb: int) -> int:
+    """ta·tb products of wa- and wb-word integers, each counting 1 + wa·wb // 128."""
+    return ta * tb * (1 + wa * wb // 128)
+
+
 def _coerce_value(ring: RingSpec, v) -> int:
     if isinstance(v, RingElem):
         if v.ring != ring:
@@ -56,28 +68,19 @@ class Polynomial:
     def __init__(self, arity: int, ring: RingSpec, terms: Mapping[Exponents, int] | None = None):
         if arity < 0:
             raise ValueError("arity must be nonnegative")
-        clean: dict[Exponents, int] = {}
+        raw: dict[Exponents, int] = {}
         for exps, c in (terms or {}).items():
-            key = tuple(int(e) for e in exps)
+            key = tuple(map(int, exps))
             if len(key) != arity:
                 raise ArityMismatchError(f"exponent vector {key} has length {len(key)}, expected {arity}")
-            if any(e < 0 for e in key):
+            if key and min(key) < 0:
                 raise ValueError(f"negative exponent in {key}")
-            v = _coerce_value(ring, c)
-            if v:
-                prev = clean.get(key)
-                if prev is None:
-                    clean[key] = v
-                else:
-                    # duplicate keys from caller-provided mappings are summed
-                    s = ring.add(prev, v)
-                    if s:
-                        clean[key] = s
-                    else:
-                        del clean[key]
+            # caller keys such as (1.0,) and (1,) that name the same exponents are summed
+            raw[key] = raw.get(key, 0) + (_coerce_value(ring, c) if isinstance(c, RingElem) else int(c))
+        m = ring.modulus
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {key: r for key, v in raw.items() if (r := v % m if m else v)})
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -137,21 +140,15 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_peer(other)
-        add = self.ring.add
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            s = add(out.get(exps, 0), c)
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
+            out[exps] = out.get(exps, 0) + c
         return Polynomial(self.arity, self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        neg = self.ring.neg
-        return Polynomial(self.arity, self.ring, {e: neg(c) for e, c in self.terms.items()})
+        return Polynomial(self.arity, self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, RingElem)):
@@ -166,21 +163,15 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, RingElem)):
             c = _coerce_value(self.ring, other)
-            mul = self.ring.mul
-            return Polynomial(self.arity, self.ring, {e: mul(v, c) for e, v in self.terms.items()})
+            return Polynomial(self.arity, self.ring, {e: v * c for e, v in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_peer(other)
-        add, mul = self.ring.add, self.ring.mul
         out: dict[Exponents, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                s = add(out.get(key, 0), mul(c1, c2))
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + c1 * c2
         return Polynomial(self.arity, self.ring, out)
 
     __rmul__ = __mul__
@@ -193,9 +184,8 @@ class Polynomial:
         while e:
             if e & 1:
                 result = result * base
-            base_needed = e > 1
             e >>= 1
-            if base_needed and e:
+            if e:
                 base = base * base
         return result
 
@@ -308,15 +298,10 @@ def recompose(hs: Sequence[Polynomial], var: int) -> Polynomial:
         raise ValueError("nothing to recompose")
     arity, ring = hs[0].arity, hs[0].ring
     out: dict[Exponents, int] = {}
-    add = ring.add
     for k, h in enumerate(hs):
         for exps, c in h.terms.items():
             key = exps[:var] + (exps[var] + k,) + exps[var + 1:]
-            s = add(out.get(key, 0), c)
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + c
     return Polynomial(arity, ring, out)
 
 
@@ -447,15 +432,15 @@ def annihilator(ring: RingSpec, elements: Sequence[int]) -> list[int]:
     Building it takes |S|(|S| + 1)/2 products.  Before the first one,
     |S|^2 products are charged against MAX_ANNIHILATOR_WORK, and past it
     GridTooLargeError is raised.  A product of a w_a-word element and a
-    w_c-word coefficient counts 1 + w_a * w_c // 128; over Z,
-    |coefficient| <= prod (1 + |a|)."""
+    w_c-word coefficient counts as ``product_work`` says; over Z,
+    |coefficient| <= prod (1 + |a|) < 2^(sum of (bits of |a|) + 1)."""
     m = ring.modulus
     if m:
-        width = height = m.bit_length() // 64 + 1
+        width = height = words(m.bit_length())
     else:
-        width = max((abs(a).bit_length() for a in elements), default=0) // 64 + 1
-        height = sum(abs(a).bit_length() + 1 for a in elements) // 64 + 1
-    work = len(elements) ** 2 * (1 + width * height // 128)
+        width = words(max(map(abs, elements), default=0).bit_length())
+        height = words(sum(abs(a).bit_length() + 1 for a in elements))
+    work = product_work(len(elements), width, len(elements), height)
     if work > MAX_ANNIHILATOR_WORK:
         raise GridTooLargeError(f"prod(x - a) over {len(elements)} elements needs {work} "
                                 f"products, limit is {MAX_ANNIHILATOR_WORK}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import RingMismatchError, UnsupportedRingError
+from .errors import GridTooLargeError, HypothesisViolationError, RingMismatchError, UnsupportedRingError
 
 FP = "fp"
 INT = "int"
@@ -222,9 +222,6 @@ class RingElem:
     def __pow__(self, e: int):
         return RingElem(self.ring, self.ring.pow(self.value, e))
 
-    def inverse(self) -> "RingElem":
-        return RingElem(self.ring, self.ring.invert(self.value))
-
     def __eq__(self, other):
         if isinstance(other, RingElem):
             return self.ring == other.ring and self.value == other.value
@@ -270,6 +267,8 @@ class CheckResult:
 
 # failing pairs a CheckResult lists; the rest are only counted
 LISTED_FAILURES = 10
+# most pairs compared one by one for a modulus that resists factoring (~0.15 s)
+MAX_PAIRWISE_PAIRS = 10**6
 
 
 def _prime_factors(m: int) -> tuple[int, ...] | None:
@@ -306,7 +305,9 @@ def grid_condition_check(ring: RingSpec, sets) -> CheckResult:
     ``_pairs_agreeing`` counts the failing pairs by inclusion-exclusion
     and ``_first_pairs`` lists the first few from the residue classes,
     without enumerating pairs.  Only a modulus that resists factoring
-    gets the pairwise scan.
+    gets the pairwise scan; before each set is scanned its s(s - 1)/2
+    pairs are charged, and past MAX_PAIRWISE_PAIRS in all
+    GridTooLargeError is raised.
 
     ``sets`` may be a GridSpec or any iterable of per-variable element
     iterables; values are canonicalized before differencing.
@@ -315,17 +316,20 @@ def grid_condition_check(ring: RingSpec, sets) -> CheckResult:
     # moduli whose residues decide a failing pair; 0 compares the values themselves
     moduli = _prime_factors(ring.modulus) if ring.kind == ZMOD else (0,)
     failures: list[tuple[int, int, int, int]] = []
-    count = 0
+    count = pairs = 0
     for i, s in enumerate(raw):
         vals = [ring.canon(int(v)) for v in s]
         if moduli is None:
+            pairs += len(vals) * (len(vals) - 1) // 2
+            if pairs > MAX_PAIRWISE_PAIRS:
+                raise GridTooLargeError(f"checking the grid over {ring} compares {pairs} pairs, "
+                                        f"limit is {MAX_PAIRWISE_PAIRS}")
             for j, x in enumerate(vals):
                 for y in vals[j + 1:]:
-                    d = ring.sub(x, y)
-                    if ring.is_zero_divisor(d):
+                    if gcd(x - y, ring.modulus) != 1:
                         count += 1
                         if len(failures) < LISTED_FAILURES:
-                            failures.append((i, x, y, d))
+                            failures.append((i, x, y, ring.sub(x, y)))
             continue
         if all(len({v % q for v in vals} if q else set(vals)) == len(vals) for q in moduli):
             continue
@@ -333,6 +337,14 @@ def grid_condition_check(ring: RingSpec, sets) -> CheckResult:
         failures += [(i, x, y, ring.sub(x, y))
                      for x, y in _first_pairs(vals, moduli, LISTED_FAILURES - len(failures))]
     return CheckResult(count == 0, tuple(failures), count)
+
+
+def require_grid_condition(ring: RingSpec, sets) -> None:
+    """Raise HypothesisViolationError unless ``grid_condition_check`` passes."""
+    condition = grid_condition_check(ring, sets)
+    if not condition.ok:
+        raise HypothesisViolationError(
+            f"grid fails the zero-divisor difference condition: {condition.describe()}")
 
 
 def _residue(v: int, q: int) -> int:

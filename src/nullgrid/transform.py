@@ -20,17 +20,18 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import HypothesisViolationError, UnsupportedRingError
+from .errors import GridTooLargeError, HypothesisViolationError, UnsupportedRingError
 from .poly import (
+    Exponents,
     GridSpec,
     Polynomial,
     annihilator,
     check_compatible,
-    decompose_by_variable,
     first_repeat,
-    recompose,
+    product_work,
+    words,
 )
-from .ring import RingElem, RingSpec, grid_condition_check
+from .ring import RingElem, RingSpec, require_grid_condition
 
 
 def trim(f: Polynomial, grid: GridSpec, order: Sequence[int] | None = None) -> Polynomial:
@@ -42,10 +43,7 @@ def trim(f: Polynomial, grid: GridSpec, order: Sequence[int] | None = None) -> P
     the grid" a faithful notion over Z_m.
     """
     check_compatible(f, grid)
-    condition = grid_condition_check(f.ring, grid)
-    if not condition.ok:
-        raise HypothesisViolationError(
-            f"grid fails the zero-divisor difference condition: {condition.describe()}")
+    require_grid_condition(f.ring, grid)
     if order is None:
         order = range(grid.arity)
     result = f
@@ -55,39 +53,54 @@ def trim(f: Polynomial, grid: GridSpec, order: Sequence[int] | None = None) -> P
 
 
 def _reduce_variable(f: Polynomial, grid: GridSpec, var: int) -> Polynomial:
-    """Remainder of f modulo the monic annihilator of S_var."""
+    """Remainder of f modulo prod_{a in S_var} (x_var - a), of degree s.
+
+    Terms are split into layers by their exponent of x_var.  From the
+    partial degree d down to s, layer t is popped, reduced once (over Z_m
+    coefficients stay below about s·m^2; a zero layer is skipped), and
+    c·(-r_j) is added raw into layer t - s + j, r_j the annihilator's lower
+    coefficients.  The constructor of the one result reduces the rest.
+
+    First (d - s + 1) pops × distinct rests × nonzero r_j products,
+    weighted by ``product_work``, are charged against
+    ``parser.MAX_EXPANSION_WORK``; past it GridTooLargeError is raised.
+    Over Z a popped coefficient is a quotient coefficient sum_k c_k
+    h_(k-t)(S), h_j the complete homogeneous symmetric polynomial, and
+    |h_j(S)| <= C(j + s - 1, s - 1) B^j, B = max |a|: ‖f‖₁ 2^(d-1) B^(d-s).
+    """
     s = len(grid.sets[var])
     if f.is_zero or f.partial_degree(var) < s:
         return f
-    ring = f.ring
-    # x_var^s is congruent to -(lower part of the annihilator)
-    replacement = [ring.neg(c) for c in annihilator(ring, grid.sets[var])[:-1]]
+    from .parser import MAX_EXPANSION_WORK
 
-    layers = {k: dict(h.terms) for k, h in enumerate(decompose_by_variable(f, var)) if h.terms}
-    add, mul = ring.add, ring.mul
-    while layers:
-        top = max(layers)
-        if top < s:
-            break
-        coeff_layer = layers.pop(top)
-        for j, r in enumerate(replacement):
-            if not r:
-                continue
-            dst = layers.setdefault(top - s + j, {})
-            for exps, c in coeff_layer.items():
-                acc = add(dst.get(exps, 0), mul(c, r))
-                if acc:
-                    dst[exps] = acc
-                else:
-                    dst.pop(exps, None)
-            if not dst:
-                del layers[top - s + j]
-    polys = []
-    for k in range(max(layers) + 1 if layers else 0):
-        polys.append(Polynomial(f.arity, ring, layers.get(k, {})))
-    if not polys:
-        return Polynomial.zero(f.arity, ring)
-    return recompose(polys, var)
+    ring, m = f.ring, f.ring.modulus
+    replacement = [(j, -c) for j, c in enumerate(annihilator(ring, grid.sets[var])[:-1]) if c]
+    layers: dict[int, dict[Exponents, int]] = {}
+    for exps, c in f.terms.items():
+        layers.setdefault(exps[var], {})[exps[:var] + exps[var + 1:]] = c
+    top = max(layers)
+    pops = top - s + 1
+    rests = len({rest for layer in layers.values() for rest in layer})
+    if m:
+        wide = narrow = m.bit_length()
+    else:
+        narrow = max((abs(r) for _, r in replacement), default=0).bit_length()
+        wide = (sum(map(abs, f.terms.values())).bit_length() + top - 1
+                + (top - s) * max(map(abs, grid.sets[var])).bit_length())
+    work = product_work(pops * rests, words(wide), len(replacement), words(narrow))
+    if work > MAX_EXPANSION_WORK:
+        raise GridTooLargeError(f"reducing x{var + 1}^{top} modulo {s} elements needs {work} "
+                                f"products, limit is {MAX_EXPANSION_WORK}")
+    for t in range(top, s - 1, -1):
+        layer = {rest: v for rest, c in layers.pop(t, {}).items() if (v := c % m if m else c)}
+        if not layer:
+            continue
+        for j, r in replacement:
+            dst = layers.setdefault(t - s + j, {})
+            for rest, c in layer.items():
+                dst[rest] = dst.get(rest, 0) + c * r
+    return Polynomial(f.arity, ring, {rest[:var] + (k,) + rest[var:]: c
+                                      for k, layer in layers.items() for rest, c in layer.items()})
 
 
 @dataclass(frozen=True)

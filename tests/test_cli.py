@@ -377,6 +377,22 @@ def test_integer_tightness_past_a_budget_exits_fast(capsys, n, refused):
     assert error["message"].startswith(refused)
 
 
+@pytest.mark.parametrize("argv,refused", [
+    (["trim", "--ring", "fp:10007", "--grid", "0..999", "--poly", "x^60000"], "reducing x1^60000"),
+    (["trim", "--ring", "int", "--grid", "0..99", "--poly", "x^5000"], "reducing x1^5000"),
+    # 65537 * 65539 resists trial division below 2^16: 49,995,000 pairs to compare
+    (["verify", "--ring", "zmod:4295229443", "--grid", "0..9999", "--poly", "x"], "checking the grid"),
+], ids=["trim-fp", "trim-int", "verify-unfactored"])
+def test_unbounded_reduction_and_grid_check_exit_fast(capsys, argv, refused):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == "resource-limit"
+    assert error["message"].startswith(refused) and len(error["message"]) < 200
+
+
 def test_coeff_on_a_grid_over_the_value_cap_is_a_resource_error(capsys):
     # 1001 x 1000 points, one row over oracle.DEFAULT_ZERO_SET_CAP
     start = time.perf_counter()

@@ -113,10 +113,11 @@ def test_point_limit():
         count_nonzeros(f, grid, point_limit=9999)
 
 
-def test_zero_set_cap_suppresses_collection():
+def test_zero_set_cap_suppresses_collection(monkeypatch):
     f = parse_poly("x*y", ["x", "y"], Z)
     grid = GridSpec(Z, [range(4), range(4)])
-    count = count_nonzeros(f, grid, zero_set_cap=10)
+    monkeypatch.setattr(oracle, "DEFAULT_ZERO_SET_CAP", 10)
+    count = count_nonzeros(f, grid)
     assert count.zero_set is None
     assert count.nonzeros == 9
 

@@ -35,16 +35,20 @@ def test_constructor_validation():
 
 def test_arithmetic_matches_direct_evaluation():
     rng = random.Random(42)
-    for _ in range(40):
-        f = _random_poly(rng, Z)
-        g = _random_poly(rng, Z)
-        pt = tuple(rng.randrange(-4, 5) for _ in range(2))
-        fv = f.evaluate(pt).value
-        gv = g.evaluate(pt).value
-        assert (f + g).evaluate(pt).value == fv + gv
-        assert (f - g).evaluate(pt).value == fv - gv
-        assert (f * g).evaluate(pt).value == fv * gv
-        assert (-f).evaluate(pt).value == -fv
+    for ring in (Z, F5, RingSpec.prime_field(101), RingSpec.integers_mod(12)):
+        m = ring.modulus
+        for _ in range(40):
+            f = _random_poly(rng, ring)
+            g = _random_poly(rng, ring)
+            k = rng.randrange(-30, 31)
+            pt = tuple(rng.randrange(-4, 5) for _ in range(2))
+            fv = f.evaluate(pt).value
+            gv = g.evaluate(pt).value
+            for h, want in ((f + g, fv + gv), (f - g, fv - gv), (f * g, fv * gv), (-f, -fv),
+                            (f * k, fv * k), (k - f, k - fv), (f ** 3, fv ** 3)):
+                # evaluate reduces mod m; only the constructor reduces the terms
+                assert h.evaluate(pt).value == ring.canon(want)
+                assert all(0 < c < m if m else c for c in h.terms.values())
 
 
 def _random_poly(rng, ring, arity=2, cap=3):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullgrid import poly
+from nullgrid import parser, poly
 from nullgrid.errors import GridTooLargeError, HypothesisViolationError, UnsupportedRingError
 from nullgrid.oracle import random_polynomial, tightness_family
 from nullgrid.parser import parse_poly
@@ -254,6 +254,24 @@ def test_annihilators_match_repeated_multiplication(case):
         family = family * _linear_product(grid, var, grid.sets[var][:d[var]])
     assert tightness_family(grid, d) == family
     assert trim(f, grid) == _reference_trim(f, grid)
+
+
+def test_trim_reduction_work_is_charged_before_reducing():
+    # x^5 on {0, 1, 2}: pops of x^5, x^4, x^3, one rest, and x^3 = 3x^2 - 2x
+    # has two nonzero replacement coefficients, so the charge is 3 * 1 * 2
+    f = parse_poly("x^5 + 2*x^2 + 1", ["x"], F7)
+    grid = GridSpec(F7, [(0, 1, 2)])
+    with mock.patch.object(parser, "MAX_EXPANSION_WORK", 6):
+        assert trim(f, grid) == _reference_trim(f, grid)
+    with mock.patch.object(parser, "MAX_EXPANSION_WORK", 5), \
+            pytest.raises(GridTooLargeError, match="reducing x1\\^5 modulo 3 elements needs 6 products"):
+        trim(f, grid)
+    # over Z a popped coefficient of x^5000 on 0..99 may have up to
+    # 4999 + 4901 * 7 + 1 bits, so each of the 4901 * 99 products weighs 44
+    start = time.perf_counter()
+    with pytest.raises(GridTooLargeError, match="reducing x1\\^5000 modulo 100 elements needs 21348756 products"):
+        trim(Polynomial.monomial(1, Z, (5000,)), GridSpec(Z, [range(100)]))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_annihilator_work_is_charged_before_building():
