@@ -264,6 +264,43 @@ def _prefix_maxima(terms, order: tuple[int, ...]):
     return tops, paths
 
 
+def _witnesses(f: Polynomial):
+    """classify's reports as ``(condition, d, e, order)`` tuples, in its
+    order: the walk behind ``classify`` and ``bounds.collect_bounds``.  It
+    logs one ``classify`` DEBUG record, when the walk ends."""
+    _require_nonzero(f)
+    n = f.arity
+    if n <= MAX_ORDERS_ARITY:
+        orders = [tuple(p) for p in itertools.permutations(range(n))]
+    else:
+        orders = [tuple(range(n))]
+    maximal = sorted(maximal_monomials(f), key=_graded, reverse=True)
+    for m in maximal:
+        yield MAXIMAL_MONOMIAL, m, None, None
+    for order in orders:
+        yield LEX_LARGEST, lex_largest(f, order), None, order
+
+    seeds = sorted(f.terms, key=_graded, reverse=True)
+    pairs: set[tuple] = set()
+    for order in orders:
+        tops, paths = _prefix_maxima(f.terms, order)
+        for seed in seeds:
+            d = [0] * n
+            for top, p, var in zip(tops, paths[seed], order):
+                d[var] = top[p]
+            d = tuple(d)
+            yield SUCCESSIVELY_LARGEST, d, seed, order
+            pairs.add((seed, d))
+    for seed, d in sorted(pairs):
+        yield D_LEADING, d, seed, None
+
+    partial, total = f.degrees()
+    yield PARTIAL_DEGREES, partial, None, None
+    yield TOTAL_DEGREE, max((e for e in f.terms if sum(e) == total), key=_graded), None, None
+    log.debug("classify terms=%d orders=%d reports=%d d_leading=%d", len(f.terms), len(orders),
+              len(maximal) + len(orders) * (1 + len(seeds)) + len(pairs) + 2, len(pairs))
+
+
 def classify(f: Polynomial) -> list[HypothesisReport]:
     """Detect every supported hypothesis of f with concrete witnesses.
 
@@ -274,14 +311,15 @@ def classify(f: Polynomial) -> list[HypothesisReport]:
       * one d-leading report per distinct (seed, derived degree vector),
       * one partial-degrees report and one total-degree report.
 
-    All variable orders are enumerated while arity <= MAX_ORDERS_ARITY;
-    beyond that only the identity order is used.  Every report holds by
-    construction, so none rescans the support (``hypothesis_holds`` is the
-    definitional check):
+    Each is a ``_witnesses`` tuple, which ``bounds.collect_bounds`` reads
+    unwrapped.  All variable orders are enumerated while arity <=
+    MAX_ORDERS_ARITY; beyond that only the identity order is used.
+    Every report holds by construction, so none rescans the support
+    (``hypothesis_holds`` is the definitional check):
       * maximal: the skyline keeps no monomial that another dominates;
       * lex-largest: it is the maximum under the order's key;
       * partial-degrees: d is ``f.degrees()[0]``;
-      * total-degree: ``top`` has the largest total degree;
+      * total-degree: the witness has the largest total degree;
       * successively-largest and d-leading: as follows.
 
     The support is indexed once per order (``_prefix_maxima``): each
@@ -298,32 +336,4 @@ def classify(f: Polynomial) -> list[HypothesisReport]:
     v exceeds d.  For T terms in n variables this takes O(orders·T·n)
     table steps plus the skyline.
     """
-    _require_nonzero(f)
-    n = f.arity
-    if n <= MAX_ORDERS_ARITY:
-        orders = [tuple(p) for p in itertools.permutations(range(n))]
-    else:
-        orders = [tuple(range(n))]
-    reports = [HypothesisReport(MAXIMAL_MONOMIAL, True, m)
-               for m in sorted(maximal_monomials(f), key=_graded, reverse=True)]
-    reports += [HypothesisReport(LEX_LARGEST, True, lex_largest(f, order), order=order) for order in orders]
-
-    seeds = sorted(f.terms, key=_graded, reverse=True)
-    pairs: set[tuple] = set()
-    for order in orders:
-        tops, paths = _prefix_maxima(f.terms, order)
-        for seed in seeds:
-            d = [0] * n
-            for top, p, var in zip(tops, paths[seed], order):
-                d[var] = top[p]
-            d = tuple(d)
-            reports.append(HypothesisReport(SUCCESSIVELY_LARGEST, True, d, seed, order))
-            pairs.add((seed, d))
-    reports += [HypothesisReport(D_LEADING, True, d, seed) for seed, d in sorted(pairs)]
-
-    partial, total = f.degrees()
-    top = max((e for e in f.terms if sum(e) == total), key=_graded)
-    reports += [HypothesisReport(PARTIAL_DEGREES, True, partial), HypothesisReport(TOTAL_DEGREE, True, top)]
-    log.debug("classify terms=%d orders=%d reports=%d d_leading=%d",
-              len(f.terms), len(orders), len(reports), len(pairs))
-    return reports
+    return [HypothesisReport(condition, True, d, e, order) for condition, d, e, order in _witnesses(f)]

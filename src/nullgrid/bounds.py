@@ -236,8 +236,12 @@ def _check_sizes_exceed(sizes: tuple[int, ...], d: tuple[int, ...]):
             raise HypothesisViolationError(f"need size {s} > degree {di}")
 
 
-def _fits(sizes: tuple[int, ...], d: tuple[int, ...]) -> bool:
-    return all(s > di for s, di in zip(sizes, d))
+class _Text(dict):
+    """The str of each witness tuple, rendered on first use."""
+
+    def __missing__(self, key):
+        text = self[key] = str(key)
+        return text
 
 
 def collect_bounds(f: Polynomial, grid: GridSpec) -> list[BoundReport]:
@@ -249,9 +253,15 @@ def collect_bounds(f: Polynomial, grid: GridSpec) -> list[BoundReport]:
     several hypotheses certify the same entry, the first in classifier
     order is recorded in the assumptions.  Bounds whose size
     preconditions fail for a witness are silently skipped: the hypothesis
-    does not hold on this grid, so there is nothing to claim.  Each
-    entry's key is looked up before the entry is built, and the product
-    and additive-existence values are computed once per distinct witness d.
+    does not hold on this grid, so there is nothing to claim.
+
+    The reports are read as the plain tuples of ``analysis._witnesses``;
+    no ``HypothesisReport`` is built.  Two kinds can repeat an entry: a
+    successively-largest (d, e) that several orders give, skipped first,
+    and a lex-largest or partial-degrees d.  Maximal monomials and
+    d-leading pairs come once each, and no other report makes their
+    entries.  The product and additive-existence values are computed once
+    per distinct d, and each witness tuple's text is rendered once.
     """
     check_compatible(f, grid)
     if f.is_zero:
@@ -261,76 +271,56 @@ def collect_bounds(f: Polynomial, grid: GridSpec) -> list[BoundReport]:
     partial, total = f.degrees()
 
     out: list[BoundReport] = []
-    seen: set[tuple] = set()
+    text = _Text()
+    plain: set[tuple[int, ...]] = set()  # d with a lex-largest or partial-degrees product entry
+    successive: set[tuple] = set()  # successively-largest (d, e) already read
     # per distinct d: (product bound, additive existence bound), or () when d does not fit
     per_d: dict[tuple[int, ...], tuple] = {}
 
-    def fresh(name: str, d, e=None) -> bool:
-        """Whether (name, d, e) has no entry yet; marks it as taken."""
-        key = (name, d, e)
-        if key in seen:
-            return False
-        seen.add(key)
-        return True
-
-    for rep in analysis.classify(f):
-        d, e = rep.witness_d, rep.witness_e
+    for condition, d, e, order in analysis._witnesses(f):
+        if condition == analysis.SUCCESSIVELY_LARGEST:
+            if (d, e) in successive:
+                continue
+            successive.add((d, e))
         facts = per_d.get(d)
         if facts is None:
             facts = per_d[d] = ((product_bound(sizes, d), additive_existence_bound(sizes, d))
-                                if _fits(sizes, d) else ())
+                                if all(s > di for s, di in zip(sizes, d)) else ())
         if not facts:
             continue
         product, additive = facts
-        if rep.condition == analysis.MAXIMAL_MONOMIAL:
-            if fresh("existence", d):
-                out.append(BoundReport("existence", 1, f"maximal monomial {d} and every |S_i| > d_i", d))
-            if fresh("additive-existence", d):
-                out.append(BoundReport("additive-existence", additive,
-                                       f"maximal monomial {d}; shrink-and-translate argument", d))
-            if fresh("product-if-maximal", d):
-                out.append(BoundReport("product-if-maximal", product,
-                                       f"DIAGNOSTIC: maximality of {d} alone does not imply the product bound", d,
-                                       guaranteed=False))
-            if max(d) >= 1 and fresh("erdos-density", d):
+        if condition == analysis.SUCCESSIVELY_LARGEST:
+            out.append(BoundReport("product", product, f"successively largest sequence {text[d]} "
+                                   f"for seed {text[e]} under order {text[order]}", d, e, order))
+        elif condition in (analysis.D_LEADING, analysis.MAXIMAL_MONOMIAL):
+            why = f"maximal monomial {text[d]}" if e is None else f"{text[e]} is {text[d]}-leading"
+            out.append(BoundReport("existence", 1, f"{why} and every |S_i| > d_i", d, e))
+            out.append(BoundReport("additive-existence", additive, f"{why}; shrink-and-translate argument", d, e))
+            if e is not None:
+                continue
+            out.append(BoundReport("product-if-maximal", product, "DIAGNOSTIC: maximality of "
+                                   f"{text[d]} alone does not imply the product bound", d, guaranteed=False))
+            if max(d) >= 1:
                 l = max(d) + 1
                 out.append(BoundReport("erdos-density", erdos_density_bound(n, l, min(sizes)),
                                        f"asymptotic zero-density threshold, l = 1 + max d_i = {l}", d,
                                        kind="density", guaranteed=False, asymptotic=True))
-            if n == 2 and fresh("kst-exponent", d):
+            if n == 2:
                 out.append(BoundReport("kst-exponent", kst_exponent(d[0], d[1]),
-                                       f"asymptotic zero-set exponent for maximal monomial {d}", d,
+                                       f"asymptotic zero-set exponent for {why}", d,
                                        kind="exponent", guaranteed=False, asymptotic=True))
-        elif rep.condition == analysis.LEX_LARGEST:
-            if fresh("product", d):
-                out.append(BoundReport("product", product,
-                                       f"lex-largest monomial {d} under order {rep.order}", d, order=rep.order))
-            if fresh("schwartz-additive", d):
-                out.append(BoundReport("schwartz-additive", schwartz_additive_bound(sizes, d),
-                                       f"lex-largest monomial {d} under order {rep.order}", d, order=rep.order))
-        elif rep.condition == analysis.SUCCESSIVELY_LARGEST:
-            if fresh("product", d, e):
-                out.append(BoundReport("product", product,
-                                       f"successively largest sequence {d} for seed {e} under order {rep.order}",
-                                       d, witness_e=e, order=rep.order))
-        elif rep.condition == analysis.D_LEADING:
-            if fresh("existence", d, e):
-                out.append(BoundReport("existence", 1, f"{e} is {d}-leading and every |S_i| > d_i", d,
-                                       witness_e=e))
-            if fresh("additive-existence", d, e):
-                out.append(BoundReport("additive-existence", additive,
-                                       f"{e} is {d}-leading; shrink-and-translate argument", d,
-                                       witness_e=e))
-        elif rep.condition == analysis.PARTIAL_DEGREES:
-            if fresh("product", d):
-                out.append(BoundReport("product", product, f"exact partial degrees {d}", d))
-            if fresh("schwartz-additive", d):
-                out.append(BoundReport("schwartz-additive", schwartz_additive_bound(sizes, d),
-                                       f"exact partial degrees {d}", d))
-            if fresh("gen-alon-furedi", d):
+        elif condition in (analysis.LEX_LARGEST, analysis.PARTIAL_DEGREES):
+            if d not in plain:
+                plain.add(d)
+                why = (f"lex-largest monomial {text[d]} under order {text[order]}"
+                       if condition == analysis.LEX_LARGEST else f"exact partial degrees {text[d]}")
+                out.append(BoundReport("product", product, why, d, order=order))
+                out.append(BoundReport("schwartz-additive", schwartz_additive_bound(sizes, d), why, d,
+                                       order=order))
+            if condition == analysis.PARTIAL_DEGREES:
                 value, argmin = gen_alon_furedi_bound(AFInstance(sizes, d, total))
                 out.append(BoundReport("gen-alon-furedi", value,
-                                       f"partial degrees {d} and total degree {total}", d, argmin=argmin))
+                                       f"partial degrees {text[d]} and total degree {total}", d, argmin=argmin))
 
     # bounds keyed to the total degree alone
     if len(set(sizes)) == 1:

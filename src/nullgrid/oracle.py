@@ -380,20 +380,17 @@ def verify_bounds(f: Polynomial, grid: GridSpec, *,
 
     if count is None:
         count = count_nonzeros(f, grid, collect_zeros=False)
-    size = count.grid_size
+    nonzeros, zeros, size = count.nonzeros, count.zeros, count.grid_size
     checks: list[BoundCheck] = []
     for rep in bounds.collect_bounds(f, grid):
-        if rep.asymptotic:
-            continue
-        if rep.requires_nonzero_on_grid and count.nonzeros == 0:
+        if rep.asymptotic or (rep.requires_nonzero_on_grid and not nonzeros):
             continue
         if rep.kind == "zero-probability":
-            allowed = floor(rep.value * size)
-            slack = allowed - count.zeros
+            slack = floor(rep.value * size) - zeros
         else:
-            slack = count.nonzeros - rep.value
+            slack = nonzeros - rep.value
         checks.append(BoundCheck(rep, slack >= 0, slack))
-    return VerificationReport(count.nonzeros, count.zeros, size, tuple(checks))
+    return VerificationReport(nonzeros, zeros, size, tuple(checks))
 
 
 def tightness_family(grid: GridSpec, d: tuple[int, ...],

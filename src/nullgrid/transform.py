@@ -61,20 +61,22 @@ def _reduce_variable(f: Polynomial, grid: GridSpec, var: int) -> Polynomial:
     c·(-r_j) is added raw into layer t - s + j, r_j the annihilator's lower
     coefficients.  The constructor of the one result reduces the rest.
 
-    First (d - s + 1) pops × distinct rests × nonzero r_j products,
-    weighted by ``product_work``, are charged against
-    ``parser.MAX_EXPANSION_WORK``; past it GridTooLargeError is raised.
-    Over Z a popped coefficient is a quotient coefficient sum_k c_k
-    h_(k-t)(S), h_j the complete homogeneous symmetric polynomial, and
+    Before the annihilator is built, (d - s + 1) pops × distinct rests ×
+    (s - [0 in S]) products, weighted by ``product_work``, are charged
+    against ``parser.MAX_EXPANSION_WORK``; past it GridTooLargeError is
+    raised.  s - [0 in S] bounds the nonzero r_j, as r_0 = ±prod a.  Over
+    Z, |r_j| <= prod (1 + |a|) <= 2^(sum of the bit lengths of |a|), and a
+    popped coefficient is a quotient coefficient sum_k c_k h_(k-t)(S), h_j
+    the complete homogeneous symmetric polynomial, and
     |h_j(S)| <= C(j + s - 1, s - 1) B^j, B = max |a|: ‖f‖₁ 2^(d-1) B^(d-s).
     """
-    s = len(grid.sets[var])
+    elements = grid.sets[var]
+    s = len(elements)
     if f.is_zero or f.partial_degree(var) < s:
         return f
     from .parser import MAX_EXPANSION_WORK
 
     ring, m = f.ring, f.ring.modulus
-    replacement = [(j, -c) for j, c in enumerate(annihilator(ring, grid.sets[var])[:-1]) if c]
     layers: dict[int, dict[Exponents, int]] = {}
     for exps, c in f.terms.items():
         layers.setdefault(exps[var], {})[exps[:var] + exps[var + 1:]] = c
@@ -84,13 +86,14 @@ def _reduce_variable(f: Polynomial, grid: GridSpec, var: int) -> Polynomial:
     if m:
         wide = narrow = m.bit_length()
     else:
-        narrow = max((abs(r) for _, r in replacement), default=0).bit_length()
+        narrow = sum(abs(a).bit_length() for a in elements) + 1
         wide = (sum(map(abs, f.terms.values())).bit_length() + top - 1
-                + (top - s) * max(map(abs, grid.sets[var])).bit_length())
-    work = product_work(pops * rests, words(wide), len(replacement), words(narrow))
+                + (top - s) * max(map(abs, elements)).bit_length())
+    work = product_work(pops * rests, words(wide), s - (0 in elements), words(narrow))
     if work > MAX_EXPANSION_WORK:
         raise GridTooLargeError(f"reducing x{var + 1}^{top} modulo {s} elements needs {work} "
                                 f"products, limit is {MAX_EXPANSION_WORK}")
+    replacement = [(j, -c) for j, c in enumerate(annihilator(ring, elements)[:-1]) if c]
     for t in range(top, s - 1, -1):
         layer = {rest: v for rest, c in layers.pop(t, {}).items() if (v := c % m if m else c)}
         if not layer:

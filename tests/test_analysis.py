@@ -25,9 +25,10 @@ from nullgrid.analysis import (
     maximal_monomials,
     successively_largest,
 )
+from nullgrid.bounds import collect_bounds
 from nullgrid.oracle import random_polynomial
 from nullgrid.parser import parse_poly
-from nullgrid.poly import Polynomial
+from nullgrid.poly import GridSpec, Polynomial
 from nullgrid.ring import RingSpec
 
 Z = RingSpec.integers()
@@ -398,11 +399,16 @@ def test_classify_matches_the_reference_on_acceptance_corpora():
 
 
 def test_classify_logs_one_record(caplog):
-    with caplog.at_level(logging.DEBUG, logger="nullgrid"):
-        reports = classify(ELLIPSE)
-    records = [r for r in caplog.records if r.name.startswith("nullgrid")]
-    assert len(records) == 1
-    assert records[0].levelno == logging.DEBUG
-    assert records[0].getMessage() == (
-        "classify terms=3 orders=2 reports=19 d_leading=6")
-    assert len(reports) == 19
+    # collect_bounds reads the walk behind classify without calling it, and
+    # that walk logs the same one record
+    for walk in (lambda: classify(ELLIPSE),
+                 lambda: collect_bounds(ELLIPSE, GridSpec(Z, [range(5), range(5)]))):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="nullgrid"):
+            walk()
+        records = [r for r in caplog.records if r.name.startswith("nullgrid")]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert records[0].getMessage() == (
+            "classify terms=3 orders=2 reports=19 d_leading=6")
+    assert len(classify(ELLIPSE)) == 19

@@ -3,9 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nullgrid import analysis
+from nullgrid.analysis import HypothesisReport, classify
 from nullgrid.bounds import (
     AFInstance,
+    BoundReport,
     additive_existence_bound,
     alon_furedi_original_bound,
     collect_bounds,
@@ -20,8 +25,9 @@ from nullgrid.bounds import (
     sz_probability,
     zippel_bound,
 )
+from nullgrid.oracle import random_polynomial
 from nullgrid.parser import parse_poly
-from nullgrid.poly import GridSpec
+from nullgrid.poly import GridSpec, Polynomial
 from nullgrid.ring import RingSpec
 
 Z = RingSpec.integers()
@@ -213,3 +219,167 @@ def test_collect_bounds_zero_poly():
 
     grid = GridSpec(Z, [range(3), range(3)])
     assert collect_bounds(Polynomial.zero(2, Z), grid) == []
+
+
+def _reference_collect_bounds(f, grid):
+    """collect_bounds as written before it read the witness tuples: a loop
+    over the HypothesisReports of classify, with one (name, d, e) key set
+    probed before every entry."""
+    if f.is_zero:
+        return []
+    sizes, n = grid.sizes, grid.arity
+    partial, total = f.degrees()
+    out, seen = [], set()
+
+    def fresh(name, d, e=None):
+        key = (name, d, e)
+        if key in seen:
+            return False
+        seen.add(key)
+        return True
+
+    for rep in classify(f):
+        d, e, order = rep.witness_d, rep.witness_e, rep.order
+        if not all(s > di for s, di in zip(sizes, d)):
+            continue
+        product, additive = product_bound(sizes, d), additive_existence_bound(sizes, d)
+        if rep.condition == analysis.MAXIMAL_MONOMIAL:
+            if fresh("existence", d):
+                out.append(BoundReport("existence", 1, f"maximal monomial {d} and every |S_i| > d_i", d))
+            if fresh("additive-existence", d):
+                out.append(BoundReport("additive-existence", additive,
+                                       f"maximal monomial {d}; shrink-and-translate argument", d))
+            if fresh("product-if-maximal", d):
+                out.append(BoundReport("product-if-maximal", product,
+                                       f"DIAGNOSTIC: maximality of {d} alone does not imply the product bound", d,
+                                       guaranteed=False))
+            if max(d) >= 1 and fresh("erdos-density", d):
+                l = max(d) + 1
+                out.append(BoundReport("erdos-density", erdos_density_bound(n, l, min(sizes)),
+                                       f"asymptotic zero-density threshold, l = 1 + max d_i = {l}", d,
+                                       kind="density", guaranteed=False, asymptotic=True))
+            if n == 2 and fresh("kst-exponent", d):
+                out.append(BoundReport("kst-exponent", kst_exponent(d[0], d[1]),
+                                       f"asymptotic zero-set exponent for maximal monomial {d}", d,
+                                       kind="exponent", guaranteed=False, asymptotic=True))
+        elif rep.condition == analysis.LEX_LARGEST:
+            if fresh("product", d):
+                out.append(BoundReport("product", product,
+                                       f"lex-largest monomial {d} under order {order}", d, order=order))
+            if fresh("schwartz-additive", d):
+                out.append(BoundReport("schwartz-additive", schwartz_additive_bound(sizes, d),
+                                       f"lex-largest monomial {d} under order {order}", d, order=order))
+        elif rep.condition == analysis.SUCCESSIVELY_LARGEST:
+            if fresh("product", d, e):
+                out.append(BoundReport("product", product,
+                                       f"successively largest sequence {d} for seed {e} under order {order}",
+                                       d, witness_e=e, order=order))
+        elif rep.condition == analysis.D_LEADING:
+            if fresh("existence", d, e):
+                out.append(BoundReport("existence", 1, f"{e} is {d}-leading and every |S_i| > d_i", d,
+                                       witness_e=e))
+            if fresh("additive-existence", d, e):
+                out.append(BoundReport("additive-existence", additive,
+                                       f"{e} is {d}-leading; shrink-and-translate argument", d, witness_e=e))
+        elif rep.condition == analysis.PARTIAL_DEGREES:
+            if fresh("product", d):
+                out.append(BoundReport("product", product, f"exact partial degrees {d}", d))
+            if fresh("schwartz-additive", d):
+                out.append(BoundReport("schwartz-additive", schwartz_additive_bound(sizes, d),
+                                       f"exact partial degrees {d}", d))
+            if fresh("gen-alon-furedi", d):
+                value, argmin = gen_alon_furedi_bound(AFInstance(sizes, d, total))
+                out.append(BoundReport("gen-alon-furedi", value,
+                                       f"partial degrees {d} and total degree {total}", d, argmin=argmin))
+    if len(set(sizes)) == 1:
+        s = sizes[0]
+        if s > total:
+            out.append(BoundReport("schwartz-zippel", schwartz_zippel_count(s, total, n),
+                                   f"total degree {total}, common size {s}", None))
+            out.append(BoundReport("schwartz-zippel-probability", sz_probability(total, s),
+                                   f"vanishing probability at most d/s with d = {total}, s = {s}", None,
+                                   kind="zero-probability"))
+            out.append(BoundReport("demillo-lipton", demillo_lipton_bound(s, total, n),
+                                   f"total degree {total}, common size {s}", None))
+        if s > max(partial):
+            out.append(BoundReport("zippel", zippel_bound(s, max(partial), n),
+                                   f"per-variable degree at most {max(partial)}, common size {s}", None))
+    if 0 <= total <= sum(s - 1 for s in sizes):
+        out.append(BoundReport("alon-furedi", alon_furedi_original_bound(sizes, total),
+                               f"total degree {total}; assumes f is not identically zero on the grid", None,
+                               requires_nonzero_on_grid=True))
+    return out
+
+
+RINGS = (Z, RingSpec.prime_field(5), RingSpec.prime_field(101), RingSpec.integers_mod(6),
+         RingSpec.integers_mod(35))
+
+
+@st.composite
+def _cases(draw):
+    # exponents 0..3 repeat per variable, so seeds share prefixes and several
+    # orders give one successively-largest (d, e); sets of 1..4 elements leave
+    # some witness d too large for the grid
+    ring = draw(st.sampled_from(RINGS))
+    n = draw(st.integers(1, 5))
+    top = draw(st.integers(0, 3))
+    support = draw(st.lists(st.tuples(*[st.integers(0, top)] * n), min_size=1, max_size=12, unique=True))
+    coeffs = draw(st.lists(st.integers(1, 10**6), min_size=len(support), max_size=len(support)))
+    f = Polynomial(n, ring, dict(zip(support, coeffs)))
+    universe = range(-5, 6) if ring.modulus is None else range(ring.modulus)
+    sizes = st.integers(1, min(4, len(universe)))
+    sets = [draw(st.lists(st.sampled_from(universe), min_size=k, max_size=k, unique=True))
+            for k in (draw(sizes) for _ in range(n))]
+    return f, GridSpec(ring, sets)
+
+
+def _holds_against_the_reference(f, grid):
+    assert collect_bounds(f, grid) == _reference_collect_bounds(f, grid)
+    if not f.is_zero:
+        assert classify(f) == [HypothesisReport(condition, True, d, e, order)
+                               for condition, d, e, order in analysis._witnesses(f)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cases())
+@example((parse_poly("x^2 - 4*x*y + y^2", ["x", "y"], Z), GridSpec(Z, [range(5), range(5)])))
+@example((parse_poly("x^7*y^2 + x^5*y^6 + x^2*y^4", ["x", "y"], Z), GridSpec(Z, [range(8), range(6)])))
+@example((Polynomial.constant(3, Z, 5), GridSpec(Z, [(0,), (1,), (2,)])))
+@example((Polynomial(4, RingSpec.prime_field(101), {(1, 1, 0, 2): 3, (1, 0, 1, 2): 1, (0, 2, 1, 0): 7,
+                                                    (1, 1, 1, 1): 2}),
+          GridSpec(RingSpec.prime_field(101), [range(3), range(2), range(3), range(3)])))
+def test_collect_bounds_matches_the_reference(case):
+    _holds_against_the_reference(*case)
+
+
+def _acceptance_cases():
+    """The (polynomial, grid) pairs of acceptance criteria 4 and 7, drawn
+    as those criteria draw them."""
+    F5, F7, F11, F101 = (RingSpec.prime_field(p) for p in (5, 7, 11, 101))
+    rng = random.Random(404)
+    for _ in range(1000):
+        ring = rng.choice((F5, F7, F101, Z))
+        n = rng.randrange(1, 3)
+        caps = tuple(rng.randrange(1, 5) for _ in range(n))
+        f = random_polynomial(n, caps, rng.uniform(0.2, 0.7), ring, seed=rng.randrange(10**9))
+        if ring.kind == "fp" and ring.modulus <= 7 and rng.random() < 0.5:
+            sets = [tuple(range(ring.modulus)) for _ in range(n)]
+        else:
+            universe = range(-9, 10) if ring.kind == "int" else range(ring.modulus)
+            size = rng.randrange(1, min(9, len(universe) + 1))
+            sets = [tuple(rng.sample(universe, size)) for _ in range(n)]
+        yield f, GridSpec(ring, sets)
+    rng = random.Random(707)
+    for _ in range(100):
+        ring = rng.choice((F7, F11))
+        f = random_polynomial(2, (rng.randrange(1, 5), rng.randrange(1, 5)), 0.5, ring,
+                              seed=rng.randrange(10**9))
+        yield f, GridSpec(ring, [tuple(range(ring.modulus))] * 2)
+
+
+def test_collect_bounds_matches_the_reference_on_acceptance_corpora():
+    cases = list(_acceptance_cases())
+    assert len(cases) == 1100
+    for f, grid in cases:
+        _holds_against_the_reference(f, grid)
+

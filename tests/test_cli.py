@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from nullgrid import oracle
+from nullgrid import oracle, poly, transform
 from nullgrid.cli import main
 
 
@@ -327,6 +327,15 @@ def test_verbose_logs_to_stderr_and_leaves_stdout_alone(capsys):
     assert not any(isinstance(h, logging.StreamHandler) for h in logger.handlers)
 
 
+def test_verbose_prints_one_classify_record_per_walk(capsys):
+    # collect_bounds walks the hypotheses without calling classify; the walk
+    # still logs its one record, under the same name and fields
+    for command in ("bounds", "verify"):
+        assert main(["-v", command, "--ring", "int", "--grid", "0..4;0..4", "--poly", "x^2 - 4*x*y + y^2"]) == 0
+        records = [line for line in capsys.readouterr().err.splitlines() if "classify" in line]
+        assert records == ["nullgrid.analysis: classify terms=3 orders=2 reports=19 d_leading=6"]
+
+
 def test_verbose_text_output_and_errors_are_unchanged(capsys):
     for argv in (["--format", "text", "tightness", "--ring", "fp:5", "--grid", "0..4;0..4", "--d", "2,3"],
                  ["verify", "--ring", "zmod:6", "--grid", "0,2;0,1", "--poly", "x"]):
@@ -393,6 +402,19 @@ def test_unbounded_reduction_and_grid_check_exit_fast(capsys, argv, refused):
     assert error["message"].startswith(refused) and len(error["message"]) < 200
 
 
+def test_trim_refuses_a_reduction_before_building_its_annihilator(capsys, monkeypatch):
+    # 59,001 pops x 1 rest x 999 possibly nonzero r_j (0 is in S, so r_0 = 0)
+    def refuse(*args):
+        raise AssertionError("the annihilator was built")
+
+    monkeypatch.setattr(poly, "annihilator", refuse)
+    monkeypatch.setattr(transform, "annihilator", refuse)
+    code, out = run_cli(capsys, "trim", "--ring", "fp:10007", "--poly", "x^60000", "--grid", "0..999")
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == (
+        "reducing x1^60000 modulo 1000 elements needs 58941999 products, limit is 4000000")
+
+
 def test_coeff_on_a_grid_over_the_value_cap_is_a_resource_error(capsys):
     # 1001 x 1000 points, one row over oracle.DEFAULT_ZERO_SET_CAP
     start = time.perf_counter()
@@ -447,6 +469,17 @@ GOLDEN = [
      "081bebeda274a5bae1b618c3f452bc96eee228e26bd4a57181d946fa8e754dd1"),
     (["--format", "text", "verify", "--grid", "0..99;0..99", "--limit-grid", "9999", "--poly", "x*y"], 3,
      "f73a3149353b9afaade38245f89489ff72dbd18513e6291f7bc640ddf6aec82c"),
+    # dense powers with 1,244-2,267 bound entries, some witnesses too large for
+    # the grid: these pin every assumption text and the entry order, and were
+    # recorded before collect_bounds read the witness tuples directly
+    (["bounds", "--grid", "0..6;0..7;-3..4", "--ring", "fp:101", "--poly", "(x+2*y+3*z+1)^7"], 0,
+     "ce80c3b4d783144e1ebacef158f53cae9aa52125a958eeaa064a140dc845b7ee"),
+    (["verify", "--grid", "0..6;0..7;-3..4", "--ring", "fp:101", "--poly", "(x+2*y+3*z+1)^7"], 0,
+     "e8fe4827206ce7dc3337b6e5427181271bf470f250613c0fc50e44f4256bcd0f"),
+    (["bounds", "--grid", "0..4;0..4;0..4;1,2,3,4", "--ring", "zmod:35", "--poly", "(x+2*y+3*z+4*w+1)^4"], 0,
+     "ff18f29be52fd07c522def52a89672df963287bfd10c578e80fab28678fe261a"),
+    (["verify", "--grid", "0..4;0..4;0..4;1,2,3,4", "--ring", "zmod:35", "--poly", "(x+2*y+3*z+4*w+1)^4"], 0,
+     "821c3ef5eeb8fce99b7caf0a30f37292478a9fadb6d03b9428ca376305395992"),
 ]
 
 

@@ -2,6 +2,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullgrid.errors import ArityMismatchError, GridTooLargeError, ZeroPolynomialError
 from nullgrid.poly import (
@@ -113,6 +115,19 @@ def test_render_roundtrip():
             f = _random_poly(rng, ring)
             text = f.render(["a", "b"])
             assert parse_poly(text, ["a", "b"], ring) == f
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((Z, F5, RingSpec.prime_field(101), RingSpec.integers_mod(6), RingSpec.integers_mod(35))),
+       st.integers(1, 4).flatmap(lambda n: st.dictionaries(
+           st.tuples(*[st.integers(0, 5)] * n), st.integers(-10**30, 10**30), max_size=8)))
+def test_render_parse_round_trip(ring, terms):
+    from nullgrid.parser import parse_poly
+
+    n = len(next(iter(terms), (0,)))
+    names = [f"x{i}" for i in range(1, n + 1)]
+    f = Polynomial(n, ring, terms)
+    assert parse_poly(f.render(names), names, ring) == f
 
 
 def test_decompose_recompose():
