@@ -11,12 +11,14 @@ Public names load their module on first access (PEP 562), so importing
 the package, or one command of the command line driver, loads only the
 modules that command runs.
 
-Diagnostics go to the ``nullgrid`` logger, which is silent unless the
-application configures logging.
+Diagnostics go to the ``nullgrid`` logger as DEBUG records.  The package
+adds no handler and does not import ``logging`` itself: with logging left
+unconfigured, Python's last-resort handler drops everything below
+WARNING, so the records stay silent until the application configures
+logging.
 """
 
 import importlib
-import logging
 
 _EXPORTS = {
     "analysis": """CONDITIONS D_LEADING LEX_LARGEST MAXIMAL_MONOMIAL PARTIAL_DEGREES
@@ -34,11 +36,9 @@ _EXPORTS = {
         min_nonzero_search random_polynomial tightness_family verify_bounds""",
     "parser": "ExprDag DagBuilder expand_dag infer_variables parse_dag parse_poly",
     "pit": "PitVerdict dag_difference degree_upper_bound eval_dag identity_test",
-    "poly": """GridSpec Polynomial check_compatible decompose_by_variable divide_linear
-        recompose vanishing_poly""",
+    "poly": "GridSpec Polynomial check_compatible vanishing_poly",
     "puzzle": """AgreementPattern LocalSearchResult PuzzleInstance SearchResult
-        agreement_count exhaustive_search from_polynomial k22_check local_search
-        zarankiewicz_k22_bound""",
+        agreement_count exhaustive_search k22_check local_search zarankiewicz_k22_bound""",
     "ring": "CheckResult RingElem RingSpec grid_condition_check is_prime",
     "transform": "Multipliers coefficient_via_grid grid_values trim vandermonde_multipliers",
 }
@@ -48,8 +48,6 @@ _SUBMODULES = {*_EXPORTS, "cli"}
 
 __all__ = sorted(_HOME)
 __version__ = "0.1.0"
-
-logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 
 def __getattr__(name):

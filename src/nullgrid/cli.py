@@ -14,10 +14,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
 import os
 import sys
-from fractions import Fraction
 
 from .errors import (
     ExpansionTooLargeError,
@@ -48,8 +46,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def jsonable(obj):
-    """Recursively convert package values to JSON-stable primitives."""
-    if isinstance(obj, Fraction):
+    """Recursively convert package values to JSON-stable primitives.
+
+    A Fraction is recognised without importing ``fractions``: none can
+    exist unless that module is already loaded."""
+    if isinstance(obj, getattr(sys.modules.get("fractions"), "Fraction", ())):
         return f"{obj.numerator}/{obj.denominator}"
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {fl.name: jsonable(getattr(obj, fl.name)) for fl in dataclasses.fields(obj)}
@@ -378,14 +379,17 @@ def _emit_error(code: str, message: str, fmt: str):
 def main(argv=None) -> int:
     parser = build_parser()
     fmt = "json"
-    logger = logging.getLogger("nullgrid")
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
-    level = logger.level
+    handler = None
     try:
         args = parser.parse_args(argv)
         fmt = args.format
         if args.verbose:
+            import logging  # only here: runs without -v never load it
+
+            logger = logging.getLogger("nullgrid")
+            level = logger.level
+            handler = logging.StreamHandler(sys.stderr)
+            handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
             logger.addHandler(handler)
             logger.setLevel(logging.DEBUG)
         payload = _HANDLERS[args.cmd](args)
@@ -405,8 +409,9 @@ def main(argv=None) -> int:
         _emit_error("invalid-input", str(e), fmt)
         return EXIT_USAGE
     finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
+        if handler is not None:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
     _emit(payload, fmt)
     return EXIT_OK
 

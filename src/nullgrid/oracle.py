@@ -393,30 +393,25 @@ def verify_bounds(f: Polynomial, grid: GridSpec, *,
     return VerificationReport(nonzeros, zeros, size, tuple(checks))
 
 
-def tightness_family(grid: GridSpec, d: tuple[int, ...],
-                     subsets: tuple[tuple[int, ...], ...] | None = None) -> Polynomial:
-    """The product polynomial prod_i prod_{a in A_i} (x_i - a) with
-    |A_i| = d_i, which attains the product bound with slack zero.
+def tightness_family(grid: GridSpec, d: tuple[int, ...]) -> Polynomial:
+    """The product polynomial prod_i prod_{a in A_i} (x_i - a), A_i the
+    first d_i elements of S_i in stored order, which attains the product
+    bound with slack zero.
 
-    A_i defaults to the first d_i elements of S_i in stored order; pass
-    explicit subsets to override.  Its nonzeros on the grid are exactly
-    the points avoiding every A_i, and there are prod (|S_i| - d_i) of
-    them.
+    Its nonzeros on the grid are exactly the points avoiding every A_i,
+    and there are prod (|S_i| - d_i) of them.
     """
     d = tuple(d)
     if len(d) != grid.arity:
         raise ValueError(f"degree vector {d} does not match grid arity {grid.arity}")
     ring = grid.ring
-    if subsets is None:
-        subsets = tuple(grid.sets[i][:d[i]] for i in range(grid.arity))
-    for i, (di, s, sub) in enumerate(zip(d, grid.sets, subsets)):
+    for i, (di, s) in enumerate(zip(d, grid.sets)):
         if not 0 <= di <= len(s):
             raise HypothesisViolationError(f"need 0 <= d_{i + 1} <= |S_{i + 1}|, got {di}")
-        if len(sub) != di or any(v not in s for v in sub):
-            raise ValueError(f"subset {sub} is not a {di}-element subset of set {i + 1}")
     # a product of univariate factors in distinct variables: each
     # coefficient is a product of one coefficient per factor
-    factors = [[(k, c) for k, c in enumerate(annihilator(ring, sub)) if c] for sub in subsets]
+    factors = [[(k, c) for k, c in enumerate(annihilator(ring, s[:di])) if c]
+               for di, s in zip(d, grid.sets)]
     return Polynomial(grid.arity, ring, {tuple(k for k, _ in combo): prod(c for _, c in combo)
                                          for combo in itertools.product(*factors)})
 

@@ -119,28 +119,16 @@ class DagBuilder:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
+    r"(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()])|(?P<bad>\S)"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            # skip over whitespace-only tails
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + len(rest) - len(rest.lstrip())
-            raise ParseError(f"unexpected character {text[bad]!r}", bad)
-        for kind in ("int", "ident", "op"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val, m.start(kind)))
-                break
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):  # whitespace matches no group and is skipped
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 

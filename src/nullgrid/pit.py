@@ -66,10 +66,6 @@ class PitVerdict:
     trial_index: int | None = None
     failure_bound: Fraction | None = None
 
-    @property
-    def distinguishable(self) -> bool:
-        return self.status == "nonzero-witnessed"
-
 
 def identity_test(g1: ExprDag, g2: ExprDag, *, samples_per_var: int,
                   trials: int = 20, seed: int = 0) -> PitVerdict:

@@ -268,68 +268,6 @@ class Polynomial:
         return f"Polynomial({self.render()!r} over {self.ring})"
 
 
-# -- structure helpers ------------------------------------------------------
-
-
-def decompose_by_variable(f: Polynomial, var: int) -> list[Polynomial]:
-    """Write f as sum of x_var^k * h_k and return [h_0, ..., h_d].
-
-    Each h_k is free of x_var (exponent zero there) but keeps the full
-    arity.  The top coefficient h_d is nonzero; interior gaps are zero
-    polynomials.  Decomposing the zero polynomial is an error since it has
-    no top coefficient.
-    """
-    if f.is_zero:
-        raise ZeroPolynomialError("cannot decompose the zero polynomial")
-    if not 0 <= var < f.arity:
-        raise ArityMismatchError(f"variable index {var} out of range")
-    layers: dict[int, dict[Exponents, int]] = {}
-    for exps, c in f.terms.items():
-        k = exps[var]
-        base = exps[:var] + (0,) + exps[var + 1:]
-        layers.setdefault(k, {})[base] = c
-    top = max(layers)
-    return [Polynomial(f.arity, f.ring, layers.get(k, {})) for k in range(top + 1)]
-
-
-def recompose(hs: Sequence[Polynomial], var: int) -> Polynomial:
-    """Inverse of decompose_by_variable: sum of x_var^k * h_k."""
-    if not hs:
-        raise ValueError("nothing to recompose")
-    arity, ring = hs[0].arity, hs[0].ring
-    out: dict[Exponents, int] = {}
-    for k, h in enumerate(hs):
-        for exps, c in h.terms.items():
-            key = exps[:var] + (exps[var] + k,) + exps[var + 1:]
-            out[key] = out.get(key, 0) + c
-    return Polynomial(arity, ring, out)
-
-
-def divide_linear(f: Polynomial, var: int, a) -> tuple[Polynomial, Polynomial]:
-    """Divide f by the monic linear factor (x_var - a).
-
-    Returns (q, r) with f == q * (x_var - a) + r and r free of x_var.
-    Works over any of the supported rings because the divisor is monic.
-    Synthetic division on the x_var-layers of f: b_{k-1} = c_k + a * b_k.
-    """
-    a = _coerce_value(f.ring, a)
-    if f.is_zero:
-        z = Polynomial.zero(f.arity, f.ring)
-        return z, z
-    layers = decompose_by_variable(f, var)
-    d = len(layers) - 1
-    if d == 0:
-        return Polynomial.zero(f.arity, f.ring), f
-    cur = layers[d]
-    q_layers = [Polynomial.zero(f.arity, f.ring)] * d
-    q_layers[d - 1] = cur
-    for k in range(d - 1, 0, -1):
-        cur = layers[k] + cur * a
-        q_layers[k - 1] = cur
-    r = layers[0] + cur * a
-    return recompose(q_layers, var), r
-
-
 def first_repeat(values: Sequence) -> tuple[int, int, int] | None:
     """The first value seen a second time, with the 1-based positions of
     its two occurrences, or None when the values are distinct."""

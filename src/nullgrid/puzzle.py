@@ -71,14 +71,6 @@ def agreement_count(inst: PuzzleInstance) -> AgreementPattern:
     return AgreementPattern(cells, len(cells))
 
 
-def from_polynomial(a: tuple[int, ...], p_at_a: tuple[int, ...],
-                    b: tuple[int, ...], q_at_b: tuple[int, ...]) -> PuzzleInstance:
-    """Instance whose agreements are the zeros of -x*y + P(x) + Q(y) on
-    the grid a x b, given the values of P on a and Q on b: the cell
-    (i, j) agrees iff a_i b_j = P(a_i) + Q(b_j), so u = P(a), v = Q(b)."""
-    return PuzzleInstance(tuple(a), tuple(b), tuple(p_at_a), tuple(q_at_b))
-
-
 def k22_check(pattern: AgreementPattern) -> bool:
     """True when no two rows agree in two common columns (no K_{2,2})."""
     columns: dict[int, set[int]] = {}
@@ -157,6 +149,10 @@ def exhaustive_search(s: int, value_range: int, budget: int = 100_000_000) -> Se
     return SearchResult(inst, agreement_count(inst), examined)
 
 
+# sideways or worse steps of local_search before it restarts from a fresh instance
+STALL_LIMIT = 1_000
+
+
 @dataclass(frozen=True)
 class LocalSearchResult:
     instance: PuzzleInstance
@@ -167,13 +163,13 @@ class LocalSearchResult:
 
 
 def local_search(s: int, *, budget: int = 100_000, seed: int = 0,
-                 value_range: int = 8, stall_limit: int = 1_000) -> LocalSearchResult:
+                 value_range: int = 8) -> LocalSearchResult:
     """Hill climb over instances with entries in [-R, R].
 
     Moves: nudge one entry by +-1, resample one entry, or swap two entries
     within one sequence.  Moves that break key distinctness are rejected.
     Sideways moves (equal count) are accepted to walk plateaus; after
-    ``stall_limit`` steps without strict improvement the state restarts
+    ``STALL_LIMIT`` steps without strict improvement the state restarts
     from a fresh random instance.  Deterministic for a fixed seed: one
     generator drives everything, and the best instance ever seen is
     returned with its re-verified pattern.
@@ -243,7 +239,7 @@ def local_search(s: int, *, budget: int = 100_000, seed: int = 0,
                 _, i, old = undo
                 arr[i] = old
             stall += 1
-        if stall >= stall_limit:
+        if stall >= STALL_LIMIT:
             state = fresh()
             current = count_of(state)
             restarts += 1

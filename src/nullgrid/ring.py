@@ -18,7 +18,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
 
 from .errors import GridTooLargeError, HypothesisViolationError, RingMismatchError, UnsupportedRingError
 
@@ -155,15 +154,6 @@ class RingSpec:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, p - 2, p)
-
-    def is_zero_divisor(self, a: int) -> bool:
-        """Whether a (nonzero or not) kills some nonzero element by product."""
-        a = self.canon(a)
-        if a == 0:
-            return True
-        if self.modulus is None or self.kind == FP:
-            return False
-        return gcd(a, self.modulus) != 1
 
     # -- element factory -----------------------------------------------------
 

@@ -64,7 +64,8 @@ def _reduce_variable(f: Polynomial, grid: GridSpec, var: int) -> Polynomial:
     Before the annihilator is built, (d - s + 1) pops × distinct rests ×
     (s - [0 in S]) products, weighted by ``product_work``, are charged
     against ``parser.MAX_EXPANSION_WORK``; past it GridTooLargeError is
-    raised.  s - [0 in S] bounds the nonzero r_j, as r_0 = ±prod a.  Over
+    raised.  s - [0 in S] bounds the nonzero r_j, as r_0 = ±prod a; a set
+    that is all of F_p has x^p - x, with one nonzero r_j, charged as 1.  Over
     Z, |r_j| <= prod (1 + |a|) <= 2^(sum of the bit lengths of |a|), and a
     popped coefficient is a quotient coefficient sum_k c_k h_(k-t)(S), h_j
     the complete homogeneous symmetric polynomial, and
@@ -89,7 +90,8 @@ def _reduce_variable(f: Polynomial, grid: GridSpec, var: int) -> Polynomial:
         narrow = sum(abs(a).bit_length() for a in elements) + 1
         wide = (sum(map(abs, f.terms.values())).bit_length() + top - 1
                 + (top - s) * max(map(abs, elements)).bit_length())
-    work = product_work(pops * rests, words(wide), s - (0 in elements), words(narrow))
+    nonzero_r = 1 if s == m else s - (0 in elements)
+    work = product_work(pops * rests, words(wide), nonzero_r, words(narrow))
     if work > MAX_EXPANSION_WORK:
         raise GridTooLargeError(f"reducing x{var + 1}^{top} modulo {s} elements needs {work} "
                                 f"products, limit is {MAX_EXPANSION_WORK}")
@@ -119,13 +121,6 @@ class Multipliers:
     elements: tuple[int, ...]
     degree: int
     values: tuple[int, ...]  # aligned with elements; zero beyond degree + 1
-
-    def __getitem__(self, a) -> RingElem:
-        a = self.ring.canon(int(a))
-        try:
-            return RingElem(self.ring, self.values[self.elements.index(a)])
-        except ValueError:
-            raise KeyError(f"{a} is not an element of {self.elements}") from None
 
 
 def vandermonde_multipliers(ring: RingSpec, elements: Sequence, d: int | None = None) -> Multipliers:

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import logging
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -257,8 +259,9 @@ def test_console_script_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "nullgrid", "analyze", "--ring", "int",
          "--vars", "x", str(poly)],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).resolve().parents[1])))
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["schema"] == 1
 
 
@@ -413,6 +416,13 @@ def test_trim_refuses_a_reduction_before_building_its_annihilator(capsys, monkey
     assert code == 3
     assert json.loads(out)["error"]["message"] == (
         "reducing x1^60000 modulo 1000 elements needs 58941999 products, limit is 4000000")
+
+
+def test_trim_on_all_of_a_prime_field_charges_one_replacement(capsys):
+    # prod (x - a) over all of F_101 is x^101 - x, so each pop adds one product
+    code, out = run_cli(capsys, "trim", "--ring", "fp:101", "--grid", "0..100", "--poly", "x^41000")
+    assert code == 0
+    assert json.loads(out)["trimmed"] == "x^100"
 
 
 def test_coeff_on_a_grid_over_the_value_cap_is_a_resource_error(capsys):

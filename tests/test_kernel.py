@@ -253,7 +253,18 @@ def test_kernel_chunk_count_logged(caplog):
 
 
 def test_logging_is_silent_by_default():
-    assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("nullgrid").handlers)
+    # no handler anywhere: the last-resort handler drops records below WARNING,
+    # even with the root logger let down to DEBUG
+    src = str(Path(nullgrid.__file__).resolve().parents[1])
+    code = ("import logging; logging.getLogger().setLevel(logging.DEBUG)\n"
+            "from nullgrid import oracle, parse_poly, GridSpec, RingSpec\n"
+            "F = RingSpec.prime_field(7); f = parse_poly('x*y + 1', ['x', 'y'], F)\n"
+            "grid = GridSpec(F, [range(3), range(3)])\n"
+            "assert oracle.log.isEnabledFor(logging.DEBUG)\n"
+            "oracle.verify_bounds(f, grid, count=oracle.count_nonzeros(f, grid))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 def test_import_does_not_load_numpy():

@@ -198,15 +198,6 @@ def test_tightness_family_random_grids():
         assert count_nonzeros(f, grid, collect_zeros=False).nonzeros == expected
 
 
-def test_tightness_family_explicit_subsets():
-    grid = GridSpec(Z, [(0, 1, 2, 3)])
-    f = tightness_family(grid, (2,), subsets=((1, 3),))
-    count = count_nonzeros(f, grid)
-    assert count.zero_set == ((1,), (3,))
-    with pytest.raises(ValueError):
-        tightness_family(grid, (2,), subsets=((1, 9),))
-
-
 def test_min_nonzero_search_exhaustive_small():
     grid = GridSpec(RingSpec.prime_field(3), [(0, 1), (0, 1)])
     support = ((0, 0), (1, 0), (0, 1), (1, 1))

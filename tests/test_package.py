@@ -2,9 +2,11 @@
 
 Public names load their module on first access, and the command line
 driver imports only the modules its command runs; the subprocess tests
-read a fresh interpreter's imports from ``python -X importtime``.
+read a fresh interpreter's imports from ``python -X importtime``.  Every
+module-level import in the package is used by its module.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -30,16 +32,20 @@ def _imports(*args):
 NO_COUNT = {"nullgrid.oracle", "numpy"}
 
 
+# logging is loaded only by the modules that log, fractions only by those
+# that build a Fraction
 @pytest.mark.parametrize("argv,absent", [
     (["pit", "(x + y)^2", "x^2 + 2*x*y + y^2", "--samples", "50"],
-     NO_COUNT | {"nullgrid.bounds", "nullgrid.analysis", "nullgrid.puzzle"}),
+     NO_COUNT | {"nullgrid.bounds", "nullgrid.analysis", "nullgrid.puzzle", "logging"}),
     (["puzzle", "exhaustive", "--size", "2", "--range", "2"],
-     NO_COUNT | {"nullgrid.parser", "nullgrid.poly"}),
-    (["analyze", "--poly", "x^2*y - 3*y + 1"], NO_COUNT),
-    (["trim", "--ring", "fp:7", "--grid", "0..2;0..3", "--poly", "x^4*y - y^5"], NO_COUNT),
+     NO_COUNT | {"nullgrid.parser", "nullgrid.poly", "logging", "fractions"}),
+    (["analyze", "--poly", "x^2*y - 3*y + 1"], NO_COUNT | {"fractions"}),
+    (["trim", "--ring", "fp:7", "--grid", "0..2;0..3", "--poly", "x^4*y - y^5"],
+     NO_COUNT | {"logging", "fractions"}),
     (["verify", "--grid", "0..4;0..4", "--poly", "x*y - 2*x + 1"], {"numpy"}),
     # 36 points x 36 terms, above the small-grid constant
-    (["tightness", "--ring", "fp:11", "--grid", "2,3,7,8,9,10;2,4,5,6,7,8", "--d", "5,5"], {"numpy"}),
+    (["tightness", "--ring", "fp:11", "--grid", "2,3,7,8,9,10;2,4,5,6,7,8", "--d", "5,5"],
+     {"numpy", "fractions"}),
 ], ids=["pit", "puzzle", "analyze", "trim", "verify-5x5", "tightness-6x6"])
 def test_command_leaves_modules_unloaded(argv, absent):
     loaded = _imports("-m", "nullgrid", *argv)
@@ -84,6 +90,29 @@ def test_numpy_loads_once_the_cold_budget_is_spent():
 
 def test_import_loads_no_submodule():
     assert not {name for name in _imports("-c", "import nullgrid") if name.startswith("nullgrid.")}
+
+
+def test_import_loads_no_logging():
+    # the package adds no handler; unconfigured, its DEBUG records are dropped
+    assert "logging" not in _imports("-c", "import nullgrid")
+
+
+def _module_imports(tree):
+    """(bound name, line) of every import at module level, including
+    under a module-level ``if``; ``from __future__`` binds nothing."""
+    for node in tree.body:
+        for stmt in [node, *(node.body if isinstance(node, ast.If) else ())]:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) and \
+                    getattr(stmt, "module", None) != "__future__":
+                for alias in stmt.names:
+                    yield alias.asname or alias.name.split(".")[0], stmt.lineno
+
+
+@pytest.mark.parametrize("path", sorted(Path(SRC, "nullgrid").glob("*.py")), ids=lambda p: p.name)
+def test_every_module_level_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [(name, line) for name, line in _module_imports(tree) if name not in used] == []
 
 
 def test_every_public_name_resolves():

@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -11,6 +12,7 @@ from nullgrid.parser import (
     MAX_EXPONENT,
     DagBuilder,
     _power_work,
+    _tokenize,
     _words,
     expand_dag,
     infer_variables,
@@ -22,6 +24,56 @@ from nullgrid.ring import RingSpec
 
 Z = RingSpec.integers()
 F7 = RingSpec.prime_field(7)
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
+)
+
+
+def _reference_tokenize(text):
+    """One anchored match per token, then a scan of the rest for the
+    first character no token starts with."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None or m.end() == pos:
+            # skip over whitespace-only tails
+            rest = text[pos:]
+            if rest.strip() == "":
+                break
+            bad = pos + len(rest) - len(rest.lstrip())
+            raise ParseError(f"unexpected character {text[bad]!r}", bad)
+        for kind in ("int", "ident", "op"):
+            val = m.group(kind)
+            if val is not None:
+                tokens.append((kind, val, m.start(kind)))
+                break
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as e:
+        return str(e), e.position
+
+
+_PIECES = st.one_of(
+    st.sampled_from(["x", "y1", "_z", "Ab_9", "0", "7", "12345", "٣"]),
+    st.sampled_from(list("+-*^()")),
+    st.sampled_from([" ", "\t", "\n", "\u00a0", "\u2003", "\x1c"]),
+    st.sampled_from(["$", ".", "é", ","]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_PIECES, max_size=12).map("".join))
+def test_tokenize_matches_the_reference(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_reference_tokenize, text)
 
 
 def test_simple_terms():

@@ -10,9 +10,6 @@ from nullgrid.poly import (
     GridSpec,
     Polynomial,
     check_compatible,
-    decompose_by_variable,
-    divide_linear,
-    recompose,
     vanishing_poly,
 )
 from nullgrid.ring import RingSpec
@@ -128,36 +125,6 @@ def test_render_parse_round_trip(ring, terms):
     names = [f"x{i}" for i in range(1, n + 1)]
     f = Polynomial(n, ring, terms)
     assert parse_poly(f.render(names), names, ring) == f
-
-
-def test_decompose_recompose():
-    rng = random.Random(9)
-    for _ in range(30):
-        f = _random_poly(rng, Z)
-        if f.is_zero:
-            continue
-        for var in (0, 1):
-            layers = decompose_by_variable(f, var)
-            assert recompose(layers, var) == f
-            for k, layer in enumerate(layers):
-                # layer k collects terms with exponent k in var, slot zeroed
-                for e in layer.terms:
-                    assert e[var] == 0
-
-
-def test_divide_linear_identity():
-    rng = random.Random(13)
-    for ring in (Z, F5):
-        for _ in range(30):
-            f = _random_poly(rng, ring)
-            a = rng.randrange(0, 5)
-            for var in (0, 1):
-                q, r = divide_linear(f, var, a)
-                x = Polynomial.variable(2, ring, var)
-                shifted = x - Polynomial.constant(2, ring, a)
-                assert q * shifted + r == f
-                # remainder degree in var is zero
-                assert all(e[var] == 0 for e in r.terms)
 
 
 def test_gridspec_basics():

@@ -11,7 +11,6 @@ from nullgrid.puzzle import (
     PuzzleInstance,
     agreement_count,
     exhaustive_search,
-    from_polynomial,
     k22_check,
     local_search,
     zarankiewicz_k22_bound,
@@ -83,9 +82,8 @@ def test_from_polynomial_matches_zero_count():
     b = (-1, 2, 4)
     p_at_a = tuple(x * x for x in a)
     q_at_b = tuple(2 * y + 1 for y in b)
-    inst = from_polynomial(a, p_at_a, b, q_at_b)
-    assert inst.u == p_at_a and inst.v == q_at_b
-    pattern = agreement_count(inst)
+    # cell (i, j) agrees iff a_i b_j = P(a_i) + Q(b_j), so u = P(a), v = Q(b)
+    pattern = agreement_count(PuzzleInstance(a, b, p_at_a, q_at_b))
     f = parse_poly("x^2 + 2*y + 1 - x*y", ["x", "y"], Z)
     grid = GridSpec(Z, [a, b])
     count = count_nonzeros(f, grid)

@@ -11,7 +11,7 @@ from nullgrid import parser, poly
 from nullgrid.errors import GridTooLargeError, HypothesisViolationError, UnsupportedRingError
 from nullgrid.oracle import random_polynomial, tightness_family
 from nullgrid.parser import parse_poly
-from nullgrid.poly import GridSpec, Polynomial, annihilator, decompose_by_variable, vanishing_poly
+from nullgrid.poly import GridSpec, Polynomial, annihilator, vanishing_poly
 from nullgrid.ring import RingSpec
 from nullgrid.transform import (
     coefficient_via_grid,
@@ -237,7 +237,8 @@ def _reference_trim(f, grid):
         g, s = _linear_product(grid, var, elements), len(elements)
         while not f.is_zero and f.partial_degree(var) >= s:
             top = f.partial_degree(var)
-            lead = decompose_by_variable(f, var)[top]
+            lead = Polynomial(grid.arity, grid.ring, {e[:var] + (0,) + e[var + 1:]: c
+                                                      for e, c in f.terms.items() if e[var] == top})
             shift = tuple(top - s if i == var else 0 for i in range(grid.arity))
             f = f - lead * Polynomial.monomial(grid.arity, grid.ring, shift) * g
     return f
