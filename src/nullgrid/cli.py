@@ -52,6 +52,8 @@ def jsonable(obj):
     exist unless that module is already loaded."""
     if isinstance(obj, getattr(sys.modules.get("fractions"), "Fraction", ())):
         return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return {name: jsonable(v) for name, v in zip(obj._fields, obj)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {fl.name: jsonable(getattr(obj, fl.name)) for fl in dataclasses.fields(obj)}
     if isinstance(obj, dict):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import random
@@ -26,6 +27,7 @@ from nullgrid.analysis import (
     successively_largest,
 )
 from nullgrid.bounds import collect_bounds
+from nullgrid.cli import jsonable
 from nullgrid.oracle import random_polynomial
 from nullgrid.parser import parse_poly
 from nullgrid.poly import GridSpec, Polynomial
@@ -215,6 +217,39 @@ def test_classify_ellipse_frozen():
     }
 
 
+@dataclasses.dataclass(frozen=True)
+class _DataclassHypothesisReport:
+    """HypothesisReport as the frozen dataclass it was before it became a
+    NamedTuple: the reference for the record contract."""
+
+    condition: str
+    holds: bool
+    witness_d: tuple[int, ...]
+    witness_e: tuple[int, ...] | None = None
+    order: tuple[int, ...] | None = None
+
+
+# named as the package names it, so the dataclass repr reads the same
+_DataclassHypothesisReport.__qualname__ = "HypothesisReport"
+
+
+def test_hypothesis_report_keeps_the_frozen_dataclass_contract():
+    fields = dataclasses.fields(_DataclassHypothesisReport)
+    assert HypothesisReport._fields == tuple(fl.name for fl in fields)
+    assert HypothesisReport._field_defaults == {fl.name: fl.default for fl in fields
+                                                if fl.default is not dataclasses.MISSING}
+    rows = classify(ELLIPSE)
+    assert {r.condition for r in rows} == set(CONDITIONS)
+    for r in rows:
+        reference = _DataclassHypothesisReport(*r)
+        assert repr(r) == repr(reference)
+        assert hash(r) == hash(reference)
+        assert jsonable(r) == jsonable(reference)
+    for name in ("holds", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rows[0], name, False)
+
+
 def test_classify_deterministic():
     f = parse_poly("x^3*y + y^2 + x*y^2 + 2", ["x", "y"], Z)
     assert classify(f) == classify(f)
@@ -366,6 +401,21 @@ def _supports(draw):
 @example(Polynomial(3, Z, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1, (2, 0, 0): 1}))
 def test_classify_matches_the_reference(f):
     assert classify(f) == _reference_classify(f)
+
+
+def _lambda_lex_largest(f, order):
+    """lex_largest keyed as it was before ``itemgetter``: a tuple per term."""
+    return max(f.terms, key=lambda e: tuple(e[i] for i in order))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_supports())
+@example(Polynomial.constant(0, Z, 5))
+@example(Polynomial(1, Z, {(4,): 1, (2,): 1, (0,): 1}))
+def test_lex_largest_matches_the_lambda_key(f):
+    # at arity 1 itemgetter(0) keys on an int, not a 1-tuple; arity 0 has no key
+    for order in itertools.permutations(range(f.arity)):
+        assert lex_largest(f, order) == _lambda_lex_largest(f, order)
 
 
 def _acceptance_polys():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -25,7 +26,8 @@ from nullgrid.bounds import (
     sz_probability,
     zippel_bound,
 )
-from nullgrid.oracle import random_polynomial
+from nullgrid.cli import jsonable
+from nullgrid.oracle import BoundCheck, random_polynomial, verify_bounds
 from nullgrid.parser import parse_poly
 from nullgrid.poly import GridSpec, Polynomial
 from nullgrid.ring import RingSpec
@@ -219,6 +221,73 @@ def test_collect_bounds_zero_poly():
 
     grid = GridSpec(Z, [range(3), range(3)])
     assert collect_bounds(Polynomial.zero(2, Z), grid) == []
+
+
+@dataclasses.dataclass(frozen=True)
+class _DataclassBoundReport:
+    """BoundReport as the frozen dataclass it was before it became a
+    NamedTuple: the reference for the record contract."""
+
+    name: str
+    value: object
+    assumptions: str
+    witness_d: tuple[int, ...] | None = None
+    witness_e: tuple[int, ...] | None = None
+    order: tuple[int, ...] | None = None
+    kind: str = "count"
+    guaranteed: bool = True
+    asymptotic: bool = False
+    argmin: tuple[int, ...] | None = None
+    requires_nonzero_on_grid: bool = False
+
+
+@dataclasses.dataclass(frozen=True)
+class _DataclassBoundCheck:
+    """BoundCheck as the frozen dataclass it was."""
+
+    report: _DataclassBoundReport
+    sound: bool
+    slack: int
+
+
+# named as the package names its records, so the dataclass reprs read the same
+_DataclassBoundReport.__qualname__ = "BoundReport"
+_DataclassBoundCheck.__qualname__ = "BoundCheck"
+
+
+def _assert_same_record(record, reference):
+    """The NamedTuple and the frozen-dataclass reference agree on field
+    names and defaults, and built from one set of values they agree on
+    repr, hash and JSON; the NamedTuple refuses attribute assignment."""
+    fields = dataclasses.fields(reference)
+    assert type(record)._fields == tuple(fl.name for fl in fields)
+    assert type(record)._field_defaults == {fl.name: fl.default for fl in fields
+                                            if fl.default is not dataclasses.MISSING}
+    assert repr(record) == repr(reference)
+    assert hash(record) == hash(reference)
+    assert jsonable(record) == jsonable(reference)
+    for name in (record._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_bound_records_keep_the_frozen_dataclass_contract():
+    # the ellipse catalogue has int, Fraction and float values, orders,
+    # seeds and an argmin; its checks nest a report with a Fraction value
+    f = parse_poly("x^2 - 4*x*y + y^2", ["x", "y"], Z)
+    grid = GridSpec(Z, [range(5), range(5)])
+    reports = collect_bounds(f, grid)
+    assert {type(r.value) for r in reports} == {int, Fraction, float}
+    for r in reports:
+        _assert_same_record(r, _DataclassBoundReport(*r))
+    report = verify_bounds(f, grid)
+    assert any(isinstance(c.report.value, Fraction) for c in report.checks)
+    references = tuple(_DataclassBoundCheck(_DataclassBoundReport(*c.report), c.sound, c.slack)
+                       for c in report.checks)
+    for c, reference in zip(report.checks, references):
+        assert isinstance(c, BoundCheck)
+        _assert_same_record(c, reference)
+    assert jsonable(report) == jsonable(dataclasses.replace(report, checks=references))
 
 
 def _reference_collect_bounds(f, grid):

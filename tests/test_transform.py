@@ -257,6 +257,19 @@ def test_annihilators_match_repeated_multiplication(case):
     assert trim(f, grid) == _reference_trim(f, grid)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_annihilator_cases())
+def test_trim_invariants(case):
+    # over Z, F_2, F_5, F_101, F_10007 and Z_m, m in ZMODS (Z_35 among them)
+    grid, f, _ = case
+    g = trim(f, grid)
+    for pt in grid.points():
+        assert g.eval_raw(pt) == f.eval_raw(pt)
+    if not g.is_zero:
+        assert all(d < s for d, s in zip(g.degrees()[0], grid.sizes))
+    assert trim(g, grid) == g
+
+
 def test_trim_reduction_work_is_charged_before_reducing():
     # x^5 on {0, 1, 2}: pops of x^5, x^4, x^3, one rest, and x^3 = 3x^2 - 2x
     # has two nonzero replacement coefficients, so the charge is 3 * 1 * 2
