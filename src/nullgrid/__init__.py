@@ -11,11 +11,15 @@ Public names load their module on first access (PEP 562), so importing
 the package, or one command of the command line driver, loads only the
 modules that command runs.
 
-Diagnostics go to the ``nullgrid`` logger as DEBUG records.  The package
-adds no handler and does not import ``logging`` itself: with logging left
-unconfigured, Python's last-resort handler drops everything below
-WARNING, so the records stay silent until the application configures
-logging.
+Diagnostics go to the ``nullgrid`` loggers as DEBUG records, through
+``errors.debug``.  The package adds no handler and never imports
+``logging``: ``debug`` sends a record only when the application has
+loaded ``logging``, since no handler can exist before that, so a handler
+added before or after ``import nullgrid`` receives every record sent
+after it.  With logging left unconfigured, Python's last-resort handler
+drops everything below WARNING, so the records stay silent until the
+application configures logging.  No module loads ``dataclasses``: the
+records are NamedTuples or ``__slots__`` classes.
 """
 
 import importlib

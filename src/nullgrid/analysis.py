@@ -30,11 +30,10 @@ prefix-maximum tables of the support, one per variable order.
 from __future__ import annotations
 
 import itertools
-import logging
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import ArityMismatchError, ZeroPolynomialError
+from .errors import ArityMismatchError, ZeroPolynomialError, debug
 from .poly import Polynomial
 
 MAXIMAL_MONOMIAL = "maximal-monomial"
@@ -47,8 +46,6 @@ TOTAL_DEGREE = "total-degree"
 CONDITIONS = (MAXIMAL_MONOMIAL, LEX_LARGEST, SUCCESSIVELY_LARGEST, D_LEADING, PARTIAL_DEGREES, TOTAL_DEGREE)
 
 MAX_ORDERS_ARITY = 4
-
-log = logging.getLogger(__name__)
 
 
 class HypothesisReport(NamedTuple):
@@ -299,8 +296,8 @@ def _witnesses(f: Polynomial):
     partial, total = f.degrees()
     yield PARTIAL_DEGREES, partial, None, None
     yield TOTAL_DEGREE, max((e for e in f.terms if sum(e) == total), key=_graded), None, None
-    log.debug("classify terms=%d orders=%d reports=%d d_leading=%d", len(f.terms), len(orders),
-              len(maximal) + len(orders) * (1 + len(seeds)) + len(pairs) + 2, len(pairs))
+    debug(__name__, "classify terms=%d orders=%d reports=%d d_leading=%d", len(f.terms), len(orders),
+          len(maximal) + len(orders) * (1 + len(seeds)) + len(pairs) + 2, len(pairs))
 
 
 def classify(f: Polynomial) -> list[HypothesisReport]:

@@ -14,7 +14,6 @@ HypothesisViolationError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, prod
 from typing import NamedTuple
@@ -51,26 +50,36 @@ class BoundReport(NamedTuple):
     requires_nonzero_on_grid: bool = False
 
 
-@dataclass(frozen=True)
-class AFInstance:
-    """Inputs of the generalized Alon-Furedi bound: grid sizes, degree
-    caps d_i < |S_i| per variable, and a total degree 0 <= d <= sum d_i."""
-
+class _AFFields(NamedTuple):
     sizes: tuple[int, ...]
     caps: tuple[int, ...]
     total: int
 
-    def __post_init__(self):
-        if len(self.sizes) != len(self.caps) or not self.sizes:
+
+class AFInstance(_AFFields):
+    """Inputs of the generalized Alon-Furedi bound: grid sizes, degree
+    caps d_i < |S_i| per variable, and a total degree 0 <= d <= sum d_i.
+
+    A NamedTuple that validates on construction, ``_make`` and
+    ``_replace`` included, so an invalid instance cannot be built."""
+
+    __slots__ = ()
+
+    def __new__(cls, sizes: tuple[int, ...], caps: tuple[int, ...], total: int):
+        if len(sizes) != len(caps) or not sizes:
             raise ValueError("sizes and caps must be nonempty and of equal length")
-        for s, c in zip(self.sizes, self.caps):
+        for s, c in zip(sizes, caps):
             if c < 0 or s < 1:
                 raise ValueError(f"bad instance entry: size {s}, cap {c}")
             if c >= s:
                 raise HypothesisViolationError(f"need cap {c} < size {s}")
-        if not 0 <= self.total <= sum(self.caps):
-            raise HypothesisViolationError(
-                f"total degree {self.total} outside [0, {sum(self.caps)}]")
+        if not 0 <= total <= sum(caps):
+            raise HypothesisViolationError(f"total degree {total} outside [0, {sum(caps)}]")
+        return super().__new__(cls, sizes, caps, total)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def product_bound(sizes: tuple[int, ...], d: tuple[int, ...]) -> int:

@@ -12,7 +12,6 @@ search took) to stderr; stdout is the same with or without it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -48,20 +47,22 @@ class _Parser(argparse.ArgumentParser):
 def jsonable(obj):
     """Recursively convert package values to JSON-stable primitives.
 
-    A Fraction is recognised without importing ``fractions``: none can
-    exist unless that module is already loaded."""
+    A record (a NamedTuple) becomes a dict of its fields, and so does a
+    ``RingSpec``, ``RingElem`` or ``ExprDag``.  Those are recognised
+    without importing ``ring``, and a Fraction without importing
+    ``fractions``: none can exist unless its module is already loaded."""
     if isinstance(obj, getattr(sys.modules.get("fractions"), "Fraction", ())):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, tuple) and hasattr(obj, "_fields"):
         return {name: jsonable(v) for name, v in zip(obj._fields, obj)}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {fl.name: jsonable(getattr(obj, fl.name)) for fl in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
         return sorted(jsonable(v) for v in obj)
+    if isinstance(obj, getattr(sys.modules.get(f"{__package__}.ring"), "_Frozen", ())):
+        return {name: jsonable(getattr(obj, name)) for name in obj.__slots__}
     return obj
 
 

@@ -1,9 +1,24 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its DEBUG records.
 
 Everything raised deliberately by this package derives from NullgridError,
 so callers (the command line driver in particular) can map failures to
 exit codes without matching on message text.
 """
+
+import sys
+
+
+def debug(logger: str, msg: str, *args) -> None:
+    """Send a DEBUG record to the named logger, if ``logging`` is loaded.
+
+    The module is looked up at call time, not imported: no handler can
+    exist until the application has imported ``logging``, so until then
+    there is nothing to send the record to, and the package never loads
+    it for a record nobody can receive.  The record names the caller's
+    function and line, as a call on a module-level logger would."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(logger).debug(msg, *args, stacklevel=2)
 
 
 class NullgridError(Exception):

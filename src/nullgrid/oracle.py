@@ -26,10 +26,8 @@ and grid values, which are held all at once, refuse grids above
 from __future__ import annotations
 
 import itertools
-import logging
 import random
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from math import floor, isqrt, prod
 from typing import TYPE_CHECKING, NamedTuple
@@ -38,14 +36,13 @@ from .errors import (
     GridTooLargeError,
     HypothesisViolationError,
     UnsupportedRingError,
+    debug,
 )
 from .poly import GridSpec, Polynomial, annihilator, check_compatible, words
 from .ring import RingSpec, is_prime, require_grid_condition
 
 if TYPE_CHECKING:
     from .bounds import BoundReport
-
-log = logging.getLogger(__name__)
 
 DEFAULT_POINT_LIMIT = 100_000_000
 DEFAULT_ZERO_SET_CAP = 1_000_000
@@ -67,10 +64,10 @@ _cold_work_left = 200_000
 _REFERENCE_WORK = 3 * 10**7
 
 
-@dataclass(frozen=True)
-class GridCount:
+class GridCount(NamedTuple):
     """Exhaustive count of a polynomial over a grid.  zero_set lists the
-    zero points in odometer order when collected, else None."""
+    zero points in odometer order when collected, else None.  A
+    NamedTuple, like the package's other records."""
 
     nonzeros: int
     zeros: int
@@ -93,8 +90,10 @@ class BoundCheck(NamedTuple):
     slack: int
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
+    """Every bound of the catalogue held against the exact count, one
+    check per catalogue entry.  A NamedTuple."""
+
     nonzero_count: int
     zero_count: int
     grid_size: int
@@ -245,9 +244,9 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     if reason is None and (prod(widths) > _CELL_BUDGET or row > _CELL_BUDGET):
         reason = "tensor budget"
     rows = min(sizes[0], _CELL_BUDGET // row)
-    log.debug("grid evaluation path=%s reason=%s primes=%d chunks=%d",
-              "reference" if reason else "kernel", reason or "none",
-              0 if m else len(moduli), 0 if reason else -(-sizes[0] // rows))
+    debug(__name__, "grid evaluation path=%s reason=%s primes=%d chunks=%d",
+          "reference" if reason else "kernel", reason or "none",
+          0 if m else len(moduli), 0 if reason else -(-sizes[0] // rows))
     if reason is None:
         return exps, moduli, rows
     words = _reference_words(f, bounds)
@@ -418,10 +417,10 @@ def tightness_family(grid: GridSpec, d: tuple[int, ...]) -> Polynomial:
                                          for combo in itertools.product(*factors)})
 
 
-@dataclass(frozen=True)
-class MinNonzeroResult:
+class MinNonzeroResult(NamedTuple):
     """Outcome of the minimum-nonzero-count search over a coefficient
-    space.  exhaustive is False when only a sampled subset was tried."""
+    space.  exhaustive is False when only a sampled subset was tried.
+    A NamedTuple."""
 
     min_count: int
     witness: Polynomial
@@ -502,8 +501,8 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
         blocks = _sample_blocks(random.Random(seed), p, k, req_idx, sample_budget, rows)
         exhaustive, tried = False, sample_budget
         source = "words" if p.bit_length() <= 32 else "randrange"
-    log.debug("min search path=%s candidates=%d blocks=%d source=%s",
-              "exhaustive" if exhaustive else "sampled", tried, -(-tried // rows), source)
+    debug(__name__, "min search path=%s candidates=%d blocks=%d source=%s",
+          "exhaustive" if exhaustive else "sampled", tried, -(-tried // rows), source)
 
     best_count, best_coeffs = _best_assignment(blocks, matrix, p)
     witness = Polynomial(grid.arity, ring, dict(zip(support, best_coeffs)))

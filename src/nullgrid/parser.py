@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
@@ -35,7 +34,7 @@ from .errors import (
     UnknownVariableError,
 )
 from .poly import Polynomial, product_work, words
-from .ring import RingSpec
+from .ring import RingSpec, _Frozen
 
 MAX_EXPONENT = 10**6
 MAX_EXPANSION_WORK = 4 * 10**6
@@ -46,19 +45,36 @@ MAX_EXPANSION_WORK = 4 * 10**6
 VAR, CONST, ADD, SUB, MUL, NEG, POW = "var", "const", "add", "sub", "mul", "neg", "pow"
 
 
-@dataclass(frozen=True)
-class ExprDag:
+class ExprDag(_Frozen):
     """A hash-consed expression DAG over a ring.
 
     ``nodes`` is topologically ordered (children precede parents), so a
     single forward pass evaluates every node exactly once.  Structurally
     identical subtrees are shared: building x*y twice yields one mul node.
+    Immutable; a ``__slots__`` class, since a tuple base would give it a
+    ``len`` of four fields where its own ``len`` counts the nodes.
     """
 
-    arity: int
-    ring: RingSpec
-    nodes: tuple[tuple, ...]
-    root: int
+    __slots__ = __match_args__ = ("arity", "ring", "nodes", "root")
+
+    def __init__(self, arity: int, ring: RingSpec, nodes: tuple[tuple, ...], root: int):
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "root", root)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.arity, self.ring, self.nodes, self.root) == \
+            (other.arity, other.ring, other.nodes, other.root)
+
+    def __hash__(self):
+        return hash((self.arity, self.ring, self.nodes, self.root))
+
+    def __repr__(self) -> str:
+        return (f"ExprDag(arity={self.arity!r}, ring={self.ring!r}, "
+                f"nodes={self.nodes!r}, root={self.root!r})")
 
     def __len__(self) -> int:
         return len(self.nodes)

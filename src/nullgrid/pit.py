@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InsufficientSampleSpaceError, UnsupportedRingError
 from .parser import DagBuilder, ExprDag, fold_dag
@@ -46,14 +46,13 @@ def dag_difference(g1: ExprDag, g2: ExprDag) -> ExprDag:
     return builder.build(builder.sub(r1, r2))
 
 
-@dataclass(frozen=True)
-class PitVerdict:
+class PitVerdict(NamedTuple):
     """Outcome of a randomized identity test.
 
     status is "nonzero-witnessed" (with the witnessing point, its value,
     and the 0-based trial index) or "all-zero" (with the exact failure
     bound (d/s)^t).  Identical verdicts for identical seeds: the t sample
-    points are drawn up front from the seeded generator.
+    points are drawn up front from the seeded generator.  A NamedTuple.
     """
 
     status: str

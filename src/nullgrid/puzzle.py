@@ -17,30 +17,41 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from math import comb, isqrt
+from typing import NamedTuple
 
 from .errors import SearchBudgetError
 
 
-@dataclass(frozen=True)
-class PuzzleInstance:
-    """Row/column keys and the addition-table offsets.  Row keys and
-    column keys must each be distinct; u and v are unconstrained."""
-
+class _PuzzleFields(NamedTuple):
     a: tuple[int, ...]
     b: tuple[int, ...]
     u: tuple[int, ...]
     v: tuple[int, ...]
 
-    def __post_init__(self):
-        s = len(self.a)
-        if not (len(self.b) == len(self.u) == len(self.v) == s) or s == 0:
+
+class PuzzleInstance(_PuzzleFields):
+    """Row/column keys and the addition-table offsets.  Row keys and
+    column keys must each be distinct; u and v are unconstrained.
+
+    A NamedTuple that validates on construction, ``_make`` and
+    ``_replace`` included, so an invalid instance cannot be built."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: tuple[int, ...], b: tuple[int, ...], u: tuple[int, ...], v: tuple[int, ...]):
+        s = len(a)
+        if not (len(b) == len(u) == len(v) == s) or s == 0:
             raise ValueError("a, b, u, v must be nonempty and of equal length")
-        if len(set(self.a)) != s:
-            raise ValueError(f"row keys must be distinct, got {self.a}")
-        if len(set(self.b)) != s:
-            raise ValueError(f"column keys must be distinct, got {self.b}")
+        if len(set(a)) != s:
+            raise ValueError(f"row keys must be distinct, got {a}")
+        if len(set(b)) != s:
+            raise ValueError(f"column keys must be distinct, got {b}")
+        return super().__new__(cls, a, b, u, v)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def s(self) -> int:
@@ -53,9 +64,9 @@ class PuzzleInstance:
         return [[ui + vj for vj in self.v] for ui in self.u]
 
 
-@dataclass(frozen=True)
-class AgreementPattern:
-    """The agreeing cells of an instance, as 0-based (row, column) pairs."""
+class AgreementPattern(NamedTuple):
+    """The agreeing cells of an instance, as 0-based (row, column) pairs.
+    A NamedTuple, like the other records of this module."""
 
     cells: frozenset[tuple[int, int]]
     count: int
@@ -92,8 +103,10 @@ def zarankiewicz_k22_bound(s: int) -> int:
     return (s + isqrt(s * s * (4 * s - 3))) // 2
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
+    """Best instance of ``exhaustive_search``, its pattern, and how many
+    (a, b, u) tuples it examined.  A NamedTuple."""
+
     instance: PuzzleInstance
     pattern: AgreementPattern
     examined: int
@@ -153,8 +166,10 @@ def exhaustive_search(s: int, value_range: int, budget: int = 100_000_000) -> Se
 STALL_LIMIT = 1_000
 
 
-@dataclass(frozen=True)
-class LocalSearchResult:
+class LocalSearchResult(NamedTuple):
+    """Best instance of ``local_search``, its pattern, the steps and
+    restarts taken, and each improvement of the best count.  A NamedTuple."""
+
     instance: PuzzleInstance
     pattern: AgreementPattern
     steps: int

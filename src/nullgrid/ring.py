@@ -16,8 +16,8 @@ mixed-ring arithmetic.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import GridTooLargeError, HypothesisViolationError, RingMismatchError, UnsupportedRingError
 
@@ -57,30 +57,61 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class _Frozen:
+    """Base of the package's immutable ``__slots__`` classes.  Like a frozen
+    dataclass, an instance refuses to set or delete any attribute; its
+    constructor sets the ``__slots__`` fields through ``object.__setattr__``,
+    and it pickles and copies by calling the class on them, in order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class RingSpec(_Frozen):
     """A coefficient ring: ``fp`` (prime field), ``int``, or ``zmod``.
 
     The modulus is eagerly validated, so an invalid ring cannot be
     constructed.  Instances are immutable and hashable; two specs are the
-    same ring exactly when they compare equal.
+    same ring exactly when they compare equal.  A ``__slots__`` class
+    rather than a tuple, so that it has no tuple behaviour (``len``,
+    ``+``, ``<``) and the arithmetic methods read ``modulus`` from a slot.
     """
 
-    kind: str
-    modulus: int | None = None
+    __slots__ = __match_args__ = ("kind", "modulus")
 
-    def __post_init__(self):
-        if self.kind == FP:
-            if self.modulus is None or not is_prime(self.modulus):
-                raise ValueError(f"fp modulus must be prime, got {self.modulus}")
-        elif self.kind == ZMOD:
-            if self.modulus is None or self.modulus < 2:
-                raise ValueError(f"zmod modulus must be >= 2, got {self.modulus}")
-        elif self.kind == INT:
-            if self.modulus is not None:
+    def __init__(self, kind: str, modulus: int | None = None):
+        if kind == FP:
+            if modulus is None or not is_prime(modulus):
+                raise ValueError(f"fp modulus must be prime, got {modulus}")
+        elif kind == ZMOD:
+            if modulus is None or modulus < 2:
+                raise ValueError(f"zmod modulus must be >= 2, got {modulus}")
+        elif kind == INT:
+            if modulus is not None:
                 raise ValueError("the integer ring takes no modulus")
         else:
-            raise ValueError(f"unknown ring kind {self.kind!r}")
+            raise ValueError(f"unknown ring kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "modulus", modulus)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.kind == other.kind and self.modulus == other.modulus)
+
+    def __hash__(self):
+        return hash((self.kind, self.modulus))
+
+    def __repr__(self) -> str:
+        return f"RingSpec(kind={self.kind!r}, modulus={self.modulus!r})"
 
     # -- constructors ------------------------------------------------------
 
@@ -164,18 +195,21 @@ class RingSpec:
         return self.kind if self.modulus is None else f"{self.kind}:{self.modulus}"
 
 
-@dataclass(frozen=True, eq=False)
-class RingElem:
+class RingElem(_Frozen):
     """A ring element: a canonical integer representative plus its ring.
 
     Arithmetic between elements of different rings raises
     RingMismatchError rather than guessing a coercion.  Comparison against
     plain ints canonicalizes the int first, so ``ring.element(-1) == p - 1``
-    holds in F_p.
+    holds in F_p.  A ``__slots__`` class: a tuple base would add tuple
+    ``+``, ``*``, ``<`` and ``len`` to an arithmetic type.
     """
 
-    ring: RingSpec
-    value: int
+    __slots__ = __match_args__ = ("ring", "value")
+
+    def __init__(self, ring: RingSpec, value: int):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "value", value)
 
     def _combine(self, op, other, reflected: bool = False):
         """op(self, other), or op(other, self) when reflected, as an element
@@ -232,14 +266,15 @@ class RingElem:
         return f"{self.value} ({self.ring})"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of the grid condition check.
 
     failures lists (variable index, x, y, x - y) for the first
     ``LISTED_FAILURES`` ordered pairs of distinct set elements, in scan
     order, whose difference is a zero divisor; count is how many such
-    pairs there are in all.
+    pairs there are in all.  A NamedTuple, as every plain record of the
+    package is: building the class costs a fifth of a frozen dataclass,
+    and the package loads no ``dataclasses``.
     """
 
     ok: bool

@@ -17,8 +17,7 @@ are validated against their defining power-sum identities at build time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import GridTooLargeError, HypothesisViolationError, UnsupportedRingError
 from .poly import (
@@ -108,13 +107,13 @@ def _reduce_variable(f: Polynomial, grid: GridSpec, var: int) -> Polynomial:
                                       for k, layer in layers.items() for rest, c in layer.items()})
 
 
-@dataclass(frozen=True)
-class Multipliers:
+class Multipliers(NamedTuple):
     """Interpolation-style multipliers g over a set S for a degree d.
 
     g is supported on the first d + 1 elements of S (stored order) and
     satisfies sum_{a in S} g(a) a^k = 0 for k < d and = 1 for k = d.
     With |S| = d + 1 this is g(a_j) = 1 / prod_{k != j} (a_j - a_k).
+    A NamedTuple.
     """
 
     ring: RingSpec

@@ -2,6 +2,9 @@ import pytest
 
 from nullgrid import oracle
 
+# the record contract's asserts report their operands, as a test's do
+pytest.register_assert_rewrite("record_contract")
+
 
 @pytest.fixture
 def numpy_counted_as_loaded(monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -31,6 +30,7 @@ from nullgrid.oracle import BoundCheck, random_polynomial, verify_bounds
 from nullgrid.parser import parse_poly
 from nullgrid.poly import GridSpec, Polynomial
 from nullgrid.ring import RingSpec
+from record_contract import as_reference, assert_same_record, reference_jsonable
 
 Z = RingSpec.integers()
 
@@ -223,54 +223,6 @@ def test_collect_bounds_zero_poly():
     assert collect_bounds(Polynomial.zero(2, Z), grid) == []
 
 
-@dataclasses.dataclass(frozen=True)
-class _DataclassBoundReport:
-    """BoundReport as the frozen dataclass it was before it became a
-    NamedTuple: the reference for the record contract."""
-
-    name: str
-    value: object
-    assumptions: str
-    witness_d: tuple[int, ...] | None = None
-    witness_e: tuple[int, ...] | None = None
-    order: tuple[int, ...] | None = None
-    kind: str = "count"
-    guaranteed: bool = True
-    asymptotic: bool = False
-    argmin: tuple[int, ...] | None = None
-    requires_nonzero_on_grid: bool = False
-
-
-@dataclasses.dataclass(frozen=True)
-class _DataclassBoundCheck:
-    """BoundCheck as the frozen dataclass it was."""
-
-    report: _DataclassBoundReport
-    sound: bool
-    slack: int
-
-
-# named as the package names its records, so the dataclass reprs read the same
-_DataclassBoundReport.__qualname__ = "BoundReport"
-_DataclassBoundCheck.__qualname__ = "BoundCheck"
-
-
-def _assert_same_record(record, reference):
-    """The NamedTuple and the frozen-dataclass reference agree on field
-    names and defaults, and built from one set of values they agree on
-    repr, hash and JSON; the NamedTuple refuses attribute assignment."""
-    fields = dataclasses.fields(reference)
-    assert type(record)._fields == tuple(fl.name for fl in fields)
-    assert type(record)._field_defaults == {fl.name: fl.default for fl in fields
-                                            if fl.default is not dataclasses.MISSING}
-    assert repr(record) == repr(reference)
-    assert hash(record) == hash(reference)
-    assert jsonable(record) == jsonable(reference)
-    for name in (record._fields[0], "extra"):
-        with pytest.raises(AttributeError):
-            setattr(record, name, None)
-
-
 def test_bound_records_keep_the_frozen_dataclass_contract():
     # the ellipse catalogue has int, Fraction and float values, orders,
     # seeds and an argmin; its checks nest a report with a Fraction value
@@ -279,15 +231,14 @@ def test_bound_records_keep_the_frozen_dataclass_contract():
     reports = collect_bounds(f, grid)
     assert {type(r.value) for r in reports} == {int, Fraction, float}
     for r in reports:
-        _assert_same_record(r, _DataclassBoundReport(*r))
+        assert_same_record(r)
     report = verify_bounds(f, grid)
     assert any(isinstance(c.report.value, Fraction) for c in report.checks)
-    references = tuple(_DataclassBoundCheck(_DataclassBoundReport(*c.report), c.sound, c.slack)
-                       for c in report.checks)
-    for c, reference in zip(report.checks, references):
+    for c in report.checks:
         assert isinstance(c, BoundCheck)
-        _assert_same_record(c, reference)
-    assert jsonable(report) == jsonable(dataclasses.replace(report, checks=references))
+        assert_same_record(c)
+    references = tuple(as_reference(c) for c in report.checks)
+    assert jsonable(report) == reference_jsonable(report._replace(checks=references))
 
 
 def _reference_collect_bounds(f, grid):

@@ -260,7 +260,7 @@ def test_logging_is_silent_by_default():
             "from nullgrid import oracle, parse_poly, GridSpec, RingSpec\n"
             "F = RingSpec.prime_field(7); f = parse_poly('x*y + 1', ['x', 'y'], F)\n"
             "grid = GridSpec(F, [range(3), range(3)])\n"
-            "assert oracle.log.isEnabledFor(logging.DEBUG)\n"
+            "assert logging.getLogger('nullgrid.oracle').isEnabledFor(logging.DEBUG)\n"
             "oracle.verify_bounds(f, grid, count=oracle.count_nonzeros(f, grid))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))

@@ -1,0 +1,134 @@
+"""Every record keeps the contract it had as a frozen dataclass.
+
+Each record is built by the package call that makes it and compared
+with a test-only frozen-dataclass copy of its old type (see
+``record_contract``).  The three records that validate their fields
+raise the same errors as their copies, also through ``_replace``.
+"""
+
+import dataclasses
+
+import pytest
+
+from nullgrid.bounds import AFInstance
+from nullgrid.errors import HypothesisViolationError
+from nullgrid.oracle import count_nonzeros, min_nonzero_search, verify_bounds
+from nullgrid.parser import parse_dag, parse_poly
+from nullgrid.pit import identity_test
+from nullgrid.poly import GridSpec
+from nullgrid.puzzle import PuzzleInstance, agreement_count, exhaustive_search, local_search
+from nullgrid.ring import RingSpec, grid_condition_check
+from nullgrid.transform import vandermonde_multipliers
+from record_contract import as_reference, assert_same_equality, assert_same_record, copy_of
+
+F7 = RingSpec.prime_field(7)
+F101 = RingSpec.prime_field(101)
+Z = RingSpec.integers()
+Z12 = RingSpec.integers_mod(12)
+
+
+def _samples():
+    """Records of every converted type, as the package builds them."""
+    f = parse_poly("x^2*y - 3*x + 1", ["x", "y"], F7)
+    grid = GridSpec(F7, [range(5), range(4)])
+    g1 = parse_dag("(x + y)^3", ["x", "y"], F101)
+    g2 = parse_dag("x^3 + 3*x^2*y + 3*x*y^2 + y^3", ["x", "y"], F101)
+    g3 = parse_dag("x^3 + y^3", ["x", "y"], F101)
+    search = exhaustive_search(2, 2)
+    return {
+        "RingSpec": [F7, F101, Z, Z12, RingSpec.from_string("fp:7")],
+        "RingElem": [F7.element(-1), F7.element(6), F101.element(6), Z.element(-1)],
+        "ExprDag": [g1, g2, g3, parse_dag("(x + y)^3", ["x", "y"], F101)],
+        "CheckResult": [grid_condition_check(Z12, [range(12), range(3)]),
+                        grid_condition_check(Z12, [[1, 2], [0, 5, 7]]),
+                        grid_condition_check(F7, [range(5)])],
+        "GridCount": [count_nonzeros(f, grid, collect_zeros=True),
+                      count_nonzeros(f, grid, collect_zeros=False),
+                      count_nonzeros(f, grid, collect_zeros=False)],
+        "VerificationReport": [verify_bounds(f, grid),
+                               verify_bounds(parse_poly("x^2 - 4*x*y + y^2", ["x", "y"], Z),
+                                             GridSpec(Z, [range(5), range(5)]))],
+        "MinNonzeroResult": [min_nonzero_search(((1, 0), (0, 1), (0, 0)), (1, 0),
+                                                GridSpec(F7, [range(3), range(3)])),
+                             min_nonzero_search(((2, 0), (1, 1), (0, 0)), (2, 0),
+                                                GridSpec(F7, [range(4), range(2)]),
+                                                exhaustive_limit=10, sample_budget=50, seed=3)],
+        "PitVerdict": [identity_test(g1, g2, samples_per_var=50, trials=5, seed=1),
+                       identity_test(g1, g3, samples_per_var=50, trials=5, seed=1)],
+        "AFInstance": [AFInstance((8, 8), (5, 2), 7), AFInstance((5, 5), (2, 2), 4),
+                       AFInstance((5, 5), (2, 2), 4)],
+        "PuzzleInstance": [search.instance, PuzzleInstance((1, 2), (3, 4), (0, 0), (5, 6))],
+        "AgreementPattern": [search.pattern, agreement_count(search.instance)],
+        "SearchResult": [search, exhaustive_search(2, 3)],
+        "LocalSearchResult": [local_search(3, budget=300, seed=5),
+                              local_search(3, budget=300, seed=6)],
+        "Multipliers": [vandermonde_multipliers(F7, [1, 2, 4]),
+                        vandermonde_multipliers(F7, [1, 2, 4], 1),
+                        vandermonde_multipliers(F101, [1, 2, 4])],
+    }
+
+
+SAMPLES = _samples()
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_record_keeps_the_frozen_dataclass_contract(name):
+    records = SAMPLES[name]
+    assert {type(r).__name__ for r in records} == {name}
+    for record in records:
+        assert_same_record(record)
+    assert_same_equality(records)
+
+
+def test_samples_reach_every_field_shape():
+    # both verdicts, an unlisted failure count, a Fraction value and a
+    # sampled search are among the samples
+    assert {v.status for v in SAMPLES["PitVerdict"]} == {"all-zero", "nonzero-witnessed"}
+    assert any(c.count > len(c.failures) > 0 for c in SAMPLES["CheckResult"])
+    assert {m.exhaustive for m in SAMPLES["MinNonzeroResult"]} == {True, False}
+    assert any(type(c.report.value).__name__ == "Fraction"
+               for r in SAMPLES["VerificationReport"] for c in r.checks)
+    assert SAMPLES["GridCount"][0].zero_set and SAMPLES["GridCount"][1].zero_set is None
+
+
+def _error(build, *args, **kwargs):
+    """The type and message of what ``build`` raises.  A missing argument
+    is a TypeError on both sides, but its message names ``__init__`` or
+    ``__new__``, so only its type is kept."""
+    with pytest.raises(Exception) as info:
+        build(*args, **kwargs)
+    return type(info.value), None if type(info.value) is TypeError else str(info.value)
+
+
+INVALID = [
+    (RingSpec, ("fp", 12)), (RingSpec, ("fp", None)), (RingSpec, ("fp",)),
+    (RingSpec, ("zmod", 1)), (RingSpec, ("zmod",)), (RingSpec, ("int", 5)),
+    (RingSpec, ("gf", 7)), (RingSpec, ()),
+    (AFInstance, ((5, 5), (2,), 3)), (AFInstance, ((), (), 0)), (AFInstance, ((5, 0), (2, 0), 1)),
+    (AFInstance, ((5, 5), (-1, 2), 1)), (AFInstance, ((5, 5), (5, 2), 4)),
+    (AFInstance, ((5, 5), (2, 2), 5)), (AFInstance, ((5, 5), (2, 2), -1)), (AFInstance, ((5,), (2,))),
+    (PuzzleInstance, ((1, 2), (3, 4), (0,), (5, 6))), (PuzzleInstance, ((), (), (), ())),
+    (PuzzleInstance, ((1, 1), (3, 4), (0, 0), (5, 6))),
+    (PuzzleInstance, ((1, 2), (4, 4), (0, 0), (5, 6))), (PuzzleInstance, ((1, 2), (3, 4), (0, 0))),
+]
+
+
+@pytest.mark.parametrize("record,args", INVALID, ids=lambda v: v.__name__ if isinstance(v, type) else "")
+def test_validating_records_raise_as_before(record, args):
+    expected = _error(copy_of(record), *args)
+    assert _error(record, *args) == expected
+    assert expected[0] in (ValueError, HypothesisViolationError, TypeError)
+
+
+@pytest.mark.parametrize("record,changes", [
+    (AFInstance((5, 5), (2, 2), 4), {"total": 5}),
+    (AFInstance((5, 5), (2, 2), 4), {"caps": (5, 2)}),
+    (PuzzleInstance((1, 2), (3, 4), (0, 0), (5, 6)), {"a": (1, 1)}),
+    (PuzzleInstance((1, 2), (3, 4), (0, 0), (5, 6)), {"v": (5,)}),
+])
+def test_replace_and_make_validate_as_dataclasses_replace_did(record, changes):
+    expected = _error(dataclasses.replace, as_reference(record), **changes)
+    assert _error(record._replace, **changes) == expected
+    assert _error(type(record)._make, {**record._asdict(), **changes}.values()) == expected
+    valid = record._replace()
+    assert valid == record and type(valid) is type(record)
