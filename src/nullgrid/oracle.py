@@ -4,18 +4,23 @@ Everything else in the package makes claims; this module checks them by
 evaluating polynomials at every grid point.  One exact numpy kernel
 (``_kernel_chunks``, guarded by ``_plan``) serves counting,
 ``transform.grid_values`` and the value matrix of ``min_nonzero_search``
-over every ring; over Z, ``_garner`` rebuilds integer values from the
-residues.  The pure-Python recursion ``_count_rec`` is kept on purpose
-as the independent reference the tests compare the kernel against, and
-runs wherever a kernel guard fails, on small grids, and on larger ones
-until numpy is loaded or a work budget under its import cost is spent.
+over every ring.  It contracts a coefficient tensor with power tables
+built by vectorized square-and-multiply (``_power_table``), for all its
+moduli at once: over Z the word primes ride on one leading axis, in
+batches sized to ``_CELL_BUDGET`` cells summed over the batch's primes,
+and ``_garner`` rebuilds integer values from the residues.  The
+pure-Python recursion ``_count_rec`` is kept on purpose as the
+independent reference the tests compare the kernel against, and runs
+wherever a kernel guard fails, on small grids, and on larger ones until
+numpy is loaded or a work budget under its import cost is spent.
 ``min_nonzero_search`` scores its candidate coefficient vectors in
 int64 blocks, decoded in mixed radix when it enumerates the space and
 drawn from bulk generator words (the exact ``randrange`` stream of its
-seed) when it samples.  Each evaluation and
-each search logs its path at DEBUG level on the ``nullgrid`` logger.
-numpy is imported only when the kernel or the search runs, so a short
-run never loads it.
+seed) when it samples; ``_best_assignment`` decides p | v for each value
+by one multiplication with the inverse of p modulo 2^64, with no
+division.  Each evaluation and each search logs its path at DEBUG level
+on the ``nullgrid`` logger.  numpy is imported only when the kernel or
+the search runs, so a short run never loads it.
 
 Counting refuses grids above a configurable point limit instead of
 running forever, the reference refuses work above ``_REFERENCE_WORK``,
@@ -46,8 +51,9 @@ if TYPE_CHECKING:
 
 DEFAULT_POINT_LIMIT = 100_000_000
 DEFAULT_ZERO_SET_CAP = 1_000_000
-# most int64 cells the kernel holds in its coefficient tensor or in any
-# intermediate of one S_1 slice (32 MiB)
+# most int64 cells in one array of the kernel, counted over every prime of
+# a batch: the coefficient tensor, a power table, or an intermediate of one
+# S_1 slice (32 MiB)
 _CELL_BUDGET = 1 << 22
 # most word-size primes the kernel uses over Z before leaving it to the reference
 _MAX_PRIMES = 16
@@ -176,9 +182,9 @@ def _reference_words(f: Polynomial, bounds: list[int]) -> int:
 
 
 def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
-    """The kernel's distinct exponents E_i, moduli and S_1 slice height,
-    or None when the reference must run instead.  Logs the choice at
-    DEBUG level.
+    """The kernel's distinct exponents E_i, moduli, primes per batch and
+    S_1 slice height, or None when the reference must run instead.  Logs
+    the choice at DEBUG level.
 
     Grids whose points times terms are at most ``_SMALL_GRID`` go to the
     reference ("small grid").  There the reference takes at most about
@@ -194,8 +200,9 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     ``_REFERENCE_WORK``.
 
     Each contraction sums at most |E_i| products of residues below q, so
-    the guard (q - 1)^2 * max |E_i| < 2^63 keeps int64 arithmetic exact.
-    Over F_p and Z_m the one modulus is m.
+    the guard (q - 1)^2 * max |E_i| < 2^63 keeps int64 arithmetic exact,
+    and with it each product of two residues in the power tables.  Over
+    F_p and Z_m the one modulus is m.
 
     Over Z the kernel takes distinct primes q under the same guard, as
     few as make their product Q exceed the height
@@ -209,6 +216,17 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     vanishes on the whole grid, no prime is needed (the empty product
     1 exceeds 0), and with no residue to say otherwise every point is
     a zero of value 0.
+
+    The kernel runs its primes in batches that share every contraction,
+    and ``_CELL_BUDGET`` bounds each array of a batch summed over its
+    primes: a batch takes as many primes as keep its coefficient tensor
+    (prod |E_i| cells a prime), each power table (|S_i| |E_i|) and its
+    intermediate for one S_1 element within the budget, and the S_1 slice
+    height then fills the budget.  "tensor budget" sends a grid to the
+    reference only when one prime's tensor or one S_1 element's
+    intermediate exceeds the budget, so splitting the primes into more
+    batches never does.  A batch holds at least one prime, whose power
+    table alone may still exceed the budget when |S_i| |E_i| > 2^22.
     """
     global _cold_work_left
     exps = [sorted({key[i] for key in f.terms}) or [0] for i in range(f.arity)]
@@ -239,16 +257,21 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
             product *= q
         if product <= height:
             reason = "prime count"
-    # cells per S_1 element of the intermediate once variables 1..i+1 are substituted
+    # cells per prime per S_1 element of the intermediate once variables 1..i+1 are substituted
     row = max(prod(sizes[1:i + 1]) * prod(widths[i + 1:]) for i in range(grid.arity))
-    if reason is None and (prod(widths) > _CELL_BUDGET or row > _CELL_BUDGET):
+    tensor = prod(widths)
+    if reason is None and (tensor > _CELL_BUDGET or row > _CELL_BUDGET):
         reason = "tensor budget"
-    rows = min(sizes[0], _CELL_BUDGET // row)
+    # primes per batch: as many as keep the batch's tensor, each of its power
+    # tables and its intermediate for one S_1 element within the budget
+    per_prime = max(tensor, row, *(s * w for s, w in zip(sizes, widths)))
+    group = max(1, min(len(moduli), _CELL_BUDGET // per_prime))
+    rows = min(sizes[0], _CELL_BUDGET // (group * row))
     debug(__name__, "grid evaluation path=%s reason=%s primes=%d chunks=%d",
           "reference" if reason else "kernel", reason or "none",
           0 if m else len(moduli), 0 if reason else -(-sizes[0] // rows))
     if reason is None:
-        return exps, moduli, rows
+        return exps, moduli, group, rows
     words = _reference_words(f, bounds)
     if points * words > _REFERENCE_WORK:
         raise GridTooLargeError(f"reference evaluation needs {points} points x {words} "
@@ -256,39 +279,75 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     return None
 
 
-def _kernel_chunks(f: Polynomial, grid: GridSpec, exps: list[list[int]],
-                   moduli: list[int], rows: int):
-    """Yield (start, stop, residues) for successive slices S_1[start:stop]:
-    f modulo each of ``moduli`` on the slice times S_2 x ... x S_n, as
-    int64 arrays in odometer order.
+def _power_table(s: tuple[int, ...], exps: list[int], moduli: list[int]):
+    """The int64 array V[k, a, j] = s[a]^exps[j] mod moduli[k], by
+    square-and-multiply over the bits of the exponents, all cells at once.
 
-    The coefficient tensor T over the distinct exponents E_i is
-    contracted with the power tables V_i[a, j] = a^{E_i[j]} mod q, one
-    variable at a time, reducing mod q after each step.  ``_plan``
-    supplies moduli that keep this exact and a slice height that keeps
-    every intermediate under the cell budget.
+    The elements are reduced modulo each q in Python first, so negative
+    and huge integers stay exact; after that every product is of two
+    residues below q, exact in int64 while (q - 1)^2 < 2^63, which the
+    guard of ``_plan`` implies.  Exponents may exceed int64: only their
+    bits are read, in Python.
     """
     import numpy as np
 
+    q = np.array(moduli, dtype=np.int64).reshape(-1, 1, 1)
+    power = np.array([[a % m for a in s] for m in moduli], dtype=np.int64).reshape(len(moduli), len(s), 1)
+    out = np.ones((len(moduli), len(s), len(exps)), dtype=np.int64)
+    for bit in range(max(exps).bit_length()):
+        if bit:
+            power = power * power % q
+        mask = np.array([e >> bit & 1 for e in exps], dtype=bool)
+        out[:, :, mask] = out[:, :, mask] * power % q
+    return out
+
+
+def _kernel_chunks(f: Polynomial, grid: GridSpec, exps: list[list[int]],
+                   moduli: list[int], group: int, rows: int):
+    """Yield (start, stop, batches) for successive slices S_1[start:stop]:
+    f modulo each of ``moduli`` on the slice times S_2 x ... x S_n, as one
+    int64 array of shape (primes, stop - start, |S_2|, ..., |S_n|) per
+    batch of at most ``group`` primes, in odometer order.
+
+    The coefficient tensor T over the distinct exponents E_i is
+    contracted with the power tables V_i[a, j] = a^{E_i[j]} mod q
+    (``_power_table``), one variable at a time, reducing mod q after each
+    step.  Every prime of a batch rides on a leading axis, so each
+    ``matmul`` and each ``%`` runs once for the whole batch.  ``_plan``
+    supplies moduli that keep this exact, and a batch size and slice
+    height that keep the batch's tensor, its power tables and every
+    intermediate under the cell budget.
+    """
+    import numpy as np
+
+    widths = [len(ex) for ex in exps]
     index = [{e: j for j, e in enumerate(ex)} for ex in exps]
-    coords = tuple(np.array([ix[key[i]] for key in f.terms], dtype=np.intp)
-                   for i, ix in enumerate(index))
-    tables = []
-    for q in moduli:
-        tensor = np.zeros([len(ex) for ex in exps], dtype=np.int64)
-        tensor[coords] = [c % q for c in f.terms.values()]
-        powers = [np.array([[pow(a, e, q) for e in ex] for a in s], dtype=np.int64)
-                  for s, ex in zip(grid.sets, exps)]
-        tables.append((q, tensor, powers))
+    coords = (slice(None),) + tuple(np.array([ix[key[i]] for key in f.terms], dtype=np.intp)
+                                    for i, ix in enumerate(index))
+    batches = []
+    for at in range(0, len(moduli), group):
+        qs = moduli[at:at + group]
+        tensor = np.zeros([len(qs)] + widths, dtype=np.int64)
+        tensor[coords] = [[c % q for c in f.terms.values()] for q in qs]
+        tables = [_power_table(s, ex, qs) for s, ex in zip(grid.sets, exps)]
+        batches.append((np.array(qs, dtype=np.int64).reshape(-1, 1, 1),
+                        tensor.reshape(len(qs), widths[0], -1), tables))
     first = len(grid.sets[0])
     for start in range(0, first, rows):
         stop = min(start + rows, first)
         residues = []
-        for q, tensor, (head, *tail) in tables:
-            r = np.tensordot(head[start:stop], tensor, axes=1) % q
+        for q, tensor, (head, *tail) in batches:
+            k = len(q)
+            r = np.matmul(head[:, start:stop], tensor)
+            r %= q
             for v in tail:
-                r = np.tensordot(r, v, axes=([1], [1])) % q
-            residues.append(r)
+                # contract the exponent axis after the rows; the new grid
+                # axis goes last, so the next exponent axis comes first
+                w = v.shape[2]
+                r = np.matmul(r.reshape(k, stop - start, w, -1).swapaxes(2, 3).reshape(k, -1, w),
+                              v.swapaxes(1, 2))
+                r %= q
+            residues.append(r.reshape((k, stop - start) + grid.sizes[1:]))
         yield start, stop, residues
 
 
@@ -322,7 +381,7 @@ def _grid_values(f: Polynomial, grid: GridSpec) -> list[int]:
         return [0] * size
     import numpy as np
 
-    rebuild = (lambda res: res[0]) if f.ring.modulus else (lambda res: _garner(res, moduli))
+    rebuild = (lambda res: res[0][0]) if f.ring.modulus else (lambda res: _garner(itertools.chain(*res), moduli))
     return np.concatenate([rebuild(res).ravel() for _, _, res in _kernel_chunks(f, grid, *plan)]).tolist()
 
 
@@ -356,7 +415,7 @@ def count_nonzeros(f: Polynomial, grid: GridSpec, *,
     for start, stop, residues in _kernel_chunks(f, grid, *plan):
         hit = np.zeros((stop - start,) + grid.sizes[1:], dtype=bool)
         for r in residues:
-            hit |= r != 0
+            hit |= r.any(axis=0)
         nonzeros += int(np.count_nonzero(hit))
         if zeros is not None:
             at = np.argwhere(~hit)
@@ -445,6 +504,9 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
     (fewer when the grid is large, so one block's value matrix stays
     under the cell budget), and the first candidate that reaches the
     global minimum wins, so the answer does not depend on the block size.
+    Each block is scored by one matrix product and, for each value v, an
+    exact test of p | v by multiplication in uint64 (``_best_assignment``),
+    with no int64 ``% p``.
     The exhaustive path decodes an index range in mixed radix
     (``_product_blocks``), which is ``itertools.product`` order.  The
     sampled path yields, for every seed, exactly the vectors of
@@ -589,18 +651,38 @@ def _best_assignment(blocks, matrix: list[list[int]], p: int) -> tuple[int, tupl
 
     Scores each block with one integer matrix product; the first
     candidate attaining the global minimum wins, independent of the block
-    size.  The product runs on Python integers (object arrays) when p is
-    large enough to overflow 64-bit accumulation.
+    size.  While every value v <= (p - 1)^2 k stays below 2^62, the
+    product runs in int64 and p | v is decided without a division
+    (Granlund and Montgomery): for odd p, with p' the inverse of p modulo
+    2^64, the map v -> v p' mod 2^64 permutes [0, 2^64) and sends the
+    multiples of p, and only them, to [0, (2^64 - 1) // p]; for p = 2,
+    v 2^63 mod 2^64 is 0 exactly when v is even.  One uint64 multiply and
+    one compare per value replace int64 ``% p``, in buffers reused from
+    block to block.  Beyond 2^62 the product runs on Python integers
+    (object arrays), where no word-size test applies, and keeps ``% p``.
     """
     import numpy as np
 
-    dtype = np.int64 if p * p * len(matrix) < 2**62 else object
-    mat = np.array(matrix, dtype=dtype)
+    wide = p * p * len(matrix) >= 2**62
+    mat = np.array(matrix, dtype=object if wide else np.int64)
+    factor, limit = (1 << 63, 0) if p == 2 else (pow(p, -1, 1 << 64), ((1 << 64) - 1) // p)
+    factor, limit = np.uint64(factor), np.uint64(limit)
+    values = live = None
     best_count: int | None = None
     best_coeffs: tuple[int, ...] | None = None
     for block in blocks:
-        values = (block.astype(dtype, copy=False) @ mat) % p
-        counts = np.count_nonzero(values, axis=1)
+        if wide:
+            counts = np.count_nonzero((block.astype(object, copy=False) @ mat) % p, axis=1)
+        else:
+            if values is None or len(block) > len(values):
+                values = np.empty((len(block), mat.shape[1]), dtype=np.int64)
+                live = np.empty(values.shape, dtype=bool)
+            v, nonzero = values[:len(block)], live[:len(block)]
+            np.matmul(block.astype(np.int64, copy=False), mat, out=v)
+            u = v.view(np.uint64)
+            np.multiply(u, factor, out=u)
+            np.greater(u, limit, out=nonzero)
+            counts = np.count_nonzero(nonzero, axis=1)
         i = int(np.argmin(counts))
         if best_count is None or counts[i] < best_count:
             best_count = int(counts[i])

@@ -10,7 +10,9 @@ Representation:
         entries.  Values are canonical integers of ``ring`` and never zero.
 
 Polynomials are immutable by convention: no public method mutates
-``terms``, and arithmetic always builds a new object.  The constructor is
+``terms``, and arithmetic always builds a new object.  A Polynomial or
+GridSpec refuses to set or delete a field, and pickles and copies by
+calling its class on its fields.  The constructor is
 the one place that reduces coefficients and drops zeros: arithmetic sums
 and multiplies plain ints and hands the raw dict to it.
 
@@ -84,6 +86,14 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # pickle and copy by calling the class on the fields: slot state
+        # cannot be restored through the __setattr__ that refuses it
+        return type(self), (self.arity, self.ring, self.terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -305,6 +315,12 @@ class GridSpec:
 
     def __setattr__(self, name, value):
         raise AttributeError("GridSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GridSpec is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.ring, self.sets)
 
     @classmethod
     def from_text(cls, text: str, ring: RingSpec) -> "GridSpec":

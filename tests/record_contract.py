@@ -298,7 +298,7 @@ def assert_same_record(record):
 def _clone_outcome(clone, value):
     """Whether the clone equals the value, or the type of the error
     cloning raised: a frozen dataclass clones exactly when its field
-    values do, and a ``Polynomial`` cannot be pickled or deep-copied."""
+    values do."""
     try:
         return clone(value) == value
     except Exception as e:

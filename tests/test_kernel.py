@@ -13,6 +13,7 @@ from math import gcd, prod
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 import nullgrid
 from nullgrid import oracle
 from nullgrid.errors import GridTooLargeError
-from nullgrid.oracle import _count_rec, count_nonzeros, min_nonzero_search
+from nullgrid.oracle import _count_rec, _power_table, _word_primes, count_nonzeros, min_nonzero_search
+from nullgrid.parser import MAX_EXPONENT
 from nullgrid.poly import GridSpec, Polynomial
 from nullgrid.ring import RingSpec
 from nullgrid.transform import grid_values
@@ -88,6 +90,120 @@ def test_kernel_matches_reference(case, budget):
     # small cell budgets force several S_1 slices, or the tensor-budget fallback
     with mock.patch.object(oracle, "_CELL_BUDGET", budget):
         _assert_matches_reference(f, grid)
+
+
+# the last two are the largest word primes for one and for 64 distinct
+# exponents, at the edge of the guard (q - 1)^2 * |E| < 2^63
+TABLE_MODULI = (2, 3, 101, 10007, _word_primes(1)[0], _word_primes(64)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.lists(st.integers(-50, 50) | st.integers(-10**40, 10**40), min_size=1, max_size=8,
+                  unique=True),
+       exps=st.sets(st.integers(0, 12) | st.sampled_from([0, MAX_EXPONENT, 2**64 + 3])
+                    | st.integers(0, MAX_EXPONENT), min_size=1, max_size=6),
+       moduli=st.lists(st.sampled_from(TABLE_MODULI), min_size=1, max_size=3))
+def test_power_table_matches_pow(s, exps, moduli):
+    exps = sorted(exps)
+    table = _power_table(tuple(s), exps, moduli)
+    assert table.dtype == np.int64
+    assert table.tolist() == [[[pow(a, e, q) for e in exps] for a in s] for q in moduli]
+
+
+def test_power_table_edges():
+    q = _word_primes(64)[0]
+    s = (0, 1, -1, q - 1, q, -q - 1, 2**200 + 5, -(3**150))
+    exps = [0, 1, 2, 63, MAX_EXPONENT - 1, MAX_EXPONENT]
+    for moduli in ([q], [2, 3, q], [_word_primes(1)[0]]):
+        assert _power_table(s, exps, moduli).tolist() == \
+            [[[pow(a, e, m) for e in exps] for a in s] for m in moduli]
+
+
+def _traced_kernel(monkeypatch):
+    """Record the prime count of every batch the kernel yields, and the
+    cells of every power table and of every operand and result of its
+    matrix products."""
+    seen = {"batches": [], "cells": []}
+    chunks, table, matmul = oracle._kernel_chunks, oracle._power_table, np.matmul
+
+    def traced_chunks(*args):
+        for start, stop, batches in chunks(*args):
+            seen["batches"].append([len(b) for b in batches])
+            yield start, stop, batches
+
+    def traced_table(*args):
+        out = table(*args)
+        seen["cells"].append(out.size)
+        return out
+
+    def traced_matmul(a, b, *rest, **kwargs):
+        out = matmul(a, b, *rest, **kwargs)
+        seen["cells"].extend((a.size, b.size, out.size))
+        return out
+
+    monkeypatch.setattr(oracle, "_kernel_chunks", traced_chunks)
+    monkeypatch.setattr(oracle, "_power_table", traced_table)
+    monkeypatch.setattr(np, "matmul", traced_matmul)
+    return seen
+
+
+def _points_of(f, grid):
+    return {pt: f.eval_raw(pt) for pt in grid.points()}
+
+
+BIG = 10**60 + 7
+BATCHED = [
+    # (f, grid, budget, primes per batch in each slice, slices)
+    # 8 primes, 2 per batch (a power table of 8 x 4 cells each), 6 of the 8 S_1 rows per slice
+    (Polynomial(2, Z, {(3, 3): BIG, (0, 2): -BIG, (1, 0): 3, (2, 1): -(10**59)}),
+     GridSpec(Z, [range(-4, 4), (-4, -1, 0, 2, 9)]), 64, [2, 2, 2, 2], 2),
+    # arity 1: 7 primes, 3 per batch (a power table of 20 x 4 cells each), one slice
+    (Polynomial(1, Z, {(3,): BIG, (2,): -BIG, (1,): 5, (0,): -(10**58)}),
+     GridSpec(Z, [range(-10, 10)]), 256, [3, 3, 1], 1),
+    # arity 3: 7 primes, 3 per batch, one S_1 row per slice (9 cells per prime after S_2)
+    (Polynomial(3, Z, {(1, 2, 1): BIG, (0, 0, 2): -BIG, (1, 0, 0): 1}),
+     GridSpec(Z, [range(-3, 3), (-1, 2, 5), (0, 4)]), 40, [3, 3, 1], 6),
+    # H = 0: no prime, so no batch
+    (Polynomial(2, Z, {(1, 0): BIG, (2, 3): -7}), GridSpec(Z, [(0,), range(-5, 5)]), 16, [], 1),
+]
+
+
+@pytest.mark.parametrize("f,grid,budget,groups,slices", BATCHED, ids=["arity-2", "arity-1", "arity-3",
+                                                                      "height-zero"])
+def test_batched_contraction_under_a_small_budget(monkeypatch, f, grid, budget, groups, slices):
+    monkeypatch.setattr(oracle, "_CELL_BUDGET", budget)
+    expected = _points_of(f, grid)
+    seen = _traced_kernel(monkeypatch)
+    # Garner rebuilds each value from its residues on every prime; with
+    # no prime, every value is 0 without a pass of the kernel
+    assert grid_values(f, grid) == expected
+    assert seen["batches"] == ([groups] * slices if groups else [])
+    seen["batches"].clear()
+    count = count_nonzeros(f, grid)
+    assert count.zero_set == tuple(pt for pt, v in expected.items() if v == 0)
+    assert count.nonzeros == sum(1 for v in expected.values() if v)
+    assert seen["batches"] == [groups] * slices
+    assert max(seen["cells"], default=0) <= budget
+
+
+def test_batches_split_before_the_reference_takes_over(monkeypatch, caplog):
+    # a 5 x 8 tensor fits a 64-cell budget for one prime but not for two:
+    # the primes go one per batch, and the reference never runs
+    f = Polynomial(2, Z, {(4, 7): BIG, (0, 0): -BIG, (2, 3): 10**40, (1, 5): -3})
+    grid = GridSpec(Z, [range(-6, 6), (-4, -1, 0, 2, 9)])
+    expected = _points_of(f, grid)
+    monkeypatch.setattr(oracle, "_CELL_BUDGET", 64)
+    monkeypatch.setattr(oracle, "_count_rec", mock.Mock(side_effect=AssertionError("reference ran")))
+    seen = _traced_kernel(monkeypatch)
+    message = _path(caplog, lambda: grid_values(f, grid))
+    assert message.startswith("grid evaluation path=kernel reason=none primes=")
+    primes = int(message.split("primes=")[1].split()[0])
+    assert primes >= 4
+    assert grid_values(f, grid) == expected
+    assert seen["batches"][0] == [1] * primes
+    assert max(seen["cells"]) <= 64
+    assert "path=kernel" in _path(caplog, lambda: count_nonzeros(f, grid))
+    assert count_nonzeros(f, grid).nonzeros == sum(1 for v in expected.values() if v)
 
 
 def test_kernel_zero_and_constant_polynomials():

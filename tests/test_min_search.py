@@ -66,6 +66,67 @@ def test_product_blocks_follow_itertools_product_order(p, k, rows):
         assert max(len(b) for b in blocks) == min(rows, space)
 
 
+def _reference_best_assignment(blocks, matrix, p):
+    """The scoring as it was, with int64 ``% p`` over every value block."""
+    dtype = np.int64 if p * p * len(matrix) < 2**62 else object
+    mat = np.array(matrix, dtype=dtype)
+    best_count = best_coeffs = None
+    for block in blocks:
+        values = (block.astype(dtype, copy=False) @ mat) % p
+        counts = np.count_nonzero(values, axis=1)
+        i = int(np.argmin(counts))
+        if best_count is None or counts[i] < best_count:
+            best_count = int(counts[i])
+            best_coeffs = tuple(int(c) for c in block[i])
+    if best_coeffs is None:
+        raise ValueError("no candidate coefficient vectors")
+    return best_count, best_coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from(PRIMES), k=st.integers(1, 5), points=st.integers(1, 40),
+       rows=st.lists(st.integers(1, 300), min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
+def test_scoring_matches_the_reference(p, k, points, rows, seed):
+    # half the entries are 0, 1 or p - 1, so many values are multiples of
+    # p; k = 1 at p = 2^31 - 1 puts values near 2^62 on the int64 path,
+    # and larger p or k run on Python integers
+    rng = random.Random(seed)
+
+    def entries(n):
+        return [rng.choice((0, 1, p - 1)) if rng.random() < 0.5 else rng.randrange(p) for _ in range(n)]
+
+    matrix = [entries(points) for _ in range(k)]
+    dtype = np.int64 if p < 2**32 else object
+    blocks = [np.array(entries(n * k), dtype=dtype).reshape(n, k) for n in rows]
+    assert _best_assignment(iter(blocks), matrix, p) == _reference_best_assignment(blocks, matrix, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1, 4294967311])
+def test_ties_across_blocks_keep_the_first_candidate(p):
+    dtype = np.int64 if p < 2**32 else object
+    # (a, b) -> (a, a - b, b): every candidate below has 2 nonzeros
+    tied = [[1, 1, 0], [0, p - 1, 1]]
+    blocks = [np.array(b, dtype=dtype) for b in ([[1, 1], [1, 0]], [[0, 1], [1, 1]])]
+    # (a, b) -> (a, 0, 0): the minimum 0 first in the second block, then again in the third
+    later = [[1, 0, 0], [0, 0, 0]]
+    firsts = [np.array(b, dtype=dtype) for b in ([[1, 0]], [[1, 1], [0, 1]], [[0, 0]])]
+    for matrix, blks, expected in ((tied, blocks, (2, (1, 1))), (later, firsts, (0, (0, 1)))):
+        assert _reference_best_assignment(blks, matrix, p) == expected
+        assert _best_assignment(iter(blks), matrix, p) == expected
+
+
+def test_values_past_a_word_are_scored_on_python_integers():
+    # at p = 2^31 - 1 and k = 6 the first candidate's first value is
+    # 5 (p - 1)^2 + 5 (p - 1) = 5 p (p - 1) > 2^64, a multiple of p that a
+    # wrapped word sum would score as nonzero; both candidates have one
+    # nonzero value, and the first wins
+    p = 2**31 - 1
+    matrix = [[p - 1, 1]] * 5 + [[5, 1]]
+    blocks = [np.array([[p - 1] * 6, [1] * 6], dtype=np.int64)]
+    assert _best_assignment(iter(blocks), matrix, p) == _reference_best_assignment(blocks, matrix, p) \
+        == (1, (p - 1,) * 6)
+
+
 def test_minimum_first_reached_in_a_later_block_wins():
     mat = [[1, 0, 1], [0, 1, 1]]  # over F_5: (a, b) -> (a, b, a + b)
     blocks = [np.array([[1, 1], [2, 2]]),        # 3 and 3 nonzeros

@@ -4,8 +4,9 @@ Public names load their module on first access, and the command line
 driver imports only the modules its command runs; the subprocess tests
 read a fresh interpreter's imports from ``python -X importtime``.  Every
 module-level import in the package is used by its module, no module
-imports ``dataclasses``, and only ``cli.main``'s ``-v`` branch imports
-``logging``; DEBUG records still reach a handler added after import.
+imports ``dataclasses``, only ``cli.main``'s ``-v`` branch imports
+``logging``, and numpy is imported only inside functions; DEBUG records
+still reach a handler added after import.
 """
 
 import ast
@@ -202,6 +203,22 @@ def test_no_module_imports_dataclasses_or_logging(path):
     assert [name for name, enclosing in sites
             if name.split(".")[0] == "dataclasses" or name.split(".")[0] == "logging"
             and not _in_verbose_branch_of_main(path, enclosing)] == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(SRC, "nullgrid").glob("*.py")), ids=lambda p: p.name)
+def test_numpy_is_imported_only_inside_functions(path):
+    # the kernel and the search import numpy where they run, so that
+    # importing any module, oracle included, never loads it
+    sites = _import_sites(ast.parse(path.read_text(encoding="utf-8")))
+    assert [name for name, enclosing in sites if name.split(".")[0] == "numpy" and not any(
+        isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in enclosing)] == []
+
+
+def test_importing_the_evaluation_modules_loads_no_numpy():
+    modules = ["nullgrid.oracle", "nullgrid.transform", "nullgrid.bounds", "nullgrid.cli"]
+    loaded = _imports("-c", "; ".join(f"import {name}" for name in modules))
+    assert set(modules) <= loaded
+    assert "numpy" not in loaded
 
 
 def test_every_public_name_resolves():

@@ -6,16 +6,19 @@ with a test-only frozen-dataclass copy of its old type (see
 raise the same errors as their copies, also through ``_replace``.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
 from nullgrid.bounds import AFInstance
+from nullgrid.cli import jsonable
 from nullgrid.errors import HypothesisViolationError
 from nullgrid.oracle import count_nonzeros, min_nonzero_search, verify_bounds
 from nullgrid.parser import parse_dag, parse_poly
 from nullgrid.pit import identity_test
-from nullgrid.poly import GridSpec
+from nullgrid.poly import GridSpec, Polynomial
 from nullgrid.puzzle import PuzzleInstance, agreement_count, exhaustive_search, local_search
 from nullgrid.ring import RingSpec, grid_condition_check
 from nullgrid.transform import vandermonde_multipliers
@@ -132,3 +135,38 @@ def test_replace_and_make_validate_as_dataclasses_replace_did(record, changes):
     assert _error(type(record)._make, {**record._asdict(), **changes}.values()) == expected
     valid = record._replace()
     assert valid == record and type(valid) is type(record)
+
+
+CLONES = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "copy": copy.copy,
+          "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("clone", sorted(CLONES))
+def test_polynomials_and_grids_pickle_and_copy(clone):
+    f = parse_poly("x^2*y - 3*x + 1", ["x", "y"], F7)
+    big = Polynomial(2, Z, {(3, 0): -(10**40) - 1, (0, 0): 7})
+    grids = [GridSpec(F7, [range(5), (6, 2)]), GridSpec(Z, [(-3, 10**30), (0,)])]
+    values = [f, big, Polynomial.zero(2, F101), *grids, *SAMPLES["MinNonzeroResult"]]
+    for value in values:
+        copied = CLONES[clone](value)
+        assert copied == value and type(copied) is type(value) and repr(copied) == repr(value)
+    # the witness of a search result comes back as a Polynomial with its terms
+    result = CLONES[clone](SAMPLES["MinNonzeroResult"][1])
+    assert type(result.witness) is Polynomial
+    assert result.witness.terms == SAMPLES["MinNonzeroResult"][1].witness.terms
+
+
+def test_polynomial_and_grid_fields_cannot_be_deleted():
+    f = parse_poly("x^2*y - 3*x + 1", ["x", "y"], F7)
+    grid = GridSpec(F7, [range(5), range(4)])
+    for value, fields in ((f, ("arity", "ring", "terms")), (grid, ("ring", "sets"))):
+        message = f"^{type(value).__name__} is immutable$"
+        for name in fields:
+            with pytest.raises(AttributeError, match=message):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError, match=message):
+                delattr(value, name)
+    assert (f.arity, f.ring, f.terms) == (2, F7, {(2, 1): 1, (1, 0): 4, (0, 0): 1})
+    assert grid.sets == ((0, 1, 2, 3, 4), (0, 1, 2, 3))
+    # the command line still prints them as they are, not as a dict of fields
+    assert jsonable(f) is f and jsonable(grid) is grid
