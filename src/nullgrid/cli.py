@@ -47,22 +47,23 @@ class _Parser(argparse.ArgumentParser):
 def jsonable(obj):
     """Recursively convert package values to JSON-stable primitives.
 
-    A record (a NamedTuple) becomes a dict of its fields, and so does a
-    ``RingSpec``, ``RingElem`` or ``ExprDag``.  Those are recognised
-    without importing ``ring``, and a Fraction without importing
-    ``fractions``: none can exist unless its module is already loaded."""
+    A record becomes a dict of the fields its class matches by position
+    (``__match_args__``): every NamedTuple, and the ``RingSpec``,
+    ``RingElem`` and ``ExprDag`` values.  A ``Polynomial`` or ``GridSpec``
+    declares none and is returned as it is.  A Fraction is recognised
+    without importing ``fractions``: none can exist unless that module is
+    already loaded."""
     if isinstance(obj, getattr(sys.modules.get("fractions"), "Fraction", ())):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
-        return {name: jsonable(v) for name, v in zip(obj._fields, obj)}
+    fields = getattr(type(obj), "__match_args__", None)
+    if fields is not None:
+        return {name: jsonable(getattr(obj, name)) for name in fields}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
         return sorted(jsonable(v) for v in obj)
-    if isinstance(obj, getattr(sys.modules.get(f"{__package__}.ring"), "_Frozen", ())):
-        return {name: jsonable(getattr(obj, name)) for name in obj.__slots__}
     return obj
 
 

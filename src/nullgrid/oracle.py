@@ -223,10 +223,9 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     (prod |E_i| cells a prime), each power table (|S_i| |E_i|) and its
     intermediate for one S_1 element within the budget, and the S_1 slice
     height then fills the budget.  "tensor budget" sends a grid to the
-    reference only when one prime's tensor or one S_1 element's
-    intermediate exceeds the budget, so splitting the primes into more
-    batches never does.  A batch holds at least one prime, whose power
-    table alone may still exceed the budget when |S_i| |E_i| > 2^22.
+    reference only when one prime's tensor, power table or intermediate
+    for one S_1 element exceeds the budget, so splitting the primes into
+    more batches never does.
     """
     global _cold_work_left
     exps = [sorted({key[i] for key in f.terms}) or [0] for i in range(f.arity)]
@@ -259,12 +258,13 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
             reason = "prime count"
     # cells per prime per S_1 element of the intermediate once variables 1..i+1 are substituted
     row = max(prod(sizes[1:i + 1]) * prod(widths[i + 1:]) for i in range(grid.arity))
-    tensor = prod(widths)
-    if reason is None and (tensor > _CELL_BUDGET or row > _CELL_BUDGET):
+    # cells per prime of the tensor, the intermediate for one S_1 element and
+    # each power table; with no prime (H = 0 over Z) no table is built
+    tables = [s * w for s, w in zip(sizes, widths)] if moduli else []
+    per_prime = max(prod(widths), row, *tables)
+    if reason is None and per_prime > _CELL_BUDGET:
         reason = "tensor budget"
-    # primes per batch: as many as keep the batch's tensor, each of its power
-    # tables and its intermediate for one S_1 element within the budget
-    per_prime = max(tensor, row, *(s * w for s, w in zip(sizes, widths)))
+    # primes per batch: as many as keep each of the batch's arrays within the budget
     group = max(1, min(len(moduli), _CELL_BUDGET // per_prime))
     rows = min(sizes[0], _CELL_BUDGET // (group * row))
     debug(__name__, "grid evaluation path=%s reason=%s primes=%d chunks=%d",

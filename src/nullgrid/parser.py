@@ -63,19 +63,6 @@ class ExprDag(_Frozen):
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "root", root)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.arity, self.ring, self.nodes, self.root) == \
-            (other.arity, other.ring, other.nodes, other.root)
-
-    def __hash__(self):
-        return hash((self.arity, self.ring, self.nodes, self.root))
-
-    def __repr__(self) -> str:
-        return (f"ExprDag(arity={self.arity!r}, ring={self.ring!r}, "
-                f"nodes={self.nodes!r}, root={self.root!r})")
-
     def __len__(self) -> int:
         return len(self.nodes)
 

@@ -21,11 +21,13 @@ from .ring import RingElem
 
 
 def eval_dag(dag: ExprDag, point) -> RingElem:
-    """Evaluate a DAG at a point, visiting each node exactly once."""
+    """Evaluate a DAG at a point of ints or elements of its ring, visiting
+    each node exactly once.  An element of another ring raises
+    RingMismatchError."""
     if len(point) != dag.arity:
         raise ValueError(f"point of length {len(point)} for arity {dag.arity}")
     ring = dag.ring
-    values = [int(v) if isinstance(v, RingElem) else ring.canon(int(v)) for v in point]
+    values = list(map(ring.coerce, point))
     value = fold_dag(dag, values.__getitem__, lambda c: c,
                      ring.add, ring.sub, ring.mul, ring.neg, ring.pow)
     return RingElem(ring, value)

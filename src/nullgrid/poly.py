@@ -9,12 +9,14 @@ Representation:
         Keys are exponent vectors of length ``arity`` with nonnegative
         entries.  Values are canonical integers of ``ring`` and never zero.
 
-Polynomials are immutable by convention: no public method mutates
-``terms``, and arithmetic always builds a new object.  A Polynomial or
-GridSpec refuses to set or delete a field, and pickles and copies by
-calling its class on its fields.  The constructor is
-the one place that reduces coefficients and drops zeros: arithmetic sums
-and multiplies plain ints and hands the raw dict to it.
+Polynomial and GridSpec are ``ring._Frozen`` values: each refuses to set
+or delete a field, pickles and copies by calling its class on its
+fields, and compares field by field.  No method mutates ``terms``, and
+arithmetic always builds a new object.  The constructor is the one place
+that reduces coefficients and drops zeros: arithmetic sums and
+multiplies plain ints and hands the raw dict to it.  Coefficients,
+scalars, grid elements and evaluation points given as ``RingElem`` are
+unwrapped by ``RingSpec.coerce``, which refuses another ring's values.
 
 GridSpec lives here too: a finite evaluation grid S_1 x ... x S_n whose
 per-variable sets keep their stored order.  Order matters downstream
@@ -34,7 +36,7 @@ from .errors import (
     RingMismatchError,
     ZeroPolynomialError,
 )
-from .ring import RingElem, RingSpec
+from .ring import RingElem, RingSpec, _Frozen
 
 Exponents = tuple[int, ...]
 
@@ -54,15 +56,7 @@ def product_work(ta: int, wa: int, tb: int, wb: int) -> int:
     return ta * tb * (1 + wa * wb // 128)
 
 
-def _coerce_value(ring: RingSpec, v) -> int:
-    if isinstance(v, RingElem):
-        if v.ring != ring:
-            raise RingMismatchError(f"value from {v.ring} used in {ring}")
-        return v.value
-    return ring.canon(int(v))
-
-
-class Polynomial:
+class Polynomial(_Frozen):
     """A sparse polynomial in ``arity`` variables over ``ring``."""
 
     __slots__ = ("arity", "ring", "terms")
@@ -78,22 +72,11 @@ class Polynomial:
             if key and min(key) < 0:
                 raise ValueError(f"negative exponent in {key}")
             # caller keys such as (1.0,) and (1,) that name the same exponents are summed
-            raw[key] = raw.get(key, 0) + (_coerce_value(ring, c) if isinstance(c, RingElem) else int(c))
+            raw[key] = raw.get(key, 0) + (ring.coerce(c) if isinstance(c, RingElem) else int(c))
         m = ring.modulus
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", {key: r for key, v in raw.items() if (r := v % m if m else v)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Polynomial is immutable")
-
-    def __reduce__(self):
-        # pickle and copy by calling the class on the fields: slot state
-        # cannot be restored through the __setattr__ that refuses it
-        return type(self), (self.arity, self.ring, self.terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -125,12 +108,8 @@ class Polynomial:
     def coefficient(self, exps: Sequence[int]) -> RingElem:
         return RingElem(self.ring, self.terms.get(tuple(exps), 0))
 
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return (self.arity, self.ring) == (other.arity, other.ring) and self.terms == other.terms
-
     def __hash__(self):
+        # terms is a dict, which has no hash
         return hash((self.arity, self.ring, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
@@ -172,7 +151,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, RingElem)):
-            c = _coerce_value(self.ring, other)
+            c = self.ring.coerce(other)
             return Polynomial(self.arity, self.ring, {e: v * c for e, v in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -204,7 +183,7 @@ class Polynomial:
     def _point_values(self, point: Sequence) -> tuple[int, ...]:
         if len(point) != self.arity:
             raise ArityMismatchError(f"point of length {len(point)} for arity {self.arity}")
-        return tuple(_coerce_value(self.ring, v) for v in point)
+        return tuple(map(self.ring.coerce, point))
 
     def evaluate(self, point: Sequence) -> RingElem:
         """Evaluate at a point of ring elements (or plain ints)."""
@@ -288,7 +267,7 @@ def first_repeat(values: Sequence) -> tuple[int, int, int] | None:
     return None
 
 
-class GridSpec:
+class GridSpec(_Frozen):
     """A finite grid S_1 x ... x S_n of ring elements, in stored order.
 
     Each set is a tuple of distinct canonical values.  Distinctness is
@@ -300,7 +279,7 @@ class GridSpec:
     def __init__(self, ring: RingSpec, sets: Iterable[Iterable]):
         clean = []
         for i, s in enumerate(sets):
-            vals = tuple(_coerce_value(ring, v) for v in s)
+            vals = tuple(map(ring.coerce, s))
             if not vals:
                 raise ValueError(f"grid set {i + 1} is empty")
             repeat = first_repeat(vals)
@@ -312,15 +291,6 @@ class GridSpec:
             raise ValueError("a grid needs at least one variable")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "sets", tuple(clean))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GridSpec is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GridSpec is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.ring, self.sets)
 
     @classmethod
     def from_text(cls, text: str, ring: RingSpec) -> "GridSpec":
@@ -366,14 +336,6 @@ class GridSpec:
     def points(self):
         """All grid points in odometer order (last variable fastest)."""
         return itertools.product(*self.sets)
-
-    def __eq__(self, other):
-        if not isinstance(other, GridSpec):
-            return NotImplemented
-        return self.ring == other.ring and self.sets == other.sets
-
-    def __hash__(self):
-        return hash((self.ring, self.sets))
 
     def __repr__(self) -> str:
         return f"GridSpec({self.sets} over {self.ring})"

@@ -8,9 +8,10 @@ they are trusted.
 
 Elements are stored as canonical integer representatives: the value itself
 over Z, the least nonnegative residue modulo m otherwise.  ``RingSpec``
-operates on raw canonical integers (the fast path used by enumeration
-loops); ``RingElem`` wraps a value together with its ring and refuses
-mixed-ring arithmetic.
+holds the one ring arithmetic, on raw canonical integers.  A ``RingElem``
+is a value tagged with its ring, with no arithmetic of its own, and
+``RingSpec.coerce`` is the one place a ``RingElem`` is checked against a
+ring and unwrapped: a value of another ring raises RingMismatchError.
 """
 
 from __future__ import annotations
@@ -58,21 +59,38 @@ def is_prime(n: int) -> bool:
 
 
 class _Frozen:
-    """Base of the package's immutable ``__slots__`` classes.  Like a frozen
-    dataclass, an instance refuses to set or delete any attribute; its
-    constructor sets the ``__slots__`` fields through ``object.__setattr__``,
-    and it pickles and copies by calling the class on them, in order."""
+    """Base of the package's immutable value classes.  Like a frozen
+    dataclass, an instance refuses to set or delete any attribute, with
+    the message "<Class> is immutable"; its constructor sets the
+    ``__slots__`` fields through ``object.__setattr__``, and it pickles
+    and copies by calling the class on them, in order.  Equality (same
+    class, field by field), hash and repr are read from the same fields,
+    as a dataclass derives them."""
 
     __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    __delattr__ = __setattr__
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), self._values()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class RingSpec(_Frozen):
@@ -101,17 +119,6 @@ class RingSpec(_Frozen):
             raise ValueError(f"unknown ring kind {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "modulus", modulus)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.kind == other.kind and self.modulus == other.modulus)
-
-    def __hash__(self):
-        return hash((self.kind, self.modulus))
-
-    def __repr__(self) -> str:
-        return f"RingSpec(kind={self.kind!r}, modulus={self.modulus!r})"
 
     # -- constructors ------------------------------------------------------
 
@@ -186,23 +193,31 @@ class RingSpec(_Frozen):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, p - 2, p)
 
-    # -- element factory -----------------------------------------------------
+    # -- elements ------------------------------------------------------------
 
     def element(self, v: int) -> "RingElem":
         return RingElem(self, self.canon(int(v)))
+
+    def coerce(self, v) -> int:
+        """The canonical integer of v in this ring: the value of a RingElem
+        of this ring, any other value canonicalized through ``int``.  A
+        RingElem of another ring raises RingMismatchError."""
+        if isinstance(v, RingElem):
+            if v.ring != self:
+                raise RingMismatchError(f"value from {v.ring} used in {self}")
+            return v.value
+        return self.canon(int(v))
 
     def __str__(self) -> str:
         return self.kind if self.modulus is None else f"{self.kind}:{self.modulus}"
 
 
 class RingElem(_Frozen):
-    """A ring element: a canonical integer representative plus its ring.
-
-    Arithmetic between elements of different rings raises
-    RingMismatchError rather than guessing a coercion.  Comparison against
-    plain ints canonicalizes the int first, so ``ring.element(-1) == p - 1``
-    holds in F_p.  A ``__slots__`` class: a tuple base would add tuple
-    ``+``, ``*``, ``<`` and ``len`` to an arithmetic type.
+    """A ring element: a canonical integer representative tagged with its
+    ring.  A value, not an arithmetic type: ``RingSpec`` computes on raw
+    integers, and ``RingSpec.coerce`` unwraps an element after checking
+    its ring.  Comparison against plain ints canonicalizes the int first,
+    so ``ring.element(-1) == p - 1`` holds in F_p.
     """
 
     __slots__ = __match_args__ = ("ring", "value")
@@ -211,41 +226,6 @@ class RingElem(_Frozen):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "value", value)
 
-    def _combine(self, op, other, reflected: bool = False):
-        """op(self, other), or op(other, self) when reflected, as an element
-        of this ring; NotImplemented for operands that are not ring values."""
-        if isinstance(other, RingElem):
-            if other.ring != self.ring:
-                raise RingMismatchError(f"mixed rings {self.ring} and {other.ring}")
-            v = other.value
-        elif isinstance(other, int):
-            v = self.ring.canon(other)
-        else:
-            return NotImplemented
-        return RingElem(self.ring, op(v, self.value) if reflected else op(self.value, v))
-
-    def __add__(self, other):
-        return self._combine(self.ring.add, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(self.ring.sub, other)
-
-    def __rsub__(self, other):
-        return self._combine(self.ring.sub, other, reflected=True)
-
-    def __mul__(self, other):
-        return self._combine(self.ring.mul, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return RingElem(self.ring, self.ring.neg(self.value))
-
-    def __pow__(self, e: int):
-        return RingElem(self.ring, self.ring.pow(self.value, e))
-
     def __eq__(self, other):
         if isinstance(other, RingElem):
             return self.ring == other.ring and self.value == other.value
@@ -253,8 +233,7 @@ class RingElem(_Frozen):
             return self.value == self.ring.canon(other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.ring, self.value))
+    __hash__ = _Frozen.__hash__
 
     def __int__(self) -> int:
         return self.value

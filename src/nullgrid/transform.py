@@ -182,7 +182,8 @@ def coefficient_via_grid(values: Mapping[tuple[int, ...], int], grid: GridSpec,
 
     The value map must cover the whole grid; the sum itself only touches
     the points supported by the multipliers, i.e. the first d_i + 1
-    elements per variable.
+    elements per variable.  Its values are ints or elements of the grid's
+    ring; an element of another ring raises RingMismatchError.
     """
     ring = grid.ring
     if not ring.is_field:
@@ -207,8 +208,5 @@ def coefficient_via_grid(values: Mapping[tuple[int, ...], int], grid: GridSpec,
         w = 1
         for _, gv in entry:
             w = w * gv % p
-        v = values[tuple(x for x, _ in entry)]
-        if isinstance(v, RingElem):
-            v = v.value
-        acc = (acc + v % p * w) % p
+        acc = (acc + ring.coerce(values[tuple(x for x, _ in entry)]) * w) % p
     return RingElem(ring, acc)

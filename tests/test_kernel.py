@@ -281,6 +281,25 @@ def test_fallback_tensor_budget(caplog):
     _assert_matches_reference(f, grid)
 
 
+def test_tensor_budget_bounds_every_power_table(monkeypatch, caplog):
+    # five exponents of y on 100 elements: a 500-cell table for one prime,
+    # while the tensor (5 cells) and each intermediate (100) fit 256 cells
+    ring = RingSpec.prime_field(101)
+    f = Polynomial(2, ring, {(0, 4): 1, (0, 3): -10, (0, 2): 35, (0, 1): -50, (0, 0): 24})
+    grid = GridSpec(ring, [range(3), range(100)])
+    seen = _traced_kernel(monkeypatch)
+    monkeypatch.setattr(oracle, "_CELL_BUDGET", 256)
+    assert "path=reference reason=tensor budget" in _path(caplog, lambda: count_nonzeros(f, grid))
+    count = count_nonzeros(f, grid)
+    assert (count.nonzeros, count.zeros) == (288, 12)
+    assert max(seen["cells"], default=0) <= 256
+    # with room for the table the kernel runs and builds it
+    monkeypatch.setattr(oracle, "_CELL_BUDGET", 512)
+    assert "path=kernel" in _path(caplog, lambda: count_nonzeros(f, grid))
+    assert count_nonzeros(f, grid) == count
+    assert 500 in seen["cells"] and max(seen["cells"]) <= 512
+
+
 def test_fallback_prime_count(caplog):
     f = Polynomial(2, Z, {(1, 1): 10**400, (0, 0): -(10**400)})
     grid = GridSpec(Z, [(-1, 0, 1, 2), (1, 3)])

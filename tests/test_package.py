@@ -6,7 +6,8 @@ read a fresh interpreter's imports from ``python -X importtime``.  Every
 module-level import in the package is used by its module, no module
 imports ``dataclasses``, only ``cli.main``'s ``-v`` branch imports
 ``logging``, and numpy is imported only inside functions; DEBUG records
-still reach a handler added after import.
+still reach a handler added after import.  Only ``ring._Frozen`` defines
+how a value refuses to change and how it pickles.
 """
 
 import ast
@@ -212,6 +213,28 @@ def test_numpy_is_imported_only_inside_functions(path):
     sites = _import_sites(ast.parse(path.read_text(encoding="utf-8")))
     assert [name for name, enclosing in sites if name.split(".")[0] == "numpy" and not any(
         isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in enclosing)] == []
+
+
+def test_only_the_frozen_base_defines_immutability():
+    # every immutable value class inherits set, delete and pickling from ring._Frozen
+    owners = [f"{path.stem}.{node.name}"
+              for path in sorted(Path(SRC, "nullgrid").glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.ClassDef)
+              and {"__setattr__", "__delattr__", "__reduce__"} & _defined_names(node)]
+    assert owners == ["ring._Frozen"]
+
+
+def _defined_names(cls: ast.ClassDef) -> set[str]:
+    """The names a class body binds by ``def`` or by assignment."""
+    names = set()
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
 
 
 def test_importing_the_evaluation_modules_loads_no_numpy():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nullgrid.errors import InsufficientSampleSpaceError, UnsupportedRingError
+from nullgrid.errors import InsufficientSampleSpaceError, RingMismatchError, UnsupportedRingError
 from nullgrid.oracle import count_nonzeros, random_polynomial
 from nullgrid.parser import DagBuilder, expand_dag, parse_dag
 from nullgrid.pit import dag_difference, degree_upper_bound, eval_dag, identity_test
@@ -12,6 +12,15 @@ from nullgrid.ring import RingSpec
 
 F101 = RingSpec.prime_field(101)
 Z = RingSpec.integers()
+
+
+def test_eval_dag_checks_the_ring_of_each_coordinate():
+    f7, f13 = RingSpec.prime_field(7), RingSpec.prime_field(13)
+    dag = parse_dag("x*y+1", ["x", "y"], f7)
+    # plain ints are canonicalized, and elements of the DAG's ring unwrapped
+    assert eval_dag(dag, (-4, 8)) == eval_dag(dag, (f7.element(3), 1)) == f7.element(4)
+    with pytest.raises(RingMismatchError, match="value from fp:13 used in fp:7"):
+        eval_dag(dag, (f13.element(10), 1))
 
 
 def test_eval_dag_matches_expansion():

@@ -3,7 +3,9 @@
 Each record is built by the package call that makes it and compared
 with a test-only frozen-dataclass copy of its old type (see
 ``record_contract``).  The three records that validate their fields
-raise the same errors as their copies, also through ``_replace``.
+raise the same errors as their copies, also through ``_replace``.  The
+five value classes on ``ring._Frozen`` share one contract: equality,
+hash, pickling, copying and the "<Class> is immutable" refusal.
 """
 
 import copy
@@ -16,11 +18,11 @@ from nullgrid.bounds import AFInstance
 from nullgrid.cli import jsonable
 from nullgrid.errors import HypothesisViolationError
 from nullgrid.oracle import count_nonzeros, min_nonzero_search, verify_bounds
-from nullgrid.parser import parse_dag, parse_poly
+from nullgrid.parser import ExprDag, parse_dag, parse_poly
 from nullgrid.pit import identity_test
 from nullgrid.poly import GridSpec, Polynomial
 from nullgrid.puzzle import PuzzleInstance, agreement_count, exhaustive_search, local_search
-from nullgrid.ring import RingSpec, grid_condition_check
+from nullgrid.ring import RingElem, RingSpec, grid_condition_check
 from nullgrid.transform import vandermonde_multipliers
 from record_contract import as_reference, assert_same_equality, assert_same_record, copy_of
 
@@ -170,3 +172,37 @@ def test_polynomial_and_grid_fields_cannot_be_deleted():
     assert grid.sets == ((0, 1, 2, 3, 4), (0, 1, 2, 3))
     # the command line still prints them as they are, not as a dict of fields
     assert jsonable(f) is f and jsonable(grid) is grid
+
+
+FROZEN = {
+    RingSpec: [F7, Z, Z12],
+    RingElem: [F7.element(-1), F7.element(5), Z.element(-1)],
+    ExprDag: [parse_dag("x*y + 1", ["x", "y"], F7), parse_dag("x*y + 1", ["x", "y"], F101)],
+    Polynomial: [parse_poly("x^2*y - 3*x + 1", ["x", "y"], F7), Polynomial.zero(2, F7),
+                 Polynomial(2, Z, {(3, 0): -(10**40) - 1, (0, 0): 7})],
+    GridSpec: [GridSpec(F7, [range(5), (6, 2)]), GridSpec(F7, [range(5), (2, 6)]),
+               GridSpec(Z, [(-3, 10**30), (0,)])],
+}
+
+
+@pytest.mark.parametrize("cls", list(FROZEN), ids=lambda cls: cls.__name__)
+def test_frozen_values_share_one_contract(cls):
+    values = FROZEN[cls]
+    for i, value in enumerate(values):
+        rebuilt = cls(*(getattr(value, name) for name in cls.__slots__))
+        assert rebuilt == value and not rebuilt != value and hash(rebuilt) == hash(value)
+        for j, other in enumerate(values):
+            assert (value == other) == (i == j) and (value != other) == (i != j)
+        for clone in CLONES.values():
+            copied = clone(value)
+            assert copied == value and type(copied) is cls and hash(copied) == hash(value)
+        for name in (cls.__slots__[0], "extra"):
+            with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+                delattr(value, name)
+    # the reprs read from the slots are the ones the hand-written methods gave
+    assert repr(Z12) == "RingSpec(kind='zmod', modulus=12)"
+    assert repr(FROZEN[ExprDag][0]) == (
+        "ExprDag(arity=2, ring=RingSpec(kind='fp', modulus=7), nodes=(('var', 0), ('var', 1), "
+        "('mul', 0, 1), ('const', 1), ('add', 2, 3)), root=4)")

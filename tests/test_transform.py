@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullgrid import parser, poly
-from nullgrid.errors import GridTooLargeError, HypothesisViolationError, UnsupportedRingError
+from nullgrid.errors import GridTooLargeError, HypothesisViolationError, RingMismatchError, UnsupportedRingError
 from nullgrid.oracle import random_polynomial, tightness_family
 from nullgrid.parser import parse_poly
 from nullgrid.poly import GridSpec, Polynomial, annihilator, vanishing_poly
@@ -182,6 +182,21 @@ def test_coefficient_via_grid_validation():
     incomplete.pop((0, 0))
     with pytest.raises(ValueError):
         coefficient_via_grid(incomplete, grid, (1, 1))
+
+
+def test_coefficient_via_grid_checks_the_ring_of_each_value():
+    f = parse_poly("x^2 - 4*x*y + y^2", ["x", "y"], F7)
+    grid = GridSpec(F7, [range(5), range(5)])
+    vals = grid_values(f, grid)
+    # plain ints are canonicalized, and elements of the grid's ring unwrapped
+    shifted = {pt: v - 7 * (i + 1) for i, (pt, v) in enumerate(vals.items())}
+    wrapped = {pt: F7.element(v) for pt, v in vals.items()}
+    for values in (shifted, wrapped):
+        assert coefficient_via_grid(values, grid, (1, 1)) == F7.element(3)
+    F13 = RingSpec.prime_field(13)
+    foreign = {pt: F13.element(v + 10) for pt, v in vals.items()}
+    with pytest.raises(RingMismatchError, match="value from fp:13 used in fp:7"):
+        coefficient_via_grid(foreign, grid, (1, 1))
 
 
 # -- the grid annihilators against repeated multiplication --------------------
