@@ -23,8 +23,8 @@ must not meet the support of f; ``forbidden_set`` materializes those
 regions, and one membership test per region (``_region``) is shared by
 the region enumeration and every definitional hypothesis check, so they
 cannot drift apart.  ``classify`` rescans nothing: it builds each witness
-so that its hypothesis holds by construction, the seeded ones from
-prefix-maximum tables of the support, one per variable order.
+so that its hypothesis holds by construction, from two sorts of the
+support: one graded, and one lex-descending per variable order.
 """
 
 from __future__ import annotations
@@ -81,19 +81,25 @@ def _graded(exps: tuple[int, ...]):
 
 
 def maximal_monomials(f: Polynomial) -> set[tuple[int, ...]]:
-    """Support elements not strictly dominated by another support element.
-
-    A skyline over the support in graded-descending order: a monomial that
-    strictly dominates m has larger total degree, so it comes first, and
-    if it is not maximal itself a kept maximum dominates it and hence m.
-    So m is maximal exactly when no maximum kept so far dominates it.
-    """
+    """Support elements not strictly dominated by another support element."""
     _require_nonzero(f)
+    return set(_skyline(sorted(f.terms, key=_graded, reverse=True)))
+
+
+def _skyline(graded: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The maximal monomials of a support sorted graded-descending, in
+    that order.  A monomial that strictly dominates m has larger total
+    degree, so it comes first, and if it is not maximal itself a kept
+    maximum dominates it and hence m.  So m is maximal exactly when no
+    kept maximum of larger total degree dominates it."""
     kept: list[tuple[int, ...]] = []
-    for m in sorted(f.terms, key=_graded, reverse=True):
-        if not any(_dominates(k, m) for k in kept):
+    higher, degree = 0, None
+    for m in graded:
+        if sum(m) != degree:
+            higher, degree = len(kept), sum(m)
+        if not any(_dominates(k, m) for k in itertools.islice(kept, higher)):
             kept.append(m)
-    return set(kept)
+    return kept
 
 
 def lex_largest(f: Polynomial, order: tuple[int, ...] | None = None) -> tuple[int, ...]:
@@ -240,62 +246,38 @@ def hypothesis_holds(f: Polynomial, condition: str, d: tuple[int, ...],
     return witnessed and not any(map(_region(condition, d, e, order), f.terms))
 
 
-def _prefix_maxima(terms, order: tuple[int, ...]):
-    """Index the support under one variable order, in O(T·n).
-
-    Prefixes of exponent vectors, read in ``order``, are numbered as they
-    first appear (0 is the empty prefix).  Returns ``(tops, paths)``:
-    ``tops[k][p]`` is the largest exponent of variable ``order[k]`` among
-    the monomials whose first k exponents form prefix p, and
-    ``paths[v][k]`` is the number of the length-k prefix of the monomial v.
-    """
-    tops: list[dict[int, int]] = [{} for _ in order]
-    ids: dict[tuple[int, int], int] = {}
-    paths: dict[tuple[int, ...], list[int]] = {}
-    for v in terms:
-        p, path = 0, []
-        for top, var in zip(tops, order):
-            path.append(p)
-            if top.get(p, -1) < v[var]:
-                top[p] = v[var]
-            p = ids.setdefault((p, v[var]), len(ids) + 1)
-        paths[v] = path
-    return tops, paths
-
-
 def _witnesses(f: Polynomial):
     """classify's reports as ``(condition, d, e, order)`` tuples, in its
     order: the walk behind ``classify`` and ``bounds.collect_bounds``.  It
     logs one ``classify`` DEBUG record, when the walk ends."""
     _require_nonzero(f)
     n = f.arity
-    if n <= MAX_ORDERS_ARITY:
-        orders = [tuple(p) for p in itertools.permutations(range(n))]
-    else:
-        orders = [tuple(range(n))]
-    maximal = sorted(maximal_monomials(f), key=_graded, reverse=True)
+    orders = list(itertools.permutations(range(n))) if n <= MAX_ORDERS_ARITY else [tuple(range(n))]
+    seeds = sorted(f.terms, key=_graded, reverse=True)
+    maximal = _skyline(seeds)
     for m in maximal:
         yield MAXIMAL_MONOMIAL, m, None, None
-    for order in orders:
-        yield LEX_LARGEST, lex_largest(f, order), None, order
+    ranked = [sorted(f.terms, key=itemgetter(*order) if order else None, reverse=True) for order in orders]
+    for order, ranking in zip(orders, ranked):
+        yield LEX_LARGEST, ranking[0], None, order
 
-    seeds = sorted(f.terms, key=_graded, reverse=True)
     pairs: set[tuple] = set()
-    for order in orders:
-        tops, paths = _prefix_maxima(f.terms, order)
+    for order, ranking in zip(orders, ranked):
+        lead, successive = list(ranking[0]), {ranking[0]: ranking[0]}
+        for prev, v in zip(ranking, ranking[1:]):
+            j = next(j for j, var in enumerate(order) if v[var] != prev[var])
+            for var in order[j + 1:]:
+                lead[var] = v[var]
+            successive[v] = tuple(lead)
         for seed in seeds:
-            d = [0] * n
-            for top, p, var in zip(tops, paths[seed], order):
-                d[var] = top[p]
-            d = tuple(d)
+            d = successive[seed]
             yield SUCCESSIVELY_LARGEST, d, seed, order
             pairs.add((seed, d))
     for seed, d in sorted(pairs):
         yield D_LEADING, d, seed, None
 
-    partial, total = f.degrees()
-    yield PARTIAL_DEGREES, partial, None, None
-    yield TOTAL_DEGREE, max((e for e in f.terms if sum(e) == total), key=_graded), None, None
+    yield PARTIAL_DEGREES, f.degrees()[0], None, None
+    yield TOTAL_DEGREE, seeds[0], None, None
     debug(__name__, "classify terms=%d orders=%d reports=%d d_leading=%d", len(f.terms), len(orders),
           len(maximal) + len(orders) * (1 + len(seeds)) + len(pairs) + 2, len(pairs))
 
@@ -322,18 +304,22 @@ def classify(f: Polynomial) -> list[HypothesisReport]:
       * total-degree: the witness has the largest total degree;
       * successively-largest and d-leading: as follows.
 
-    The support is indexed once per order (``_prefix_maxima``): each
-    seed's successively-largest d takes n table lookups, d at order[k]
-    being ``tops[k][path[k]]``, the largest exponent of that variable
-    among the monomials that agree with the seed e on order[:k].  So the
-    report holds: its forbidden region (the v that agree with e on
+    The graded-descending sort gives the seeds, the skyline's input and
+    the total-degree witness (its head).  One lex-descending sort per
+    order gives the lex-largest witness (its head) and each seed's
+    successively-largest d.  The monomials that agree
+    with the seed e on order[:k] form one run of that sort, and d at
+    order[k] is the exponent of the run's first monomial there, the
+    largest among them.  A seed that first differs from the monomial
+    before it at order[j] starts its runs for k > j and shares the rest.
+    So the report holds: its forbidden region (the v that agree with e on
     order[:k] and exceed d at order[k], for some k) misses the support,
     and d >= e because e is one of those monomials.  Every d-leading pair
     (e, d) holds too: when d >= e, a v in the d-leading forbidden region
     (v != e, and each v_i equals e_i or exceeds d_i) is in the
     successively-largest forbidden region of (e, d, order) for every
     order, since at the first index in the order where v differs from e,
-    v exceeds d.  For T terms in n variables this takes O(orders·T·n)
-    table steps plus the skyline.
+    v exceeds d.  For T terms in n variables this takes O(orders·T log T)
+    comparisons plus the skyline.
     """
     return [HypothesisReport(condition, True, d, e, order) for condition, d, e, order in _witnesses(f)]

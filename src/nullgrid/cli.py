@@ -189,9 +189,12 @@ def _cmd_trim(args):
 
 def _cmd_coeff(args):
     from . import transform
+    from .poly import check_compatible
 
     ring, f, names, grid = _load_poly_and_grid(args)
     d = _parse_vector(args.monomial, grid.arity)
+    check_compatible(f, grid)  # an arity mismatch is reported before the preconditions
+    transform.require_extractable(grid, d)
     values = transform.grid_values(f, grid)
     c = transform.coefficient_via_grid(values, grid, d)
     return {

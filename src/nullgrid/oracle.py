@@ -232,14 +232,15 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     widths = [len(e) for e in exps]
     m = f.ring.modulus
     bounds = [max(abs(a) for a in s) for s in grid.sets]
+    words = _reference_words(f, bounds)
     sizes = grid.sizes
     points = prod(sizes)
     moduli: list[int] = []
     reason = None
     if points * len(f.terms) <= _SMALL_GRID:
         reason = "small grid"
-    elif "numpy" not in sys.modules and points * _reference_words(f, bounds) <= _cold_work_left:
-        _cold_work_left -= points * _reference_words(f, bounds)
+    elif "numpy" not in sys.modules and points * words <= _cold_work_left:
+        _cold_work_left -= points * words
         reason = "numpy not loaded"
     elif m:
         moduli = [m]
@@ -272,7 +273,6 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
           0 if m else len(moduli), 0 if reason else -(-sizes[0] // rows))
     if reason is None:
         return exps, moduli, group, rows
-    words = _reference_words(f, bounds)
     if points * words > _REFERENCE_WORK:
         raise GridTooLargeError(f"reference evaluation needs {points} points x {words} "
                                 f"coefficient words, limit is {_REFERENCE_WORK}")

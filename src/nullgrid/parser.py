@@ -8,8 +8,10 @@ Grammar (whitespace insensitive, implicit multiplication rejected):
     atom   := ident | int | "(" expr ")"
 
 Precedence is ^ above unary minus above * above binary +/-, which the
-grammar enforces structurally.  Exponents are capped at 10**6, and an
-expansion at MAX_EXPANSION_WORK term products weighted by coefficient size.
+grammar enforces structurally.  A sum of T terms is a balanced tree of add
+and sub nodes, so it expands in O(T log T) term copies.  Exponents are
+capped at 10**6, and an expansion at ``poly.MAX_WORK`` term products
+weighted by coefficient size.
 
 ``parse_poly`` expands the expression eagerly into a sparse Polynomial;
 ``parse_dag`` builds a hash-consed expression DAG without any expansion,
@@ -25,6 +27,7 @@ import re
 from math import prod
 from typing import Sequence
 
+from . import poly
 from .errors import (
     ArityMismatchError,
     ExpansionTooLargeError,
@@ -37,7 +40,6 @@ from .poly import Polynomial, product_work, words
 from .ring import RingSpec, _Frozen
 
 MAX_EXPONENT = 10**6
-MAX_EXPANSION_WORK = 4 * 10**6
 
 # Node tags.  A node is a tuple whose first entry is the tag:
 #   ("var", index) ("const", value) ("add", l, r) ("sub", l, r)
@@ -168,15 +170,16 @@ class _Parser:
         return node
 
     def expr(self) -> int:
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                node = self.b.add(node, rhs) if val == "+" else self.b.sub(node, rhs)
-            else:
-                return node
+        """Signed terms joined pairwise into a balanced tree: a pair keeps
+        the left sign, and is an add node if the signs agree, else a sub."""
+        terms = [("+", self.term())]
+        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+            terms.append((self.advance()[1], self.term()))
+        while len(terms) > 1:
+            pairs = [(s, self.b.add(a, b) if s == t else self.b.sub(a, b))
+                     for (s, a), (t, b) in zip(terms[::2], terms[1::2])]
+            terms = pairs + terms[len(pairs) * 2:]
+        return terms[0][1]
 
     def term(self) -> int:
         negations = 0
@@ -322,11 +325,11 @@ def expand_dag(dag: ExprDag) -> Polynomial:
 
     The work, counted in term products weighted by coefficient words
     (``poly.product_work``), is charged before each product and each power; an
-    expansion that would pass MAX_EXPANSION_WORK raises
+    expansion that would pass ``poly.MAX_WORK`` raises
     ``ExpansionTooLargeError`` before doing the step that passes it.
     """
     arity, ring = dag.arity, dag.ring
-    budget, spent = MAX_EXPANSION_WORK, 0
+    budget, spent = poly.MAX_WORK, 0
 
     def charge(work: int, step: str):
         nonlocal spent

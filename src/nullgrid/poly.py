@@ -42,8 +42,8 @@ Exponents = tuple[int, ...]
 
 # most elements of one grid set read from text, checked before a range is expanded
 MAX_SET_SIZE = 10**6
-# most word-size products annihilator may charge (about 0.25 s on a 2-vCPU VM)
-MAX_ANNIHILATOR_WORK = 4 * 10**6
+# most word-size products one annihilator, expansion or trim reduction may charge
+MAX_WORK = 4 * 10**6
 
 
 def words(bits: int) -> int:
@@ -346,7 +346,7 @@ def annihilator(ring: RingSpec, elements: Sequence[int]) -> list[int]:
     lowest degree first, as canonical integers of ``ring``.
 
     Building it takes |S|(|S| + 1)/2 products.  Before the first one,
-    |S|^2 products are charged against MAX_ANNIHILATOR_WORK, and past it
+    |S|^2 products are charged against MAX_WORK, and past it
     GridTooLargeError is raised.  A product of a w_a-word element and a
     w_c-word coefficient counts as ``product_work`` says; over Z,
     |coefficient| <= prod (1 + |a|) < 2^(sum of (bits of |a|) + 1)."""
@@ -357,9 +357,9 @@ def annihilator(ring: RingSpec, elements: Sequence[int]) -> list[int]:
         width = words(max(map(abs, elements), default=0).bit_length())
         height = words(sum(abs(a).bit_length() + 1 for a in elements))
     work = product_work(len(elements), width, len(elements), height)
-    if work > MAX_ANNIHILATOR_WORK:
+    if work > MAX_WORK:
         raise GridTooLargeError(f"prod(x - a) over {len(elements)} elements needs {work} "
-                                f"products, limit is {MAX_ANNIHILATOR_WORK}")
+                                f"products, limit is {MAX_WORK}")
     coeffs = [1]
     for a in elements:
         # times (x - a): the new coefficient of x^k is c_{k-1} - a * c_k

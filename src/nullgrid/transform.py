@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, NamedTuple, Sequence
 
+from . import poly
 from .errors import GridTooLargeError, HypothesisViolationError, UnsupportedRingError
 from .poly import (
     Exponents,
@@ -62,7 +63,7 @@ def _reduce_variable(f: Polynomial, grid: GridSpec, var: int) -> Polynomial:
 
     Before the annihilator is built, (d - s + 1) pops × distinct rests ×
     (s - [0 in S]) products, weighted by ``product_work``, are charged
-    against ``parser.MAX_EXPANSION_WORK``; past it GridTooLargeError is
+    against ``poly.MAX_WORK``; past it GridTooLargeError is
     raised.  s - [0 in S] bounds the nonzero r_j, as r_0 = ±prod a; a set
     that is all of F_p has x^p - x, with one nonzero r_j, charged as 1.  Over
     Z, |r_j| <= prod (1 + |a|) <= 2^(sum of the bit lengths of |a|), and a
@@ -74,8 +75,6 @@ def _reduce_variable(f: Polynomial, grid: GridSpec, var: int) -> Polynomial:
     s = len(elements)
     if f.is_zero or f.partial_degree(var) < s:
         return f
-    from .parser import MAX_EXPANSION_WORK
-
     ring, m = f.ring, f.ring.modulus
     layers: dict[int, dict[Exponents, int]] = {}
     for exps, c in f.terms.items():
@@ -91,9 +90,9 @@ def _reduce_variable(f: Polynomial, grid: GridSpec, var: int) -> Polynomial:
                 + (top - s) * max(map(abs, elements)).bit_length())
     nonzero_r = 1 if s == m else s - (0 in elements)
     work = product_work(pops * rests, words(wide), nonzero_r, words(narrow))
-    if work > MAX_EXPANSION_WORK:
+    if work > poly.MAX_WORK:
         raise GridTooLargeError(f"reducing x{var + 1}^{top} modulo {s} elements needs {work} "
-                                f"products, limit is {MAX_EXPANSION_WORK}")
+                                f"products, limit is {poly.MAX_WORK}")
     replacement = [(j, -c) for j, c in enumerate(annihilator(ring, elements)[:-1]) if c]
     for t in range(top, s - 1, -1):
         layer = {rest: v for rest, c in layers.pop(t, {}).items() if (v := c % m if m else c)}
@@ -170,6 +169,22 @@ def grid_values(f: Polynomial, grid: GridSpec) -> dict[tuple[int, ...], int]:
     return dict(zip(grid.points(), _grid_values(f, grid)))
 
 
+def require_extractable(grid: GridSpec, d: Sequence[int]) -> tuple[int, ...]:
+    """d as a tuple, once checked that ``coefficient_via_grid`` can read x^d
+    off the grid: a prime field, one entry per variable, 0 <= d_i < |S_i|."""
+    if not grid.ring.is_field:
+        raise UnsupportedRingError("coefficient extraction needs a prime field")
+    d = tuple(d)
+    if len(d) != grid.arity:
+        raise ValueError(f"degree vector {d} does not match grid arity {grid.arity}")
+    for i, (di, s) in enumerate(zip(d, grid.sizes)):
+        if di < 0:
+            raise ValueError(f"negative degree {di}")
+        if s <= di:
+            raise HypothesisViolationError(f"need |S_{i + 1}| > d_{i + 1}, got {s} <= {di}")
+    return d
+
+
 def coefficient_via_grid(values: Mapping[tuple[int, ...], int], grid: GridSpec,
                          d: tuple[int, ...]) -> RingElem:
     """Recover the coefficient of x^d in f from its values on the grid.
@@ -186,16 +201,7 @@ def coefficient_via_grid(values: Mapping[tuple[int, ...], int], grid: GridSpec,
     ring; an element of another ring raises RingMismatchError.
     """
     ring = grid.ring
-    if not ring.is_field:
-        raise UnsupportedRingError("coefficient extraction needs a prime field")
-    d = tuple(d)
-    if len(d) != grid.arity:
-        raise ValueError(f"degree vector {d} does not match grid arity {grid.arity}")
-    for i, (di, s) in enumerate(zip(d, grid.sizes)):
-        if di < 0:
-            raise ValueError(f"negative degree {di}")
-        if s <= di:
-            raise HypothesisViolationError(f"need |S_{i + 1}| > d_{i + 1}, got {s} <= {di}")
+    d = require_extractable(grid, d)
     missing = sum(1 for pt in grid.points() if pt not in values)
     if missing:
         raise ValueError(f"value map misses {missing} of {grid.size()} grid points")

@@ -357,13 +357,31 @@ def _reference_classify(f):
     return rows
 
 
+def _reference_skyline(support):
+    """maximal_monomials as it was before it skipped maxima of equal total
+    degree: each monomial, graded-descending, against every kept maximum."""
+    kept = []
+    for m in sorted(support, key=lambda v: (sum(v), v), reverse=True):
+        if not any(all(a >= b for a, b in zip(k, m)) for k in kept):
+            kept.append(m)
+    return set(kept)
+
+
 @st.composite
 def _supports(draw):
     # exponents 0..3 repeat per variable, so seeds share prefixes and the
-    # same (seed, d) pair comes out of several orders
-    n = draw(st.integers(1, 5))
+    # same (seed, d) pair comes out of several orders; arity 5 and 6 use the
+    # identity order alone.  Homogeneous supports (the last exponent fills
+    # each vector up to one total degree) and supports cut to their maxima
+    # are antichains, where every monomial is maximal.
+    n = draw(st.integers(1, 6))
     top = draw(st.integers(0, 3))
     support = draw(st.lists(st.tuples(*[st.integers(0, top)] * n), min_size=1, max_size=14, unique=True))
+    shape = draw(st.sampled_from(("any", "homogeneous", "antichain")))
+    if shape == "homogeneous":
+        support = [v[:-1] + ((n - 1) * top - sum(v[:-1]),) for v in support]
+    elif shape == "antichain":
+        support = _reference_skyline(support)
     return Polynomial(n, Z, {v: 1 for v in support})
 
 
@@ -373,8 +391,21 @@ def _supports(draw):
 @example(Polynomial(1, Z, {(4,): 1}))
 @example(Polynomial(5, Z, {(1, 0, 2, 0, 1): 1, (1, 0, 2, 1, 0): 1, (0, 3, 0, 0, 0): 1}))
 @example(Polynomial(3, Z, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1, (2, 0, 0): 1}))
+@example(Polynomial(6, Z, {(2, 0, 1, 0, 0, 1): 1, (0, 2, 0, 1, 1, 0): 1, (1, 1, 1, 1, 0, 0): 1}))
 def test_classify_matches_the_reference(f):
+    assert maximal_monomials(f) == _reference_skyline(f.terms)
     assert classify(f) == _reference_classify(f)
+
+
+def test_skyline_compares_nothing_on_a_homogeneous_support(monkeypatch):
+    # no monomial of equal total degree can strictly dominate another
+    calls = []
+    dominates = analysis._dominates
+    monkeypatch.setattr(analysis, "_dominates", lambda a, b: calls.append(a) or dominates(a, b))
+    f = parse_poly("(x + y + z)^12", ["x", "y", "z"], Z)
+    assert len(maximal_monomials(f)) == len(f.terms) == 91
+    classify(f)
+    assert calls == []
 
 
 def _lambda_lex_largest(f, order):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ import pytest
 
 from nullgrid import oracle, poly, transform
 from nullgrid.cli import main
+from nullgrid.ring import RingSpec
 
 
 def run_cli(capsys, *argv):
@@ -435,6 +437,42 @@ def test_coeff_on_a_grid_over_the_value_cap_is_a_resource_error(capsys):
     error = json.loads(out)["error"]
     assert error["code"] == "resource-limit"
     assert error["message"] == "grid has 1001000 points, value limit is 1000000"
+
+
+@pytest.mark.parametrize("ring,monomial,code,message", [
+    ("int", "1,1", 1, "coefficient extraction needs a prime field"),
+    ("fp:10007", "1000,1", 2, "need |S_1| > d_1, got 1000 <= 1000"),
+    ("fp:10007", "-1,1", 1, "negative degree -1"),
+], ids=["int", "degree", "negative"])
+def test_coeff_checks_its_preconditions_before_evaluating_the_grid(capsys, monkeypatch, ring, monomial,
+                                                                   code, message):
+    def refuse(*args):
+        raise AssertionError("the grid was evaluated")
+
+    monkeypatch.setattr(transform, "grid_values", refuse)
+    got, out = run_cli(capsys, "coeff", "--ring", ring, "--grid", "0..999;0..999", f"--monomial={monomial}",
+                       "--poly", "x*y + 1")
+    assert got == code
+    assert json.loads(out)["error"]["message"] == message
+
+
+def test_a_rendered_20000_term_file_reads_back_in_trim_and_verify(tmp_path):
+    # a flat sum of T terms once expanded in O(T^2) term copies: over a
+    # minute here, where it now takes a few seconds
+    rng = random.Random(20000)
+    f10007 = RingSpec.prime_field(10007)
+    terms = {}
+    while len(terms) < 20000:
+        terms[(rng.randrange(400), rng.randrange(400))] = rng.randrange(1, 10007)
+    text = poly.Polynomial(2, f10007, terms).render(["x", "y"])
+    path = write(tmp_path, "f.txt", text + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).resolve().parents[1]))
+    for command in ("trim", "verify"):
+        proc = subprocess.run([sys.executable, "-m", "nullgrid", command, "--ring", "fp:10007",
+                               "--grid", "0..19;0..19", path], capture_output=True, text=True, env=env, timeout=40)
+        assert proc.returncode in (0, 3), proc.stderr
+        if proc.returncode == 0:
+            assert json.loads(proc.stdout)["polynomial"] == text
 
 
 # (argv, exit code, sha256 of stdout), recorded before integer grid values

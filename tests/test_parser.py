@@ -1,3 +1,5 @@
+import math
+import random
 import re
 import time
 
@@ -5,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullgrid import parser
+from nullgrid import poly
 from nullgrid.errors import ExpansionTooLargeError, ExponentOverflowError, ParseError, UnknownVariableError
 from nullgrid.parser import (
-    MAX_EXPANSION_WORK,
     MAX_EXPONENT,
     DagBuilder,
     _power_work,
@@ -19,7 +20,8 @@ from nullgrid.parser import (
     parse_dag,
     parse_poly,
 )
-from nullgrid.poly import Polynomial, product_work
+from nullgrid.pit import eval_dag
+from nullgrid.poly import MAX_WORK, Polynomial, product_work
 from nullgrid.ring import RingSpec
 
 Z = RingSpec.integers()
@@ -175,16 +177,65 @@ def test_expand_matches_poly_parse():
 
 
 def test_expand_evaluates_consistently():
-    import random
-
-    from nullgrid.pit import eval_dag
-
     rng = random.Random(5)
     dag = parse_dag("(x + 2*y)^3 - (x - y)*(x + y) + 4", ["x", "y"], F7)
     f = expand_dag(dag)
     for _ in range(20):
         pt = (rng.randrange(7), rng.randrange(7))
         assert eval_dag(dag, pt).value == f.evaluate(pt).value
+
+
+X, Y = Polynomial.variable(2, Z, 0), Polynomial.variable(2, Z, 1)
+
+
+@st.composite
+def _signed_sums(draw, depth=2):
+    """A sum of signed terms as text, some of them parenthesized sums, and
+    the Polynomial that folding its terms left to right with + and - gives."""
+    text, value = "", None
+    for _ in range(draw(st.integers(1, 6))):
+        sign = draw(st.sampled_from("+-"))
+        if depth and draw(st.integers(0, 3)) == 0:
+            inner, term = draw(_signed_sums(depth - 1))
+            inner = f"({inner})"
+        else:
+            c, i, j = draw(st.integers(0, 9)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+            inner, term = f"{c}*x^{i}*y^{j}", c * X ** i * Y ** j
+        if value is None:
+            text, value = ("" if sign == "+" else "-") + inner, term if sign == "+" else -term
+        else:
+            text, value = f"{text} {sign} {inner}", value + term if sign == "+" else value - term
+    return text, value
+
+
+@settings(max_examples=200, deadline=None)
+@given(_signed_sums(), st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=3))
+def test_sums_parse_to_the_fold_of_their_terms(sum_and_value, points):
+    text, value = sum_and_value
+    assert parse_poly(text, ["x", "y"], Z) == value
+    dag = parse_dag(text, ["x", "y"], Z)
+    for pt in points:
+        assert eval_dag(dag, pt) == value.evaluate(pt)
+
+
+def test_a_flat_sum_expands_in_t_log_t_term_copies(monkeypatch):
+    # a left-leaning chain of T additions copies about T^2 / 2 terms
+    rng = random.Random(2000)
+    f101 = RingSpec.prime_field(101)
+    terms = {}
+    while len(terms) < 2000:
+        terms[(rng.randrange(100), rng.randrange(100))] = rng.randrange(1, 101)
+    f = Polynomial(2, f101, terms)
+    copied = []
+    init = Polynomial.__init__
+
+    def counting(self, arity, ring, terms=None):
+        copied.append(len(terms or ()))
+        init(self, arity, ring, terms)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting)
+    assert parse_poly(f.render(["x", "y"]), ["x", "y"], f101) == f
+    assert sum(copied) <= 2 * len(terms) * math.ceil(math.log2(len(terms)))
 
 
 def test_infer_variables_indexed():
@@ -205,20 +256,20 @@ def test_expansion_budget_refuses_a_huge_power_fast():
         parse_poly("(x + y)^1000000", ["x", "y"], Z)
     assert time.perf_counter() - start < 1.0
     # the budget still covers (x + y + z + 1)^40, about 4 s of expansion
-    assert _power_work(parse_poly("x + y + z + 1", ["x", "y", "z"], F7), 40, MAX_EXPANSION_WORK) \
-        < MAX_EXPANSION_WORK
+    assert _power_work(parse_poly("x + y + z + 1", ["x", "y", "z"], F7), 40, MAX_WORK) \
+        < MAX_WORK
 
 
 def test_expansion_budget_is_charged_before_each_product(monkeypatch):
     dag = parse_dag("(x + 1)*(y + 1)*(x + y)", ["x", "y"], Z)
     want = expand_dag(dag)
     # 2·2 term products, then 4·2
-    monkeypatch.setattr(parser, "MAX_EXPANSION_WORK", 12)
+    monkeypatch.setattr(poly, "MAX_WORK", 12)
     assert expand_dag(dag) == want
-    monkeypatch.setattr(parser, "MAX_EXPANSION_WORK", 11)
+    monkeypatch.setattr(poly, "MAX_WORK", 11)
     with pytest.raises(ExpansionTooLargeError, match="product of 4 and 2 terms"):
         expand_dag(dag)
-    monkeypatch.setattr(parser, "MAX_EXPANSION_WORK", 3)
+    monkeypatch.setattr(poly, "MAX_WORK", 3)
     with pytest.raises(ExpansionTooLargeError, match="power 2"):
         expand_dag(parse_dag("(x + y)^2", ["x", "y"], Z))
 
@@ -271,13 +322,13 @@ def test_expansion_budget_weighs_coefficient_words(monkeypatch):
     dag = parse_dag(f"(x + {2**1000})*(y - {2**1000})", ["x", "y"], Z)
     # 2·2 term products of 16-word coefficients, each counting 1 + 16·16 // 128 = 3
     assert _words(parse_poly(f"x + {2**1000}", ["x"], Z)) == 16
-    monkeypatch.setattr(parser, "MAX_EXPANSION_WORK", 12)
+    monkeypatch.setattr(poly, "MAX_WORK", 12)
     want = expand_dag(dag)
     assert want.terms[(0, 0)] == -2**2000
-    monkeypatch.setattr(parser, "MAX_EXPANSION_WORK", 11)
+    monkeypatch.setattr(poly, "MAX_WORK", 11)
     with pytest.raises(ExpansionTooLargeError, match="product of 2 and 2 terms"):
         expand_dag(dag)
     # (x + y)^3000 has coefficients of ~3000 bits over Z, one word over F_101
-    assert _power_work(parse_poly("x + y", ["x", "y"], Z), 3000, MAX_EXPANSION_WORK) > MAX_EXPANSION_WORK
-    assert _power_work(parse_poly("x + y", ["x", "y"], RingSpec.prime_field(101)), 3000, MAX_EXPANSION_WORK) \
-        < MAX_EXPANSION_WORK
+    assert _power_work(parse_poly("x + y", ["x", "y"], Z), 3000, MAX_WORK) > MAX_WORK
+    assert _power_work(parse_poly("x + y", ["x", "y"], RingSpec.prime_field(101)), 3000, MAX_WORK) \
+        < MAX_WORK

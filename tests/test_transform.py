@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullgrid import parser, poly
+from nullgrid import poly
 from nullgrid.errors import GridTooLargeError, HypothesisViolationError, RingMismatchError, UnsupportedRingError
 from nullgrid.oracle import random_polynomial, tightness_family
 from nullgrid.parser import parse_poly
@@ -286,14 +286,15 @@ def test_trim_invariants(case):
 
 
 def test_trim_reduction_work_is_charged_before_reducing():
-    # x^5 on {0, 1, 2}: pops of x^5, x^4, x^3, one rest, and x^3 = 3x^2 - 2x
-    # has two nonzero replacement coefficients, so the charge is 3 * 1 * 2
-    f = parse_poly("x^5 + 2*x^2 + 1", ["x"], F7)
+    # x^20 on {0, 1, 2}: pops of x^20 down to x^3, one rest, and x^3 = 3x^2 - 2x
+    # has two nonzero replacement coefficients, so the charge is 18 * 1 * 2,
+    # above the 3 * 3 products that building the annihilator charges
+    f = parse_poly("x^20 + 2*x^2 + 1", ["x"], F7)
     grid = GridSpec(F7, [(0, 1, 2)])
-    with mock.patch.object(parser, "MAX_EXPANSION_WORK", 6):
+    with mock.patch.object(poly, "MAX_WORK", 36):
         assert trim(f, grid) == _reference_trim(f, grid)
-    with mock.patch.object(parser, "MAX_EXPANSION_WORK", 5), \
-            pytest.raises(GridTooLargeError, match="reducing x1\\^5 modulo 3 elements needs 6 products"):
+    with mock.patch.object(poly, "MAX_WORK", 35), \
+            pytest.raises(GridTooLargeError, match="reducing x1\\^20 modulo 3 elements needs 36 products"):
         trim(f, grid)
     # over Z a popped coefficient of x^5000 on 0..99 may have up to
     # 4999 + 4901 * 7 + 1 bits, so each of the 4901 * 99 products weighs 44
@@ -306,7 +307,7 @@ def test_trim_reduction_work_is_charged_before_reducing():
 def test_annihilator_work_is_charged_before_building():
     # over a word-size modulus each of the |S|^2 products counts one
     f101 = RingSpec.prime_field(101)
-    with mock.patch.object(poly, "MAX_ANNIHILATOR_WORK", 100):
+    with mock.patch.object(poly, "MAX_WORK", 100):
         assert len(annihilator(f101, tuple(range(10)))) == 11
         with pytest.raises(GridTooLargeError, match="11 elements needs 121 products"):
             annihilator(f101, tuple(range(11)))
