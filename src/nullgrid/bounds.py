@@ -223,8 +223,9 @@ def erdos_density_bound(arity: int, l: int, size: int):
     L = l ** (arity - 1)
     numerator = (3 * arity) ** arity
     root = round(size ** (1.0 / L))
+    # once L >= size.bit_length(), k^L >= 2^L > size for every k >= 2
     for k in (root - 1, root, root + 1):
-        if k >= 1 and k**L == size:
+        if (k == 1 or k >= 2 and L < size.bit_length()) and k**L == size:
             return Fraction(numerator, k)
     return numerator / size ** (1.0 / L)
 

@@ -65,8 +65,8 @@ class ExpansionTooLargeError(NullgridError, RuntimeError):
 
 
 class SearchBudgetError(NullgridError, RuntimeError):
-    """An exhaustive search space exceeds its budget; use the local search
-    instead."""
+    """A search exceeds its budget: an exhaustive puzzle search (use the
+    local search instead) or identity-test trials times DAG nodes."""
 
 
 class ParseError(NullgridError, ValueError):

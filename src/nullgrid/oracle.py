@@ -11,8 +11,8 @@ batches sized to ``_CELL_BUDGET`` cells summed over the batch's primes,
 and ``_garner`` rebuilds integer values from the residues.  The
 pure-Python recursion ``_count_rec`` is kept on purpose as the
 independent reference the tests compare the kernel against, and runs
-wherever a kernel guard fails, on small grids, and on larger ones until
-numpy is loaded or a work budget under its import cost is spent.
+wherever a kernel guard fails, and on any grid until numpy is loaded or
+a work budget under its import cost is spent.
 ``min_nonzero_search`` scores its candidate coefficient vectors in
 int64 blocks, decoded in mixed radix when it enumerates the space and
 drawn from bulk generator words (the exact ``randrange`` stream of its
@@ -58,12 +58,10 @@ _CELL_BUDGET = 1 << 22
 # most word-size primes the kernel uses over Z before leaving it to the reference
 _MAX_PRIMES = 16
 _INT64_LIMIT = 1 << 63
-# most grid points x terms sent to the reference without trying the kernel
-_SMALL_GRID = 1024
-# grid points x coefficient words the reference may still take on, beyond
-# small grids, while numpy is not loaded: tens of ms in all, less than
-# importing numpy, so a short run never loads it and a long one loses at
-# most about one import's time before the kernel takes over
+# grid points x coefficient words the reference may still take on while
+# numpy is not loaded: tens of ms in all, less than importing numpy, so a
+# short run never loads it and a long one loses at most about one
+# import's time before the kernel takes over
 _cold_work_left = 200_000
 # most grid points x coefficient words the reference may evaluate (about 1.5 s
 # on a 2-vCPU VM); beyond it evaluation is refused
@@ -186,18 +184,14 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     S_1 slice height, or None when the reference must run instead.  Logs
     the choice at DEBUG level.
 
-    Grids whose points times terms are at most ``_SMALL_GRID`` go to the
-    reference ("small grid").  There the reference takes at most about
-    half a millisecond, a few per cent of importing numpy; with numpy
-    already loaded the kernel can still be up to three times faster over
-    F_p and Z_m, and is often slower over Z.  While numpy is not loaded,
-    larger grids go to the reference too ("numpy not loaded") until
-    their points times coefficient words add up to ``_cold_work_left``,
-    less work than importing numpy costs; after that the kernel runs.
-    So a short run never imports numpy, whatever its input, and a long
-    one pays it once.  The reference is refused with GridTooLargeError
-    when points times the words of every term's largest value exceed
-    ``_REFERENCE_WORK``.
+    Once numpy is loaded, every grid goes to the kernel unless a guard
+    below fails.  While it is not, grids go to the reference ("numpy not
+    loaded") until their points times coefficient words add up to
+    ``_cold_work_left``, less work than importing numpy costs; after that
+    the kernel runs.  So a short run never imports numpy, whatever its
+    input, and a long one pays it once.  The reference is refused with
+    GridTooLargeError when points times the words of every term's largest
+    value exceed ``_REFERENCE_WORK``.
 
     Each contraction sums at most |E_i| products of residues below q, so
     the guard (q - 1)^2 * max |E_i| < 2^63 keeps int64 arithmetic exact,
@@ -237,9 +231,7 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     points = prod(sizes)
     moduli: list[int] = []
     reason = None
-    if points * len(f.terms) <= _SMALL_GRID:
-        reason = "small grid"
-    elif "numpy" not in sys.modules and points * words <= _cold_work_left:
+    if "numpy" not in sys.modules and points * words <= _cold_work_left:
         _cold_work_left -= points * words
         reason = "numpy not loaded"
     elif m:

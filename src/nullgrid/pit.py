@@ -15,7 +15,8 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InsufficientSampleSpaceError, UnsupportedRingError
+from . import poly
+from .errors import InsufficientSampleSpaceError, SearchBudgetError, UnsupportedRingError
 from .parser import DagBuilder, ExprDag, fold_dag
 from .ring import RingElem
 
@@ -53,8 +54,8 @@ class PitVerdict(NamedTuple):
 
     status is "nonzero-witnessed" (with the witnessing point, its value,
     and the 0-based trial index) or "all-zero" (with the exact failure
-    bound (d/s)^t).  Identical verdicts for identical seeds: the t sample
-    points are drawn up front from the seeded generator.  A NamedTuple.
+    bound (d/s)^t).  Identical verdicts for identical seeds: trial i
+    evaluates the i-th point drawn from the seeded generator.  A NamedTuple.
     """
 
     status: str
@@ -76,7 +77,9 @@ def identity_test(g1: ExprDag, g2: ExprDag, *, samples_per_var: int,
     Requires s strictly above the structural degree bound of the
     difference; otherwise the d/s guarantee is vacuous and the test
     refuses to run.  A nonzero value is a proof of difference; all zeros
-    leaves failure probability at most (d/s)^trials, exact.
+    leaves failure probability at most (d/s)^trials, exact.  Trials times
+    the nodes of the difference DAG are charged against ``poly.MAX_WORK``
+    before any point is drawn, and past it SearchBudgetError is raised.
     """
     if g1.ring != g2.ring or g1.arity != g2.arity:
         raise ValueError("identity test needs DAGs over one ring and arity")
@@ -94,9 +97,12 @@ def identity_test(g1: ExprDag, g2: ExprDag, *, samples_per_var: int,
         raise InsufficientSampleSpaceError(
             f"degree bound {d} needs more than {s} samples per variable")
 
+    if trials * len(diff) > poly.MAX_WORK:
+        raise SearchBudgetError(f"{trials} trials of a {len(diff)}-node DAG need {trials * len(diff)} "
+                                f"node evaluations, limit is {poly.MAX_WORK}")
     rng = random.Random(seed)
-    points = [tuple(rng.randrange(s) for _ in range(diff.arity)) for _ in range(trials)]
-    for i, pt in enumerate(points):
+    for i in range(trials):
+        pt = tuple(rng.randrange(s) for _ in range(diff.arity))
         v = eval_dag(diff, pt)
         if v.value:
             return PitVerdict("nonzero-witnessed", trials, d, s, seed,

@@ -191,6 +191,8 @@ def local_search(s: int, *, budget: int = 100_000, seed: int = 0,
     """
     if s < 1:
         raise ValueError("s must be positive")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     R = value_range
     if 2 * R + 1 < s:
         raise ValueError(f"range [-{R}, {R}] cannot seat {s} distinct keys")
@@ -218,24 +220,22 @@ def local_search(s: int, *, budget: int = 100_000, seed: int = 0,
     for step in range(1, budget + 1):
         seq = rng.randrange(4)
         arr = state[seq]
+        saved = arr[:]  # restored when the move is rejected
         move = rng.randrange(3)
         if move < 2:  # nudge by +-1, or resample
             i = rng.randrange(s)
-            old = arr[i]
-            cand = old + (1 if rng.randrange(2) else -1) if move == 0 else rng.randint(-R, R)
+            cand = arr[i] + (1 if rng.randrange(2) else -1) if move == 0 else rng.randint(-R, R)
             if cand < -R or cand > R:
                 continue
             arr[i] = cand
             if seq < 2 and len(set(arr)) != s:
-                arr[i] = old
+                state[seq] = saved
                 continue
-            undo = (seq, i, old)
         else:  # swap
             if s == 1:
                 continue
             i, j = rng.sample(range(s), 2)
             arr[i], arr[j] = arr[j], arr[i]
-            undo = (seq, i, j, "swap")
 
         cand_count = count_of(state)
         if cand_count >= current:
@@ -247,12 +247,7 @@ def local_search(s: int, *, budget: int = 100_000, seed: int = 0,
                 history.append((restarts, step, best_count))
             stall = 0 if improved else stall + 1
         else:
-            if len(undo) == 4:
-                _, i, j, _ = undo
-                arr[i], arr[j] = arr[j], arr[i]
-            else:
-                _, i, old = undo
-                arr[i] = old
+            state[seq] = saved
             stall += 1
         if stall >= STALL_LIMIT:
             state = fresh()

@@ -1,6 +1,11 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -167,6 +172,20 @@ def test_erdos_density_bound():
     approx = erdos_density_bound(2, 2, 17)
     assert isinstance(approx, float)
     assert 36 / 4.2 < approx < 36 / 4.0
+    # exact roots on either side of L = l^(n-1) against the size's bit length
+    assert erdos_density_bound(2, 3, 8) == erdos_density_bound(2, 4, 16) == Fraction(36, 2)
+    assert erdos_density_bound(2, 5, 1) == Fraction(36)
+    assert erdos_density_bound(2, 5, 31) == 36 / 31 ** (1 / 5)
+
+
+def test_erdos_density_bound_tries_no_power_past_the_size():
+    # L = 61^5: the bound once computed 2^L, seconds and hundreds of MB
+    argv = ["bounds", "--poly", "x1^60*x2*x3*x4*x5*x6", "--grid", "0..60;0..1;0..1;0..1;0..1;0..1"]
+    proc = subprocess.run([sys.executable, "-m", "nullgrid", *argv], capture_output=True, text=True,
+                          timeout=3, env=dict(os.environ, PYTHONPATH=str(Path(analysis.__file__).resolve().parents[1])))
+    assert proc.returncode == 0, proc.stderr
+    [value] = [b["value"] for b in json.loads(proc.stdout)["bounds"] if b["name"] == "erdos-density"]
+    assert value == erdos_density_bound(6, 61, 2) == 18 ** 6 / 2 ** (1 / 61 ** 5)
 
 
 def test_kst_exponent():

@@ -136,6 +136,25 @@ def test_pit_witness(tmp_path, capsys):
     assert verdict["point"] is not None
 
 
+def test_pit_refuses_trials_past_the_work_budget(capsys):
+    # 10^6 trials of a 7-node difference DAG: 7·10^6 node evaluations,
+    # refused before any point is drawn
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "pit", "(x+y)^3", "(y+x)^3", "--ring", "fp:101",
+                        "--samples", "100", "--trials", "1000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == "resource-limit"
+    assert "7000000 node evaluations, limit is 4000000" in error["message"]
+
+
+def test_puzzle_local_refuses_a_negative_budget(capsys):
+    code, out = run_cli(capsys, "puzzle", "local", "--size", "2", "--budget", "-5")
+    assert code == 1
+    assert json.loads(out)["error"]["message"] == "budget must be nonnegative"
+
+
 def test_puzzle_exhaustive_json(capsys):
     code, out = run_cli(capsys, "puzzle", "exhaustive", "--size", "2",
                         "--range", "3", "--budget", "100000000")
@@ -317,7 +336,7 @@ def test_expansion_over_z_is_charged_for_its_coefficients(capsys):
 
 @pytest.mark.usefixtures("numpy_counted_as_loaded")
 def test_verbose_logs_to_stderr_and_leaves_stdout_alone(capsys):
-    # 1024 points x 2 terms: above the small-grid constant, so the kernel runs
+    # with numpy counted as loaded, the kernel runs
     argv = ["verify", "--ring", "fp:101", "--grid", "0..31;0..31", "--poly", "x*y + 1"]
     assert main(argv) == 0
     quiet = capsys.readouterr()

@@ -15,6 +15,12 @@ def test_demos_found():
     assert DEMOS
 
 
+@pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+def test_docs_name_every_demo(doc):
+    text = (ROOT / doc).read_text()
+    assert [demo.name for demo in DEMOS if f"demos/{demo.name}" not in text] == []
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

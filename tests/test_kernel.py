@@ -27,7 +27,7 @@ from nullgrid.poly import GridSpec, Polynomial
 from nullgrid.ring import RingSpec
 from nullgrid.transform import grid_values
 
-pytestmark = pytest.mark.usefixtures("kernel_on_small_grids")
+pytestmark = pytest.mark.usefixtures("numpy_counted_as_loaded")
 
 Z = RingSpec.integers()
 # Z_m with its smallest prime factor: up to that many consecutive

@@ -66,7 +66,7 @@ def test_count_matches_naive_random():
             assert count.zero_set == tuple(zeros)
 
 
-@pytest.mark.usefixtures("kernel_on_small_grids")
+@pytest.mark.usefixtures("numpy_counted_as_loaded")
 def test_count_kernel_agrees_with_reference(caplog):
     f = parse_poly("x^3*y - 2*x*z + y^2*z^2 - 7", ["x", "y", "z"], Z)
     grid = GridSpec(Z, [range(6), range(5), range(4)])
@@ -80,24 +80,24 @@ def test_count_kernel_agrees_with_reference(caplog):
 
 @pytest.mark.usefixtures("numpy_counted_as_loaded")
 @pytest.mark.parametrize("ring", [Z, RingSpec.prime_field(101), RingSpec.integers_mod(1009 * 1013)])
-def test_small_grid_constant_selects_the_reference(caplog, ring):
-    # one term, so points x terms is the point count: the constant itself,
-    # then one more; x^2 y vanishes on the grid lines x = 0 and y = 0
+def test_every_grid_goes_to_the_kernel_once_numpy_is_loaded(caplog, ring):
+    # one term, so points x terms is the point count, from one point up;
+    # x^2 y vanishes on the grid lines x = 0 and y = 0
     f = Polynomial.monomial(2, ring, (2, 1), 3)
-    for sets, extra, path in (((range(-16, 16), range(-16, 16)), 0, "path=reference reason=small grid"),
-                              ((range(-12, 13), range(-20, 21)), 1, "path=kernel reason=none")):
+    for sets, size in ((([0], [0]), 1), ((range(-16, 16), range(-16, 16)), 1024),
+                       ((range(-12, 13), range(-20, 21)), 1025)):
         grid = GridSpec(ring, sets)
-        assert grid.size() == oracle._SMALL_GRID + extra
-        zeros = []
-        nonzeros = _count_rec(f.terms, grid.sets, ring.modulus, (), zeros)
+        assert grid.size() == size
+        zeros, values = [], []
+        nonzeros = _count_rec(f.terms, grid.sets, ring.modulus, (), zeros, values)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="nullgrid"):
             count = count_nonzeros(f, grid)
-            values = grid_values(f, grid)
+            kernel_values = grid_values(f, grid)
         messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == 2 and all(path in m for m in messages)
+        assert len(messages) == 2 and all("path=kernel reason=none" in m for m in messages)
         assert (count.nonzeros, count.zero_set) == (nonzeros, tuple(zeros))
-        assert values == {pt: f.eval_raw(pt) for pt in grid.points()}
+        assert kernel_values == dict(zip(grid.points(), values))
 
 
 def test_count_zero_polynomial():

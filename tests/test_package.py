@@ -145,7 +145,7 @@ def test_debug_records_reach_a_handler_added_after_import():
     # the records a handler configured before import received from the
     # module-level loggers: same logger, function and text
     grid = ["nullgrid.oracle", "DEBUG", "_plan",
-            "grid evaluation path=reference reason=small grid primes=0 chunks=0"]
+            "grid evaluation path=kernel reason=none primes=0 chunks=1"]
     assert records == [
         ["nullgrid.analysis", "DEBUG", "_witnesses", "classify terms=3 orders=2 reports=16 d_leading=5"],
         grid, grid, grid, grid,

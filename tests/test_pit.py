@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from nullgrid.errors import InsufficientSampleSpaceError, RingMismatchError, UnsupportedRingError
+from nullgrid import poly
+from nullgrid.errors import (
+    InsufficientSampleSpaceError,
+    RingMismatchError,
+    SearchBudgetError,
+    UnsupportedRingError,
+)
 from nullgrid.oracle import count_nonzeros, random_polynomial
 from nullgrid.parser import DagBuilder, expand_dag, parse_dag
 from nullgrid.pit import dag_difference, degree_upper_bound, eval_dag, identity_test
@@ -104,6 +110,16 @@ def test_identity_requires_headroom():
     with pytest.raises(InsufficientSampleSpaceError):
         identity_test(g1, g2, samples_per_var=10, trials=5)
     identity_test(g1, g2, samples_per_var=11, trials=5)
+
+
+def test_identity_test_charges_trials_times_nodes(monkeypatch):
+    g1 = parse_dag("(x+y)^3", ["x", "y"], F101)
+    g2 = parse_dag("(y+x)^3", ["x", "y"], F101)
+    nodes = len(dag_difference(g1, g2))
+    monkeypatch.setattr(poly, "MAX_WORK", 5 * nodes)
+    assert identity_test(g1, g2, samples_per_var=100, trials=5).status == "all-zero"
+    with pytest.raises(SearchBudgetError, match=f"6 trials of a {nodes}-node DAG need {6 * nodes} node"):
+        identity_test(g1, g2, samples_per_var=100, trials=6)
 
 
 def test_identity_requires_field_and_matching_shape():

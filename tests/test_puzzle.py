@@ -138,3 +138,6 @@ def test_local_search_validation():
         local_search(0)
     with pytest.raises(ValueError):
         local_search(10, value_range=3)
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        local_search(2, budget=-5)
+    assert local_search(2, budget=0).steps == 0
