@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import ceil, prod
 from typing import NamedTuple
 
-from . import analysis
-from .errors import HypothesisViolationError
+from . import analysis, poly
+from .errors import HypothesisViolationError, SearchBudgetError
 from .poly import GridSpec, Polynomial, check_compatible
 
 
@@ -145,13 +145,24 @@ def min_products_by_total(lows: tuple[int, ...], highs: tuple[int, ...]) -> dict
 
     Dynamic program over (variable index, running sum).  Ties keep the
     first argmin in ascending y order, which makes output deterministic.
+    Before it runs, its work (the running sums reached before each
+    variable, times that variable's hi - lo + 1 choices, summed over the
+    variables) is charged against ``poly.MAX_WORK``; past it
+    SearchBudgetError is raised.
     """
     if len(lows) != len(highs) or not lows:
         raise ValueError("lows and highs must be nonempty and of equal length")
-    table: dict[int, tuple[int, tuple[int, ...]]] = {0: (1, ())}
+    work, states = 0, 1
     for lo, hi in zip(lows, highs):
         if not 1 <= lo <= hi:
             raise ValueError(f"need 1 <= low <= high, got [{lo}, {hi}]")
+        work += states * (hi - lo + 1)
+        states += hi - lo
+    if work > poly.MAX_WORK:
+        raise SearchBudgetError(f"the generalized Alon-Furedi table over {len(lows)} variables needs {work} "
+                                f"steps, limit is {poly.MAX_WORK}")
+    table: dict[int, tuple[int, tuple[int, ...]]] = {0: (1, ())}
+    for lo, hi in zip(lows, highs):
         nxt: dict[int, tuple[int, tuple[int, ...]]] = {}
         for s in sorted(table):
             p, ys = table[s]

@@ -66,7 +66,9 @@ class ExpansionTooLargeError(NullgridError, RuntimeError):
 
 class SearchBudgetError(NullgridError, RuntimeError):
     """A search exceeds its budget: an exhaustive puzzle search (use the
-    local search instead) or identity-test trials times DAG nodes."""
+    local search instead), identity-test trials times DAG nodes, or the
+    steps of the dynamic program behind the generalized Alon-Furedi
+    bound."""
 
 
 class ParseError(NullgridError, ValueError):

@@ -13,11 +13,13 @@ pure-Python recursion ``_count_rec`` is kept on purpose as the
 independent reference the tests compare the kernel against, and runs
 wherever a kernel guard fails, and on any grid until numpy is loaded or
 a work budget under its import cost is spent.
-``min_nonzero_search`` scores its candidate coefficient vectors in
+``min_nonzero_search`` streams its candidate coefficient vectors in
 int64 blocks, decoded in mixed radix when it enumerates the space and
 drawn from bulk generator words (the exact ``randrange`` stream of its
-seed) when it samples; ``_best_assignment`` decides p | v for each value
-by one multiplication with the inverse of p modulo 2^64, with no
+seed) when it samples.  When there are fewer classes of vectors that
+differ by a scalar than candidates, it scores each class once and looks
+each candidate up (``_class_lookup``); ``_scorer`` decides p | v for each
+value by one multiplication with the inverse of p modulo 2^64, with no
 division.  Each evaluation and each search logs its path at DEBUG level
 on the ``nullgrid`` logger.  numpy is imported only when the kernel or
 the search runs, so a short run never loads it.
@@ -492,13 +494,29 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
     random sample of ``sample_budget`` candidates is scored instead and
     the result is flagged non-exhaustive.
 
-    Candidates come in int64 blocks of at most ``_BLOCK_ROWS`` rows
+    Scaling a coefficient vector by any lambda != 0 leaves its zeros on
+    the grid where they are, so the candidates fall into p^(k-1) classes
+    of p - 1 vectors; each class has one representative whose required
+    coefficient is 1, and every member has the representative's count.
+    One rule picks what is scored: when there are fewer classes than
+    candidates to try (every enumerated space with p > 2, and a sample
+    of more than p^(k-1) candidates), each representative is scored once
+    into a table of counts and each candidate c reads the entry of
+    c * c[req]^-1 mod p (``_class_lookup``); otherwise each candidate is
+    scored (``_scorer``).  Either way the candidates come in the same
+    stream, described below, and the first one that reaches the least
+    count wins (``_best_assignment``).  No candidate goes below the
+    table's least entry (or below 0), so the scan stops at the first
+    candidate that reaches it: later ones could only tie, and a tie
+    keeps the earlier candidate.  So ``min_count``, the witness,
+    ``exhaustive`` and ``tried`` (the candidates the answer covers) are
+    those of scoring every candidate one by one.
+    Rows are scored in int64 blocks of at most ``_BLOCK_ROWS`` rows
     (fewer when the grid is large, so one block's value matrix stays
-    under the cell budget), and the first candidate that reaches the
-    global minimum wins, so the answer does not depend on the block size.
-    Each block is scored by one matrix product and, for each value v, an
-    exact test of p | v by multiplication in uint64 (``_best_assignment``),
-    with no int64 ``% p``.
+    under the cell budget), and the answer does not depend on the block
+    size.  Each block is scored by one matrix product and, for each
+    value v, an exact test of p | v by multiplication in uint64
+    (``_scorer``), with no int64 ``% p``.
     The exhaustive path decodes an index range in mixed radix
     (``_product_blocks``), which is ``itertools.product`` order.  The
     sampled path yields, for every seed, exactly the vectors of
@@ -523,7 +541,8 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
     taken before each to know its slot.
     Accepted values left over after a block are kept for the next.
     One DEBUG record on the ``nullgrid`` logger names the path, the
-    candidate and block counts, and the source of the values.
+    candidate and block counts, the source of the values, and what was
+    scored (classes or candidates) with its number of rows.
     """
     ring = grid.ring
     if not ring.is_field:
@@ -543,6 +562,7 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
     k = len(support)
     req_idx = support.index(required)
     space = (p - 1) * p ** (k - 1)
+    classes = p ** (k - 1)
 
     # value matrix: one column per grid point, one row per support monomial
     matrix = [_grid_values(Polynomial.monomial(grid.arity, ring, m), grid) for m in support]
@@ -555,10 +575,15 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
         blocks = _sample_blocks(random.Random(seed), p, k, req_idx, sample_budget, rows)
         exhaustive, tried = False, sample_budget
         source = "words" if p.bit_length() <= 32 else "randrange"
-    debug(__name__, "min search path=%s candidates=%d blocks=%d source=%s",
-          "exhaustive" if exhaustive else "sampled", tried, -(-tried // rows), source)
+    by_class = classes < tried
+    debug(__name__, "min search path=%s candidates=%d blocks=%d source=%s scored=%s rows=%d",
+          "exhaustive" if exhaustive else "sampled", tried, -(-tried // rows), source,
+          "classes" if by_class else "candidates", classes if by_class else tried)
 
-    best_count, best_coeffs = _best_assignment(blocks, matrix, p)
+    score, least = _scorer(matrix, p), 0
+    if by_class:
+        score, least = _class_lookup(score, p, k, req_idx, rows, grid.size())
+    best_count, best_coeffs = _best_assignment(blocks, score, least)
     witness = Polynomial(grid.arity, ring, dict(zip(support, best_coeffs)))
     return MinNonzeroResult(best_count, witness, exhaustive, tried)
 
@@ -568,13 +593,15 @@ _BLOCK_ROWS = 4096
 
 
 def _product_blocks(p: int, k: int, req: int, space: int, rows: int):
-    """Yield the vectors of ``itertools.product`` over range(1, p) in slot
-    ``req`` and range(p) elsewhere, as int64 blocks of ``rows`` rows:
-    candidate number t is t written in mixed radix (p - 1 for slot req,
-    p for the others, last slot least significant), plus 1 in slot req."""
+    """Yield the vectors of ``itertools.product`` over range(1, 1 + r) in
+    slot ``req`` and range(p) elsewhere, r = space // p^(k-1), as int64
+    blocks of ``rows`` rows: candidate number t is t written in mixed
+    radix (r for slot req, p for the others, last slot least
+    significant), plus 1 in slot req.  r = p - 1 gives every candidate
+    of the search, r = 1 every class representative."""
     import numpy as np
 
-    radices = [p - 1 if i == req else p for i in range(k)]
+    radices = [space // p ** (k - 1) if i == req else p for i in range(k)]
     for start in range(0, space, rows):
         index = np.arange(start, min(start + rows, space), dtype=np.int64)
         block = np.empty((len(index), k), dtype=np.int64)
@@ -638,20 +665,21 @@ def _accepted_values(words, p: int, k: int, req: int, slot: int):
     return np.where(slots == req, top_req[at] + 1, top[at])
 
 
-def _best_assignment(blocks, matrix: list[list[int]], p: int) -> tuple[int, tuple[int, ...]]:
-    """Scan blocks of coefficient vectors for the fewest nonzero grid values.
+def _scorer(matrix: list[list[int]], p: int):
+    """The function that maps a block of coefficient vectors to each row's
+    count of nonzero grid values, given the value matrix (one row per
+    support monomial, one column per grid point) over F_p.
 
-    Scores each block with one integer matrix product; the first
-    candidate attaining the global minimum wins, independent of the block
-    size.  While every value v <= (p - 1)^2 k stays below 2^62, the
-    product runs in int64 and p | v is decided without a division
-    (Granlund and Montgomery): for odd p, with p' the inverse of p modulo
-    2^64, the map v -> v p' mod 2^64 permutes [0, 2^64) and sends the
-    multiples of p, and only them, to [0, (2^64 - 1) // p]; for p = 2,
-    v 2^63 mod 2^64 is 0 exactly when v is even.  One uint64 multiply and
-    one compare per value replace int64 ``% p``, in buffers reused from
-    block to block.  Beyond 2^62 the product runs on Python integers
-    (object arrays), where no word-size test applies, and keeps ``% p``.
+    Scores each block with one integer matrix product.  While every
+    value v <= (p - 1)^2 k stays below 2^62, the product runs in int64
+    and p | v is decided without a division (Granlund and Montgomery):
+    for odd p, with p' the inverse of p modulo 2^64, the map
+    v -> v p' mod 2^64 permutes [0, 2^64) and sends the multiples of p,
+    and only them, to [0, (2^64 - 1) // p]; for p = 2, v 2^63 mod 2^64 is
+    0 exactly when v is even.  One uint64 multiply and one compare per
+    value replace int64 ``% p``, in buffers reused from block to block.
+    Beyond 2^62 the product runs on Python integers (object arrays), where
+    no word-size test applies, and keeps ``% p``.
     """
     import numpy as np
 
@@ -660,25 +688,93 @@ def _best_assignment(blocks, matrix: list[list[int]], p: int) -> tuple[int, tupl
     factor, limit = (1 << 63, 0) if p == 2 else (pow(p, -1, 1 << 64), ((1 << 64) - 1) // p)
     factor, limit = np.uint64(factor), np.uint64(limit)
     values = live = None
+
+    def score(block):
+        nonlocal values, live
+        if wide:
+            return np.count_nonzero((block.astype(object, copy=False) @ mat) % p, axis=1)
+        if values is None or len(block) > len(values):
+            values = np.empty((len(block), mat.shape[1]), dtype=np.int64)
+            live = np.empty(values.shape, dtype=bool)
+        v, nonzero = values[:len(block)], live[:len(block)]
+        np.matmul(block.astype(np.int64, copy=False), mat, out=v)
+        u = v.view(np.uint64)
+        np.multiply(u, factor, out=u)
+        np.greater(u, limit, out=nonzero)
+        return np.count_nonzero(nonzero, axis=1)
+
+    return score
+
+
+def _class_lookup(score, p: int, k: int, req: int, rows: int, points: int):
+    """A scorer of the same counts as ``score`` that scores each class
+    once, and the least count of any class.
+
+    ``score`` runs on the p^(k-1) class representatives (1 in slot
+    ``req``, ``_product_blocks`` order) in blocks of ``rows`` rows, into
+    a table of the smallest dtype that holds counts up to ``points``.
+    Candidate c then reads the count of c * c[req]^-1 mod p, whose entry
+    is its slots other than req read in radix p, last slot least
+    significant.  c is a nonzero multiple of that representative, so it
+    vanishes at the same grid points.  The residues are exact in uint64
+    while p < 2^32, as the products of two stay below 2^64, and on
+    Python integers beyond."""
+    import numpy as np
+
+    classes = p ** (k - 1)
+    table = np.empty(classes, dtype=np.min_scalar_type(points))
+    for start, block in zip(range(0, classes, rows), _product_blocks(p, k, req, classes, rows)):
+        table[start:start + len(block)] = score(block)
+    dtype = np.uint64 if p < 2**32 else object
+    free = [i for i in range(k) if i != req]
+    inverse = _inverses(p, dtype) if free else None
+
+    def lookup(block):
+        index = np.zeros(len(block), dtype=dtype)
+        if free:
+            scale = inverse[block[:, req].astype(np.intp)]
+            for i in free:
+                index = index * p + block[:, i].astype(dtype) * scale % p
+        return table[index.astype(np.intp)]
+
+    return lookup, int(table.min())
+
+
+def _inverses(p: int, dtype):
+    """a^-1 mod p at index a for 0 < a < p, as a^(p-2) (Fermat), by
+    square-and-multiply over every residue at once."""
+    import numpy as np
+
+    power = np.arange(p).astype(dtype)
+    out = np.ones_like(power)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * power % p
+        power = power * power % p
+        e >>= 1
+    return out
+
+
+def _best_assignment(blocks, score, least: int = 0) -> tuple[int, tuple[int, ...]]:
+    """The first coefficient vector, over the blocks in order, that
+    reaches the least count ``score`` gives any row, with that count.
+    Ties keep the earliest row, within a block and across blocks, so the
+    answer does not depend on where the block boundaries fall.  ``least``
+    is a count no row goes below: the scan stops at the first row that
+    reaches it, without drawing further blocks."""
+    import numpy as np
+
     best_count: int | None = None
     best_coeffs: tuple[int, ...] | None = None
     for block in blocks:
-        if wide:
-            counts = np.count_nonzero((block.astype(object, copy=False) @ mat) % p, axis=1)
-        else:
-            if values is None or len(block) > len(values):
-                values = np.empty((len(block), mat.shape[1]), dtype=np.int64)
-                live = np.empty(values.shape, dtype=bool)
-            v, nonzero = values[:len(block)], live[:len(block)]
-            np.matmul(block.astype(np.int64, copy=False), mat, out=v)
-            u = v.view(np.uint64)
-            np.multiply(u, factor, out=u)
-            np.greater(u, limit, out=nonzero)
-            counts = np.count_nonzero(nonzero, axis=1)
+        counts = score(block)
         i = int(np.argmin(counts))
         if best_count is None or counts[i] < best_count:
             best_count = int(counts[i])
             best_coeffs = tuple(int(c) for c in block[i])
+            if best_count <= least:
+                break
     if best_coeffs is None:
         raise ValueError("no candidate coefficient vectors")
     return best_count, best_coeffs

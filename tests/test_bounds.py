@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nullgrid import analysis
+from nullgrid import analysis, poly
 from nullgrid.analysis import HypothesisReport, classify
 from nullgrid.bounds import (
     AFInstance,
@@ -31,6 +31,7 @@ from nullgrid.bounds import (
     zippel_bound,
 )
 from nullgrid.cli import jsonable
+from nullgrid.errors import SearchBudgetError
 from nullgrid.oracle import BoundCheck, random_polynomial, verify_bounds
 from nullgrid.parser import parse_poly
 from nullgrid.poly import GridSpec, Polynomial
@@ -88,6 +89,18 @@ def test_min_products_by_total_small_frozen():
     assert table[10] == (25, (5, 5))
     # 6 splits as 2+4 -> 8, 3+3 -> 9; the smaller product wins
     assert table[6] == (8, (2, 4))
+
+
+def test_min_products_by_total_charges_states_times_choices(monkeypatch):
+    # (2, 2)..(5, 5): 1 state x 4 choices, then 4 states x 4 choices
+    monkeypatch.setattr(poly, "MAX_WORK", 20)
+    assert min_products_by_total((2, 2), (5, 5))[6] == (8, (2, 4))
+    monkeypatch.setattr(poly, "MAX_WORK", 19)
+    with pytest.raises(SearchBudgetError, match="2 variables needs 20 steps, limit is 19"):
+        min_products_by_total((2, 2), (5, 5))
+    # malformed ranges are still refused as such, before any charge
+    with pytest.raises(ValueError, match="low <= high"):
+        min_products_by_total((2, 9), (5, 5))
 
 
 def test_min_products_by_total_matches_brute_force():

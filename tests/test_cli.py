@@ -149,6 +149,25 @@ def test_pit_refuses_trials_past_the_work_budget(capsys):
     assert "7000000 node evaluations, limit is 4000000" in error["message"]
 
 
+def test_bounds_charges_the_alon_furedi_table(capsys):
+    # three sides of 1001: the table takes 1001 (1 + 1001 + 2001) =
+    # 3,006,003 steps, within the budget; a fourth side takes it to
+    # 1001 (1 + 1001 + 2001 + 3001) = 6,010,004 and is refused at once
+    code, out = run_cli(capsys, "bounds", "--ring", "fp:10007", "--poly", "x^1000*y^1000*z^1000 + 1",
+                        "--grid", "0..1000;0..1000;0..1000")
+    assert code == 0
+    [entry] = [b for b in json.loads(out)["bounds"] if b["name"] == "gen-alon-furedi"]
+    assert (entry["value"], entry["argmin"]) == (1, [1, 1, 1])
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "bounds", "--ring", "fp:10007", "--poly", "x^1000*y^1000*z^1000*w^1000 + 1",
+                        "--grid", "0..1000;0..1000;0..1000;0..1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == "resource-limit"
+    assert "4 variables needs 6010004 steps, limit is 4000000" in error["message"]
+
+
 def test_puzzle_local_refuses_a_negative_budget(capsys):
     code, out = run_cli(capsys, "puzzle", "local", "--size", "2", "--budget", "-5")
     assert code == 1

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 from nullgrid import oracle
 from nullgrid.oracle import (
     _best_assignment,
+    _class_lookup,
     _product_blocks,
     _sample_blocks,
+    _scorer,
     count_nonzeros,
     min_nonzero_search,
 )
@@ -98,7 +100,7 @@ def test_scoring_matches_the_reference(p, k, points, rows, seed):
     matrix = [entries(points) for _ in range(k)]
     dtype = np.int64 if p < 2**32 else object
     blocks = [np.array(entries(n * k), dtype=dtype).reshape(n, k) for n in rows]
-    assert _best_assignment(iter(blocks), matrix, p) == _reference_best_assignment(blocks, matrix, p)
+    assert _best_assignment(iter(blocks), _scorer(matrix, p)) == _reference_best_assignment(blocks, matrix, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1, 4294967311])
@@ -112,7 +114,7 @@ def test_ties_across_blocks_keep_the_first_candidate(p):
     firsts = [np.array(b, dtype=dtype) for b in ([[1, 0]], [[1, 1], [0, 1]], [[0, 0]])]
     for matrix, blks, expected in ((tied, blocks, (2, (1, 1))), (later, firsts, (0, (0, 1)))):
         assert _reference_best_assignment(blks, matrix, p) == expected
-        assert _best_assignment(iter(blks), matrix, p) == expected
+        assert _best_assignment(iter(blks), _scorer(matrix, p)) == expected
 
 
 def test_values_past_a_word_are_scored_on_python_integers():
@@ -123,7 +125,7 @@ def test_values_past_a_word_are_scored_on_python_integers():
     p = 2**31 - 1
     matrix = [[p - 1, 1]] * 5 + [[5, 1]]
     blocks = [np.array([[p - 1] * 6, [1] * 6], dtype=np.int64)]
-    assert _best_assignment(iter(blocks), matrix, p) == _reference_best_assignment(blocks, matrix, p) \
+    assert _best_assignment(iter(blocks), _scorer(matrix, p)) == _reference_best_assignment(blocks, matrix, p) \
         == (1, (p - 1,) * 6)
 
 
@@ -132,7 +134,40 @@ def test_minimum_first_reached_in_a_later_block_wins():
     blocks = [np.array([[1, 1], [2, 2]]),        # 3 and 3 nonzeros
               np.array([[1, 1], [1, 4], [2, 3]]),  # 3, then the minimum 2 twice
               np.array([[3, 2]])]                # 2 again, but later
-    assert _best_assignment(iter(blocks), mat, 5) == (2, (1, 4))
+    assert _best_assignment(iter(blocks), _scorer(mat, 5)) == (2, (1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7, 101)), points=st.integers(1, 12), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_class_table_matches_the_reference(p, points, data, seed):
+    # the table path, over the enumerated space when it is small and a
+    # sample either way, against scoring every candidate with % p; a few
+    # grid points and blocks of a few rows make ties within and across
+    # blocks common, and stop the scan in mid-stream
+    k = data.draw(st.integers(1, 3 if p == 101 else 5), label="k")
+    req = data.draw(st.integers(0, k - 1), label="req")
+    rows = data.draw(st.integers(1, 9), label="rows")
+    rng = random.Random(seed)
+    matrix = [[rng.choice((0, 1, p - 1)) if rng.random() < 0.5 else rng.randrange(p)
+               for _ in range(points)] for _ in range(k)]
+    space = (p - 1) * p ** (k - 1)
+    streams = [list(_sample_blocks(random.Random(seed), p, k, req, data.draw(st.integers(1, 300)), rows))]
+    if space <= 20_000:
+        streams.append(list(_product_blocks(p, k, req, space, rows)))
+    for blocks in streams:
+        score, least = _class_lookup(_scorer(matrix, p), p, k, req, rows, points)
+        assert _best_assignment(iter(blocks), score, least) \
+            == _reference_best_assignment([np.concatenate(blocks)], matrix, p)
+
+
+def test_scan_stops_at_the_least_count():
+    def blocks():
+        yield np.array([[1, 1], [1, 0]])  # 3 nonzeros, then the least, 2
+        raise AssertionError("drew a block after the least count")
+
+    mat = [[1, 0, 1], [0, 1, 1]]  # over F_5: (a, b) -> (a, b, a + b)
+    assert _best_assignment(blocks(), _scorer(mat, 5), least=2) == (2, (1, 0))
 
 
 @pytest.mark.parametrize("limit,budget", [(10**6, 1), (0, 700)])
@@ -165,6 +200,10 @@ FROZEN = [
      (1, (((1, 1), 1),), False, 100)),
     ((5, [range(3), range(3)], ((1, 1), (1, 0), (0, 1), (0, 0)), (1, 1), 10_000, 1, 0),
      (4, (((1, 1), 1),), True, 500)),
+    # the first minimal vector in product order has 1 in slot (2, 2), so
+    # its required coefficient is 6, not its class representative's 1
+    ((7, [range(4), range(4)], ((3, 2), (2, 2), (1, 3), (0, 2)), (1, 3), 10**6, 1, 0),
+     (6, (((1, 3), 6), ((2, 2), 1)), True, 2058)),
 ]
 
 
@@ -180,12 +219,37 @@ def test_min_nonzero_search_frozen(call, expected):
 
 
 @pytest.mark.parametrize("p,limit,message", [
-    (101, 10**6, "min search path=exhaustive candidates=10100 blocks=3 source=radix"),
-    (101, 0, "min search path=sampled candidates=9000 blocks=3 source=words"),
-    (4294967311, 0, "min search path=sampled candidates=9000 blocks=3 source=randrange"),
+    (101, 10**6, "min search path=exhaustive candidates=10100 blocks=3 source=radix scored=classes rows=101"),
+    (101, 0, "min search path=sampled candidates=9000 blocks=3 source=words scored=classes rows=101"),
+    (4294967311, 0, "min search path=sampled candidates=9000 blocks=3 source=randrange "
+     "scored=candidates rows=9000"),
 ])
 def test_min_search_logs_its_path(caplog, p, limit, message):
     grid = GridSpec(RingSpec.prime_field(p), [range(3)])
     with caplog.at_level(logging.DEBUG, logger="nullgrid"):
         min_nonzero_search(((1,), (0,)), (1,), grid, exhaustive_limit=limit, sample_budget=9000)
     assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("min search")] == [message]
+
+
+def test_exhaustive_search_scores_each_class_once(caplog):
+    # 22 * 23^3 = 267,674 candidates in 23^3 = 12,167 classes
+    grid = GridSpec(RingSpec.prime_field(23), [range(6), range(6)])
+    with caplog.at_level(logging.DEBUG, logger="nullgrid"):
+        res = min_nonzero_search(((3, 2), (2, 2), (1, 3), (0, 2)), (1, 3), grid)
+    assert (res.min_count, tuple(sorted(res.witness.terms.items())), res.exhaustive, res.tried) \
+        == (20, (((1, 3), 22), ((2, 2), 1)), True, 267674)
+    assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("min search")] \
+        == ["min search path=exhaustive candidates=267674 blocks=66 source=radix scored=classes rows=12167"]
+
+
+@pytest.mark.parametrize("p,limit,budget,scored", [
+    (2, 10**6, 1, "scored=candidates rows=2"),  # at p = 2 each class is one candidate
+    (101, 0, 101, "scored=candidates rows=101"),
+    (101, 0, 102, "scored=classes rows=101"),
+])
+def test_classes_are_scored_only_when_fewer_than_candidates(caplog, p, limit, budget, scored):
+    grid = GridSpec(RingSpec.prime_field(p), [range(2)])
+    with caplog.at_level(logging.DEBUG, logger="nullgrid"):
+        min_nonzero_search(((1,), (0,)), (1,), grid, exhaustive_limit=limit, sample_budget=budget)
+    [message] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("min search")]
+    assert message.endswith(scored)

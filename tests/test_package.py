@@ -150,7 +150,7 @@ def test_debug_records_reach_a_handler_added_after_import():
         ["nullgrid.analysis", "DEBUG", "_witnesses", "classify terms=3 orders=2 reports=16 d_leading=5"],
         grid, grid, grid, grid,
         ["nullgrid.oracle", "DEBUG", "min_nonzero_search",
-         "min search path=sampled candidates=50 blocks=1 source=words"],
+         "min search path=sampled candidates=50 blocks=1 source=words scored=classes rows=49"],
     ]
 
 
