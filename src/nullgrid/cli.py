@@ -153,6 +153,8 @@ def _cmd_verify(args):
     from . import oracle
 
     ring, f, names, grid = _load_poly_and_grid(args)
+    if args.list_zeros and grid.size() > oracle.DEFAULT_ZERO_SET_CAP:
+        raise GridTooLargeError(f"grid has {grid.size()} points, --list-zeros limit is {oracle.DEFAULT_ZERO_SET_CAP}")
     count = oracle.count_nonzeros(f, grid, collect_zeros=args.list_zeros,
                                   point_limit=_point_limit(args))
     report = oracle.verify_bounds(f, grid, count=count)
@@ -166,7 +168,7 @@ def _cmd_verify(args):
         "checks": [{"bound": c.report, "sound": c.sound, "slack": c.slack} for c in report.checks],
     }
     if args.list_zeros:
-        payload["zeros"] = count.zero_set or ()
+        payload["zeros"] = count.zero_set
     return payload
 
 

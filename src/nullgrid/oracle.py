@@ -17,8 +17,9 @@ a work budget under its import cost is spent.
 int64 blocks, decoded in mixed radix when it enumerates the space and
 drawn from bulk generator words (the exact ``randrange`` stream of its
 seed) when it samples.  When there are fewer classes of vectors that
-differ by a scalar than candidates, it scores each class once and looks
-each candidate up (``_class_lookup``); ``_scorer`` decides p | v for each
+differ by a scalar than candidates, and their table fits the cell budget
+like any other array here, it scores each class once and looks each
+candidate up (``_class_lookup``); ``_scorer`` decides p | v for each
 value by one multiplication with the inverse of p modulo 2^64, with no
 division.  Each evaluation and each search logs its path at DEBUG level
 on the ``nullgrid`` logger.  numpy is imported only when the kernel or
@@ -37,6 +38,7 @@ import random
 import sys
 from functools import lru_cache
 from math import floor, isqrt, prod
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -172,13 +174,16 @@ def _word_primes(width: int) -> tuple[int, ...]:
 
 def _reference_words(f: Polynomial, bounds: list[int]) -> int:
     """Machine words the reference handles per grid point: residues below
-    m, or integers up to |c| * prod b_i^e_i for the set bounds b_i over Z."""
+    m, or integers up to |c| * prod b_i^e_i for the set bounds b_i over Z.
+    A value of w words counts w (1 + w // 512), since building one that
+    wide takes products of wide integers, which cost more than linear time."""
     m = f.ring.modulus
     if m:
-        return len(f.terms) * words(m.bit_length())
+        w = words(m.bit_length())
+        return len(f.terms) * w * (1 + w // 512)
     bits = [b.bit_length() for b in bounds]
-    return sum(words(abs(c).bit_length() + sum(e * b for e, b in zip(key, bits)))
-               for key, c in f.terms.items())
+    sizes = (words(abs(c).bit_length() + sum(map(mul, key, bits))) for key, c in f.terms.items())
+    return sum(w * (1 + w // 512) for w in sizes)
 
 
 def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
@@ -211,7 +216,9 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     carries a variable whose set is {0}, or there are no terms: f
     vanishes on the whole grid, no prime is needed (the empty product
     1 exceeds 0), and with no residue to say otherwise every point is
-    a zero of value 0.
+    a zero of value 0.  H >= 2^least, least read off the bit lengths of
+    the terms no set {0} zeroes; when 2^least passes the product of all
+    ``_MAX_PRIMES`` primes, that product stands in for H, never built.
 
     The kernel runs its primes in batches that share every contraction,
     and ``_CELL_BUDGET`` bounds each array of a batch summed over its
@@ -241,10 +248,16 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
         if (m - 1) ** 2 * max(widths) >= _INT64_LIMIT:
             reason = "overflow guard"
     else:
-        height = (2 if values else 1) * sum(abs(c) * prod(b ** e for b, e in zip(bounds, key))
-                                            for key, c in f.terms.items())
+        primes = _word_primes(max(widths))
+        lows = [b.bit_length() - 1 for b in bounds]
+        least = max((abs(c).bit_length() - 1 + sum(map(mul, key, lows)) for key, c in f.terms.items()
+                     if 0 not in bounds or all(b or not e for b, e in zip(bounds, key))), default=-1)
+        height = prod(primes)
+        if least < height.bit_length():
+            height = (2 if values else 1) * sum(abs(c) * prod(b ** e for b, e in zip(bounds, key))
+                                                for key, c in f.terms.items())
         product = 1
-        for q in _word_primes(max(widths)):
+        for q in primes:
             if product > height:
                 break
             moduli.append(q)
@@ -500,12 +513,13 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
     coefficient is 1, and every member has the representative's count.
     One rule picks what is scored: when there are fewer classes than
     candidates to try (every enumerated space with p > 2, and a sample
-    of more than p^(k-1) candidates), each representative is scored once
-    into a table of counts and each candidate c reads the entry of
-    c * c[req]^-1 mod p (``_class_lookup``); otherwise each candidate is
-    scored (``_scorer``).  Either way the candidates come in the same
-    stream, described below, and the first one that reaches the least
-    count wins (``_best_assignment``).  No candidate goes below the
+    of more than p^(k-1) candidates) and their table fits ``_CELL_BUDGET``
+    cells, as any array of this module must, each representative is
+    scored once into a table of counts and each candidate c reads the
+    entry of c * c[req]^-1 mod p (``_class_lookup``); otherwise each
+    candidate is scored (``_scorer``).  Either way the candidates come in
+    the same stream, described below, and the first one that reaches the
+    least count wins (``_best_assignment``).  No candidate goes below the
     table's least entry (or below 0), so the scan stops at the first
     candidate that reaches it: later ones could only tie, and a tie
     keeps the earlier candidate.  So ``min_count``, the witness,
@@ -513,10 +527,7 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
     those of scoring every candidate one by one.
     Rows are scored in int64 blocks of at most ``_BLOCK_ROWS`` rows
     (fewer when the grid is large, so one block's value matrix stays
-    under the cell budget), and the answer does not depend on the block
-    size.  Each block is scored by one matrix product and, for each
-    value v, an exact test of p | v by multiplication in uint64
-    (``_scorer``), with no int64 ``% p``.
+    under the cell budget); the answer does not depend on the block size.
     The exhaustive path decodes an index range in mixed radix
     (``_product_blocks``), which is ``itertools.product`` order.  The
     sampled path yields, for every seed, exactly the vectors of
@@ -540,9 +551,10 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
     walks only the slot-dependent ones in order, counting the outputs
     taken before each to know its slot.
     Accepted values left over after a block are kept for the next.
-    One DEBUG record on the ``nullgrid`` logger names the path, the
-    candidate and block counts, the source of the values, and what was
-    scored (classes or candidates) with its number of rows.
+    One DEBUG record on the ``nullgrid`` logger, sent once the scan is
+    over, names the path, the candidate count, the blocks of candidates
+    actually drawn, the source of the values, and what was scored
+    (classes or candidates) with its number of rows.
     """
     ring = grid.ring
     if not ring.is_field:
@@ -575,15 +587,16 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
         blocks = _sample_blocks(random.Random(seed), p, k, req_idx, sample_budget, rows)
         exhaustive, tried = False, sample_budget
         source = "words" if p.bit_length() <= 32 else "randrange"
-    by_class = classes < tried
-    debug(__name__, "min search path=%s candidates=%d blocks=%d source=%s scored=%s rows=%d",
-          "exhaustive" if exhaustive else "sampled", tried, -(-tried // rows), source,
-          "classes" if by_class else "candidates", classes if by_class else tried)
-
+    by_class = classes < tried and classes <= _CELL_BUDGET
     score, least = _scorer(matrix, p), 0
     if by_class:
         score, least = _class_lookup(score, p, k, req_idx, rows, grid.size())
-    best_count, best_coeffs = _best_assignment(blocks, score, least)
+    # zip draws a block before a count, so next(drawn) is then the blocks drawn
+    drawn = itertools.count()
+    best_count, best_coeffs = _best_assignment((b for b, _ in zip(blocks, drawn)), score, least)
+    debug(__name__, "min search path=%s candidates=%d blocks=%d source=%s scored=%s rows=%d",
+          "exhaustive" if exhaustive else "sampled", tried, next(drawn), source,
+          "classes" if by_class else "candidates", classes if by_class else tried)
     witness = Polynomial(grid.arity, ring, dict(zip(support, best_coeffs)))
     return MinNonzeroResult(best_count, witness, exhaustive, tried)
 
@@ -677,7 +690,7 @@ def _scorer(matrix: list[list[int]], p: int):
     v -> v p' mod 2^64 permutes [0, 2^64) and sends the multiples of p,
     and only them, to [0, (2^64 - 1) // p]; for p = 2, v 2^63 mod 2^64 is
     0 exactly when v is even.  One uint64 multiply and one compare per
-    value replace int64 ``% p``, in buffers reused from block to block.
+    value replace int64 ``% p``.  Nothing is kept from block to block.
     Beyond 2^62 the product runs on Python integers (object arrays), where
     no word-size test applies, and keeps ``% p``.
     """
@@ -687,21 +700,13 @@ def _scorer(matrix: list[list[int]], p: int):
     mat = np.array(matrix, dtype=object if wide else np.int64)
     factor, limit = (1 << 63, 0) if p == 2 else (pow(p, -1, 1 << 64), ((1 << 64) - 1) // p)
     factor, limit = np.uint64(factor), np.uint64(limit)
-    values = live = None
 
     def score(block):
-        nonlocal values, live
         if wide:
             return np.count_nonzero((block.astype(object, copy=False) @ mat) % p, axis=1)
-        if values is None or len(block) > len(values):
-            values = np.empty((len(block), mat.shape[1]), dtype=np.int64)
-            live = np.empty(values.shape, dtype=bool)
-        v, nonzero = values[:len(block)], live[:len(block)]
-        np.matmul(block.astype(np.int64, copy=False), mat, out=v)
-        u = v.view(np.uint64)
-        np.multiply(u, factor, out=u)
-        np.greater(u, limit, out=nonzero)
-        return np.count_nonzero(nonzero, axis=1)
+        u = (block.astype(np.int64, copy=False) @ mat).view(np.uint64)
+        u *= factor
+        return np.count_nonzero(u > limit, axis=1)
 
     return score
 
@@ -716,44 +721,28 @@ def _class_lookup(score, p: int, k: int, req: int, rows: int, points: int):
     Candidate c then reads the count of c * c[req]^-1 mod p, whose entry
     is its slots other than req read in radix p, last slot least
     significant.  c is a nonzero multiple of that representative, so it
-    vanishes at the same grid points.  The residues are exact in uint64
-    while p < 2^32, as the products of two stay below 2^64, and on
-    Python integers beyond."""
+    vanishes at the same grid points.  All of it is int64: k = 1
+    multiplies nothing, and for k >= 2 the caller's rule p^(k-1) <=
+    ``_CELL_BUDGET`` keeps p <= 2^22, so each product stays below 2^44."""
     import numpy as np
 
     classes = p ** (k - 1)
     table = np.empty(classes, dtype=np.min_scalar_type(points))
     for start, block in zip(range(0, classes, rows), _product_blocks(p, k, req, classes, rows)):
         table[start:start + len(block)] = score(block)
-    dtype = np.uint64 if p < 2**32 else object
     free = [i for i in range(k) if i != req]
-    inverse = _inverses(p, dtype) if free else None
+    # a^(p-2) = a^-1 mod p (Fermat); with no free slot nothing is scaled
+    inverse = _power_table(range(p), [p - 2], [p])[0, :, 0] if free else None
 
     def lookup(block):
-        index = np.zeros(len(block), dtype=dtype)
+        index = np.zeros(len(block), dtype=np.int64)
         if free:
-            scale = inverse[block[:, req].astype(np.intp)]
+            scale = inverse[block[:, req]]
             for i in free:
-                index = index * p + block[:, i].astype(dtype) * scale % p
-        return table[index.astype(np.intp)]
+                index = index * p + block[:, i] * scale % p
+        return table[index]
 
     return lookup, int(table.min())
-
-
-def _inverses(p: int, dtype):
-    """a^-1 mod p at index a for 0 < a < p, as a^(p-2) (Fermat), by
-    square-and-multiply over every residue at once."""
-    import numpy as np
-
-    power = np.arange(p).astype(dtype)
-    out = np.ones_like(power)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * power % p
-        power = power * power % p
-        e >>= 1
-    return out
 
 
 def _best_assignment(blocks, score, least: int = 0) -> tuple[int, tuple[int, ...]]:

@@ -126,7 +126,8 @@ def vandermonde_multipliers(ring: RingSpec, elements: Sequence, d: int | None = 
 
     d defaults to |S| - 1 (the classical reciprocal-product case).  The
     defining power-sum identities are recomputed and asserted before the
-    result is returned, so a faulty build cannot escape.
+    result is returned, so a faulty build cannot escape.  Both take about
+    (d + 1) |S| ring operations, refused past ``poly.MAX_WORK``.
     """
     if not ring.is_field:
         raise UnsupportedRingError("multipliers need a prime field")
@@ -140,6 +141,9 @@ def vandermonde_multipliers(ring: RingSpec, elements: Sequence, d: int | None = 
         d = len(vals) - 1
     if not 0 <= d < len(vals):
         raise HypothesisViolationError(f"need 0 <= d < |S|, got d = {d}, |S| = {len(vals)}")
+    work = (d + 1) * len(vals)
+    if work > poly.MAX_WORK:
+        raise GridTooLargeError(f"the multipliers need {work} ring operations, limit is {poly.MAX_WORK}")
 
     head = vals[:d + 1]
     g = []
@@ -171,7 +175,9 @@ def grid_values(f: Polynomial, grid: GridSpec) -> dict[tuple[int, ...], int]:
 
 def require_extractable(grid: GridSpec, d: Sequence[int]) -> tuple[int, ...]:
     """d as a tuple, once checked that ``coefficient_via_grid`` can read x^d
-    off the grid: a prime field, one entry per variable, 0 <= d_i < |S_i|."""
+    off the grid: a prime field, one entry per variable, 0 <= d_i < |S_i|,
+    and multipliers whose cost, sum (d_i + 1) |S_i|, is within
+    ``poly.MAX_WORK``."""
     if not grid.ring.is_field:
         raise UnsupportedRingError("coefficient extraction needs a prime field")
     d = tuple(d)
@@ -182,6 +188,9 @@ def require_extractable(grid: GridSpec, d: Sequence[int]) -> tuple[int, ...]:
             raise ValueError(f"negative degree {di}")
         if s <= di:
             raise HypothesisViolationError(f"need |S_{i + 1}| > d_{i + 1}, got {s} <= {di}")
+    work = sum((di + 1) * s for di, s in zip(d, grid.sizes))
+    if work > poly.MAX_WORK:
+        raise GridTooLargeError(f"the multipliers need {work} ring operations, limit is {poly.MAX_WORK}")
     return d
 
 

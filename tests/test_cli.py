@@ -12,6 +12,7 @@ import pytest
 
 from nullgrid import oracle, poly, transform
 from nullgrid.cli import main
+from nullgrid.errors import GridTooLargeError
 from nullgrid.ring import RingSpec
 
 
@@ -492,6 +493,57 @@ def test_coeff_checks_its_preconditions_before_evaluating_the_grid(capsys, monke
                        "--poly", "x*y + 1")
     assert got == code
     assert json.loads(out)["error"]["message"] == message
+
+
+@pytest.mark.parametrize("power,code", [(100000, 3), (20000, 0)])
+def test_a_huge_integer_value_is_priced_before_it_is_built(power, code):
+    # one grid point, 10^100: its 100000th power has 33 million bits, past
+    # what 16 word primes can hold, and the reference once built it twice
+    # (about 18 s on a 2-vCPU VM); its 20000th power is still evaluated
+    env = dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).resolve().parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "nullgrid", "verify", "--ring", "int", "--poly", f"x^{power}",
+                           "--grid", str(10**100)], capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == code, proc.stderr
+    if code == 3:
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(proc.stdout)["error"]["code"] == "resource-limit"
+    else:
+        assert json.loads(proc.stdout)["nonzero_count"] == 1
+
+
+@pytest.mark.parametrize("degree,code", [(3000, 3), (1000, 0)])
+def test_coeff_charges_its_multipliers(capsys, monkeypatch, degree, code):
+    # (d + 1) |S| = 3001 * 6000 ring operations are refused before the grid
+    # is evaluated (they once ran 16 s on a 2-vCPU VM); 1001 * 2000 stay
+    # within the budget
+    if code == 3:
+        monkeypatch.setattr(transform, "grid_values", lambda *args: pytest.fail("the grid was evaluated"))
+    start = time.perf_counter()
+    got, out = run_cli(capsys, "coeff", "--ring", "fp:10007", "--poly", f"x^{degree}",
+                       "--grid", f"0..{2 * degree - 1}" if code == 0 else "0..5999", f"--monomial={degree}")
+    assert got == code
+    if code == 3:
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(out)["error"]["message"] == \
+            "the multipliers need 18006000 ring operations, limit is 4000000"
+        with pytest.raises(GridTooLargeError):
+            transform.vandermonde_multipliers(RingSpec.prime_field(10007), range(4001), 1000)
+    else:
+        assert json.loads(out)["coefficient"] == 1
+
+
+def test_verify_refuses_to_list_zeros_past_the_zero_set_cap(capsys, monkeypatch):
+    # 1009 x 1000 points, over oracle.DEFAULT_ZERO_SET_CAP: the zeros were
+    # not collected, and an empty list was printed beside zero_count 1000
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was counted")
+
+    monkeypatch.setattr(oracle, "count_nonzeros", refuse)
+    code, out = run_cli(capsys, "verify", "--ring", "fp:1009", "--vars", "x,y", "--poly", "x",
+                        "--grid", "0..1008;0..999", "--list-zeros")
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == "grid has 1009000 points, --list-zeros limit is 1000000"
 
 
 def test_a_rendered_20000_term_file_reads_back_in_trim_and_verify(tmp_path):

@@ -219,8 +219,8 @@ def test_min_nonzero_search_frozen(call, expected):
 
 
 @pytest.mark.parametrize("p,limit,message", [
-    (101, 10**6, "min search path=exhaustive candidates=10100 blocks=3 source=radix scored=classes rows=101"),
-    (101, 0, "min search path=sampled candidates=9000 blocks=3 source=words scored=classes rows=101"),
+    (101, 10**6, "min search path=exhaustive candidates=10100 blocks=1 source=radix scored=classes rows=101"),
+    (101, 0, "min search path=sampled candidates=9000 blocks=1 source=words scored=classes rows=101"),
     (4294967311, 0, "min search path=sampled candidates=9000 blocks=3 source=randrange "
      "scored=candidates rows=9000"),
 ])
@@ -239,7 +239,7 @@ def test_exhaustive_search_scores_each_class_once(caplog):
     assert (res.min_count, tuple(sorted(res.witness.terms.items())), res.exhaustive, res.tried) \
         == (20, (((1, 3), 22), ((2, 2), 1)), True, 267674)
     assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("min search")] \
-        == ["min search path=exhaustive candidates=267674 blocks=66 source=radix scored=classes rows=12167"]
+        == ["min search path=exhaustive candidates=267674 blocks=1 source=radix scored=classes rows=12167"]
 
 
 @pytest.mark.parametrize("p,limit,budget,scored", [
@@ -253,3 +253,21 @@ def test_classes_are_scored_only_when_fewer_than_candidates(caplog, p, limit, bu
         min_nonzero_search(((1,), (0,)), (1,), grid, exhaustive_limit=limit, sample_budget=budget)
     [message] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("min search")]
     assert message.endswith(scored)
+
+
+@pytest.mark.parametrize("limit,budget,tried", [(10**6, 1, 2058), (0, 700, 700)])
+def test_classes_are_scored_only_within_the_cell_budget(monkeypatch, caplog, limit, budget, tried):
+    # 7^3 = 343 classes: their table fits a budget of 343 cells, not one of 342
+    grid = GridSpec(RingSpec.prime_field(7), [range(3), range(3)])
+    support = ((1, 1), (1, 0), (0, 1), (0, 0))
+    answers = []
+    for cells, scored in ((343, "scored=classes rows=343"), (342, f"scored=candidates rows={tried}")):
+        monkeypatch.setattr(oracle, "_CELL_BUDGET", cells)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="nullgrid"):
+            answers.append(min_nonzero_search(support, (1, 1), grid, exhaustive_limit=limit,
+                                              sample_budget=budget, seed=3))
+        [message] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("min search")]
+        assert message.endswith(scored)
+    assert answers[0] == answers[1]
+    assert answers[0].tried == tried
