@@ -30,7 +30,7 @@ support: one graded, and one lex-descending per variable order.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
+from operator import ge, itemgetter
 from typing import NamedTuple
 
 from .errors import ArityMismatchError, ZeroPolynomialError, debug
@@ -73,7 +73,7 @@ def _require_nonzero(f: Polynomial):
 
 
 def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x >= y for x, y in zip(a, b))
+    return all(map(ge, a, b))
 
 
 def _graded(exps: tuple[int, ...]):
@@ -97,7 +97,7 @@ def _skyline(graded: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     for m in graded:
         if sum(m) != degree:
             higher, degree = len(kept), sum(m)
-        if not any(_dominates(k, m) for k in itertools.islice(kept, higher)):
+        if not any(map(_dominates, itertools.islice(kept, higher), itertools.repeat(m))):
             kept.append(m)
     return kept
 
@@ -247,39 +247,41 @@ def hypothesis_holds(f: Polynomial, condition: str, d: tuple[int, ...],
 
 
 def _witnesses(f: Polynomial):
-    """classify's reports as ``(condition, d, e, order)`` tuples, in its
-    order: the walk behind ``classify`` and ``bounds.collect_bounds``.  It
-    logs one ``classify`` DEBUG record, when the walk ends."""
+    """The walk behind ``classify`` and ``bounds.collect_bounds``: the
+    maximal monomials, the seeds (graded-descending), the orders, each
+    order's lex-largest monomial and its successively-largest d per seed,
+    each distinct (seed, d) with the first order that gives it (first seen
+    first), and each seed's distinct d (seeds sorted, d unsorted).  It
+    logs one ``classify`` DEBUG record."""
     _require_nonzero(f)
     n = f.arity
     orders = list(itertools.permutations(range(n))) if n <= MAX_ORDERS_ARITY else [tuple(range(n))]
     seeds = sorted(f.terms, key=_graded, reverse=True)
     maximal = _skyline(seeds)
-    for m in maximal:
-        yield MAXIMAL_MONOMIAL, m, None, None
-    ranked = [sorted(f.terms, key=itemgetter(*order) if order else None, reverse=True) for order in orders]
-    for order, ranking in zip(orders, ranked):
-        yield LEX_LARGEST, ranking[0], None, order
-
-    pairs: set[tuple] = set()
-    for order, ranking in zip(orders, ranked):
-        lead, successive = list(ranking[0]), {ranking[0]: ranking[0]}
-        for prev, v in zip(ranking, ranking[1:]):
-            j = next(j for j, var in enumerate(order) if v[var] != prev[var])
-            for var in order[j + 1:]:
-                lead[var] = v[var]
-            successive[v] = tuple(lead)
-        for seed in seeds:
-            d = successive[seed]
-            yield SUCCESSIVELY_LARGEST, d, seed, order
-            pairs.add((seed, d))
-    for seed, d in sorted(pairs):
-        yield D_LEADING, d, seed, None
-
-    yield PARTIAL_DEGREES, f.degrees()[0], None, None
-    yield TOTAL_DEGREE, seeds[0], None, None
+    heads, successive, first = [], [], {}
+    for order in orders:
+        # exponents read in order (itemgetter of one index gives an int); a key's d
+        # keeps the lead up to where the key leaves prev, and takes the key after
+        permute = itemgetter(*order) if n > 1 else tuple
+        restore = itemgetter(*map(order.index, range(n))) if n > 1 else tuple
+        keys = sorted(map(permute, f.terms), reverse=True)
+        lead = keys[0]
+        leads = {lead: lead}
+        for prev, key in itertools.pairwise(keys):
+            j = 0
+            while key[j] == prev[j]:
+                j += 1
+            leads[key] = lead = lead[:j + 1] + key[j + 1:]
+        heads.append(restore(keys[0]))
+        ds = list(map(restore, map(leads.__getitem__, map(permute, seeds))))
+        successive.append(ds)
+        first.update(zip(itertools.filterfalse(first.__contains__, zip(seeds, ds)), itertools.repeat(order)))
+    leading = {e: [] for e in sorted(seeds)}
+    for e, d in first:
+        leading[e].append(d)
     debug(__name__, "classify terms=%d orders=%d reports=%d d_leading=%d", len(f.terms), len(orders),
-          len(maximal) + len(orders) * (1 + len(seeds)) + len(pairs) + 2, len(pairs))
+          len(maximal) + len(orders) * (1 + len(seeds)) + len(first) + 2, len(first))
+    return maximal, seeds, orders, heads, successive, first, leading
 
 
 def classify(f: Polynomial) -> list[HypothesisReport]:
@@ -289,11 +291,13 @@ def classify(f: Polynomial) -> list[HypothesisReport]:
       * one maximal-monomial report per maximal monomial,
       * one lex-largest report per variable order,
       * one successively-largest report per (order, seed monomial) pair,
+        orders outer, seeds graded-descending inner,
       * one d-leading report per distinct (seed, derived degree vector),
+        in sorted (seed, d) order,
       * one partial-degrees report and one total-degree report.
 
-    Each is a ``HypothesisReport`` NamedTuple of a ``_witnesses`` tuple,
-    which ``bounds.collect_bounds`` reads unwrapped.  All variable orders
+    ``bounds.collect_bounds`` reads the same walk (``_witnesses``), whose
+    distinct (seed, d) pairs it lists once each.  All variable orders
     are enumerated while arity <= MAX_ORDERS_ARITY; beyond that only the
     identity order is used.
     Every report holds by construction, so none rescans the support
@@ -306,20 +310,26 @@ def classify(f: Polynomial) -> list[HypothesisReport]:
 
     The graded-descending sort gives the seeds, the skyline's input and
     the total-degree witness (its head).  One lex-descending sort per
-    order gives the lex-largest witness (its head) and each seed's
-    successively-largest d.  The monomials that agree
-    with the seed e on order[:k] form one run of that sort, and d at
-    order[k] is the exponent of the run's first monomial there, the
-    largest among them.  A seed that first differs from the monomial
-    before it at order[j] starts its runs for k > j and shares the rest.
-    So the report holds: its forbidden region (the v that agree with e on
-    order[:k] and exceed d at order[k], for some k) misses the support,
-    and d >= e because e is one of those monomials.  Every d-leading pair
-    (e, d) holds too: when d >= e, a v in the d-leading forbidden region
-    (v != e, and each v_i equals e_i or exceeds d_i) is in the
-    successively-largest forbidden region of (e, d, order) for every
-    order, since at the first index in the order where v differs from e,
-    v exceeds d.  For T terms in n variables this takes O(orders·T log T)
-    comparisons plus the skyline.
+    order, of the exponents read in that order, gives the lex-largest
+    witness (its head) and each seed's successively-largest d.  The
+    monomials that agree with the seed e on order[:k] form one run of
+    that sort, and d at order[k] is the exponent of the run's first
+    monomial there, the largest among them.  A seed that first differs
+    from the monomial before it at order[j] starts its runs for k > j and
+    shares the rest.  So the report holds: its forbidden region (the v
+    that agree with e on order[:k] and exceed d at order[k], for some k)
+    misses the support, and d >= e because e is one of those monomials.
+    Every d-leading pair (e, d) holds too: when d >= e, a v in the
+    d-leading forbidden region (v != e, and each v_i equals e_i or
+    exceeds d_i) is in the successively-largest forbidden region of
+    (e, d, order) for every order, since at the first index in the order
+    where v differs from e, v exceeds d.  For T terms in n variables this
+    takes O(orders·T log T) comparisons plus the skyline.
     """
-    return [HypothesisReport(condition, True, d, e, order) for condition, d, e, order in _witnesses(f)]
+    maximal, seeds, orders, heads, successive, first, leading = _witnesses(f)
+    return [*(HypothesisReport(MAXIMAL_MONOMIAL, True, m) for m in maximal),
+            *(HypothesisReport(LEX_LARGEST, True, d, None, order) for order, d in zip(orders, heads)),
+            *(HypothesisReport(SUCCESSIVELY_LARGEST, True, d, e, order)
+              for order, ds in zip(orders, successive) for d, e in zip(ds, seeds)),
+            *(HypothesisReport(D_LEADING, True, d, e) for e, ds in leading.items() for d in sorted(ds)),
+            HypothesisReport(PARTIAL_DEGREES, True, f.degrees()[0]), HypothesisReport(TOTAL_DEGREE, True, seeds[0])]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, prod
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from . import analysis, poly
@@ -259,32 +260,22 @@ def _check_sizes_exceed(sizes: tuple[int, ...], d: tuple[int, ...]):
             raise HypothesisViolationError(f"need size {s} > degree {di}")
 
 
-class _Text(dict):
-    """The str of each witness tuple, rendered on first use."""
-
-    def __missing__(self, key):
-        text = self[key] = str(key)
-        return text
-
-
 def collect_bounds(f: Polynomial, grid: GridSpec) -> list[BoundReport]:
     """Every bound licensed by a hypothesis ``analysis.classify`` finds for
     f, plus diagnostic and asymptotic entries.
 
     Every classifier report holds by construction, so each one licenses
-    its bounds.  One entry per (bound name, witness degree vector); when
-    several hypotheses certify the same entry, the first in classifier
-    order is recorded in the assumptions.  Bounds whose size
-    preconditions fail for a witness are silently skipped: the hypothesis
-    does not hold on this grid, so there is nothing to claim.
+    its bounds: one entry per (bound, witness), in classifier order.  A
+    successively-largest (seed, d) that several orders give is listed
+    once, under its first order, and the d-leading entries follow in
+    sorted (seed, d) order; a lex-largest or partial-degrees d is listed
+    once, under its first report.  Bounds whose size preconditions fail
+    for a witness are silently skipped: the hypothesis does not hold on
+    this grid, so there is nothing to claim.
 
-    The reports are read as the plain tuples of ``analysis._witnesses``;
-    no ``HypothesisReport`` is built.  Two kinds can repeat an entry: a
-    successively-largest (d, e) that several orders give, skipped first,
-    and a lex-largest or partial-degrees d.  Maximal monomials and
-    d-leading pairs come once each, and no other report makes their
-    entries.  The product and additive-existence values are computed once
-    per distinct d, and each witness tuple's text is rendered once.
+    The walk ``analysis._witnesses`` hands over each distinct (seed, d)
+    once, so nothing is deduplicated here; the product and additive values
+    are computed once per distinct d that fits, from its gaps |S_i| - d_i.
     """
     check_compatible(f, grid)
     if f.is_zero:
@@ -292,58 +283,55 @@ def collect_bounds(f: Polynomial, grid: GridSpec) -> list[BoundReport]:
     sizes = grid.sizes
     n = grid.arity
     partial, total = f.degrees()
-
+    maximal, _, orders, heads, _, first, leading = analysis._witnesses(f)
+    facts = {}  # per distinct d that fits: (product bound, additive existence bound)
+    for d in {*maximal, *heads, *map(itemgetter(1), first), partial}:
+        gaps = tuple(map(sub, sizes, d))
+        if min(gaps) > 0:
+            facts[d] = prod(gaps), sum(gaps) + 1 - n
     out: list[BoundReport] = []
-    text = _Text()
+    text = {w: str(w) for w in (*facts, *f.terms, *orders)}  # each witness tuple rendered once
     plain: set[tuple[int, ...]] = set()  # d with a lex-largest or partial-degrees product entry
-    successive: set[tuple] = set()  # successively-largest (d, e) already read
-    # per distinct d: (product bound, additive existence bound), or () when d does not fit
-    per_d: dict[tuple[int, ...], tuple] = {}
 
-    for condition, d, e, order in analysis._witnesses(f):
-        if condition == analysis.SUCCESSIVELY_LARGEST:
-            if (d, e) in successive:
-                continue
-            successive.add((d, e))
-        facts = per_d.get(d)
-        if facts is None:
-            facts = per_d[d] = ((product_bound(sizes, d), additive_existence_bound(sizes, d))
-                                if all(s > di for s, di in zip(sizes, d)) else ())
-        if not facts:
-            continue
-        product, additive = facts
-        if condition == analysis.SUCCESSIVELY_LARGEST:
-            out.append(BoundReport("product", product, f"successively largest sequence {text[d]} "
+    def existence(why, d, e=None):
+        out.append(BoundReport("existence", 1, f"{why} and every |S_i| > d_i", d, e))
+        out.append(BoundReport("additive-existence", facts[d][1], f"{why}; shrink-and-translate argument", d, e))
+
+    def product(why, d, order=None):
+        plain.add(d)
+        out.append(BoundReport("product", facts[d][0], why, d, order=order))
+        out.append(BoundReport("schwartz-additive", schwartz_additive_bound(sizes, d), why, d, order=order))
+
+    for d in filter(facts.__contains__, maximal):
+        why = f"maximal monomial {text[d]}"
+        existence(why, d)
+        out.append(BoundReport("product-if-maximal", facts[d][0], "DIAGNOSTIC: maximality of "
+                               f"{text[d]} alone does not imply the product bound", d, guaranteed=False))
+        if max(d) >= 1:
+            l = max(d) + 1
+            out.append(BoundReport("erdos-density", erdos_density_bound(n, l, min(sizes)),
+                                   f"asymptotic zero-density threshold, l = 1 + max d_i = {l}", d,
+                                   kind="density", guaranteed=False, asymptotic=True))
+        if n == 2:
+            out.append(BoundReport("kst-exponent", kst_exponent(d[0], d[1]),
+                                   f"asymptotic zero-set exponent for {why}", d,
+                                   kind="exponent", guaranteed=False, asymptotic=True))
+    for order, d in zip(orders, heads):
+        if d in facts and d not in plain:
+            product(f"lex-largest monomial {text[d]} under order {text[order]}", d, order)
+    for (e, d), order in first.items():
+        if d in facts:
+            out.append(BoundReport("product", facts[d][0], f"successively largest sequence {text[d]} "
                                    f"for seed {text[e]} under order {text[order]}", d, e, order))
-        elif condition in (analysis.D_LEADING, analysis.MAXIMAL_MONOMIAL):
-            why = f"maximal monomial {text[d]}" if e is None else f"{text[e]} is {text[d]}-leading"
-            out.append(BoundReport("existence", 1, f"{why} and every |S_i| > d_i", d, e))
-            out.append(BoundReport("additive-existence", additive, f"{why}; shrink-and-translate argument", d, e))
-            if e is not None:
-                continue
-            out.append(BoundReport("product-if-maximal", product, "DIAGNOSTIC: maximality of "
-                                   f"{text[d]} alone does not imply the product bound", d, guaranteed=False))
-            if max(d) >= 1:
-                l = max(d) + 1
-                out.append(BoundReport("erdos-density", erdos_density_bound(n, l, min(sizes)),
-                                       f"asymptotic zero-density threshold, l = 1 + max d_i = {l}", d,
-                                       kind="density", guaranteed=False, asymptotic=True))
-            if n == 2:
-                out.append(BoundReport("kst-exponent", kst_exponent(d[0], d[1]),
-                                       f"asymptotic zero-set exponent for {why}", d,
-                                       kind="exponent", guaranteed=False, asymptotic=True))
-        elif condition in (analysis.LEX_LARGEST, analysis.PARTIAL_DEGREES):
-            if d not in plain:
-                plain.add(d)
-                why = (f"lex-largest monomial {text[d]} under order {text[order]}"
-                       if condition == analysis.LEX_LARGEST else f"exact partial degrees {text[d]}")
-                out.append(BoundReport("product", product, why, d, order=order))
-                out.append(BoundReport("schwartz-additive", schwartz_additive_bound(sizes, d), why, d,
-                                       order=order))
-            if condition == analysis.PARTIAL_DEGREES:
-                value, argmin = gen_alon_furedi_bound(AFInstance(sizes, d, total))
-                out.append(BoundReport("gen-alon-furedi", value,
-                                       f"partial degrees {text[d]} and total degree {total}", d, argmin=argmin))
+    for e, ds in leading.items():
+        for d in filter(facts.__contains__, sorted(ds)):
+            existence(f"{text[e]} is {text[d]}-leading", d, e)
+    if partial in facts:
+        if partial not in plain:
+            product(f"exact partial degrees {text[partial]}", partial)
+        value, argmin = gen_alon_furedi_bound(AFInstance(sizes, partial, total))
+        out.append(BoundReport("gen-alon-furedi", value, f"partial degrees {text[partial]} and total degree {total}",
+                               partial, argmin=argmin))
 
     # bounds keyed to the total degree alone
     if len(set(sizes)) == 1:

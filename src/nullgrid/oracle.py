@@ -38,7 +38,7 @@ import random
 import sys
 from functools import lru_cache
 from math import floor, isqrt, prod
-from operator import mul
+from operator import mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -172,18 +172,22 @@ def _word_primes(width: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def _reference_words(f: Polynomial, bounds: list[int]) -> int:
-    """Machine words the reference handles per grid point: residues below
-    m, or integers up to |c| * prod b_i^e_i for the set bounds b_i over Z.
-    A value of w words counts w (1 + w // 512), since building one that
-    wide takes products of wide integers, which cost more than linear time."""
+def _reference_words(f: Polynomial, bounds: list[int]) -> tuple[int, int]:
+    """Machine words the reference handles per grid point and, over Z,
+    the exponent least of a lower bound 2^least on the height H, in one
+    pass.  Values are residues below m, or |c| * prod b_i^e_i for the set
+    bounds b_i: below 2^top, top = bits(c) + sum e_i bits(b_i), and at least
+    2^(top - 1 - sum e_i) unless a set {0} zeroes the term.  A w-word value
+    counts w (1 + w // 512), since building it takes wide products."""
     m = f.ring.modulus
     if m:
         w = words(m.bit_length())
-        return len(f.terms) * w * (1 + w // 512)
+        return len(f.terms) * w * (1 + w // 512), -1
     bits = [b.bit_length() for b in bounds]
-    sizes = (words(abs(c).bit_length() + sum(map(mul, key, bits))) for key, c in f.terms.items())
-    return sum(w * (1 + w // 512) for w in sizes)
+    tops = [abs(c).bit_length() + sum(map(mul, key, bits)) for key, c in f.terms.items()]
+    live = (0 not in bounds or all(b or not e for b, e in zip(bounds, key)) for key in f.terms)
+    least = max(itertools.compress(map(sub, tops, map(sum, f.terms)), live), default=0) - 1
+    return sum(w * (1 + w // 512) for w in map(words, tops)), least
 
 
 def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
@@ -216,9 +220,9 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     carries a variable whose set is {0}, or there are no terms: f
     vanishes on the whole grid, no prime is needed (the empty product
     1 exceeds 0), and with no residue to say otherwise every point is
-    a zero of value 0.  H >= 2^least, least read off the bit lengths of
-    the terms no set {0} zeroes; when 2^least passes the product of all
-    ``_MAX_PRIMES`` primes, that product stands in for H, never built.
+    a zero of value 0.  H >= 2^least, least given by ``_reference_words``;
+    when 2^least passes the product of all ``_MAX_PRIMES`` primes, that
+    product stands in for H, never built.
 
     The kernel runs its primes in batches that share every contraction,
     and ``_CELL_BUDGET`` bounds each array of a batch summed over its
@@ -235,7 +239,7 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     widths = [len(e) for e in exps]
     m = f.ring.modulus
     bounds = [max(abs(a) for a in s) for s in grid.sets]
-    words = _reference_words(f, bounds)
+    words, least = _reference_words(f, bounds)
     sizes = grid.sizes
     points = prod(sizes)
     moduli: list[int] = []
@@ -249,9 +253,6 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
             reason = "overflow guard"
     else:
         primes = _word_primes(max(widths))
-        lows = [b.bit_length() - 1 for b in bounds]
-        least = max((abs(c).bit_length() - 1 + sum(map(mul, key, lows)) for key, c in f.terms.items()
-                     if 0 not in bounds or all(b or not e for b, e in zip(bounds, key))), default=-1)
         height = prod(primes)
         if least < height.bit_length():
             height = (2 if values else 1) * sum(abs(c) * prod(b ** e for b, e in zip(bounds, key))

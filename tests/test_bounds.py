@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nullgrid import analysis, poly
-from nullgrid.analysis import HypothesisReport, classify
+from nullgrid.analysis import classify
 from nullgrid.bounds import (
     AFInstance,
     BoundReport,
@@ -36,7 +37,9 @@ from nullgrid.oracle import BoundCheck, random_polynomial, verify_bounds
 from nullgrid.parser import parse_poly
 from nullgrid.poly import GridSpec, Polynomial
 from nullgrid.ring import RingSpec
+import catalogue_reference
 from record_contract import as_reference, assert_same_record, reference_jsonable
+from test_analysis import _reference_classify
 
 Z = RingSpec.integers()
 
@@ -273,10 +276,11 @@ def test_bound_records_keep_the_frozen_dataclass_contract():
     assert jsonable(report) == reference_jsonable(report._replace(checks=references))
 
 
-def _reference_collect_bounds(f, grid):
+def _reference_collect_bounds(f, grid, reports):
     """collect_bounds as written before it read the witness tuples: a loop
-    over the HypothesisReports of classify, with one (name, d, e) key set
-    probed before every entry."""
+    over classify's HypothesisReports (here those of the definitional
+    ``_reference_classify``), with one (name, d, e) key set probed before
+    every entry."""
     if f.is_zero:
         return []
     sizes, n = grid.sizes, grid.arity
@@ -290,7 +294,7 @@ def _reference_collect_bounds(f, grid):
         seen.add(key)
         return True
 
-    for rep in classify(f):
+    for rep in reports:
         d, e, order = rep.witness_d, rep.witness_e, rep.order
         if not all(s > di for s, di in zip(sizes, d)):
             continue
@@ -386,10 +390,10 @@ def _cases(draw):
 
 
 def _holds_against_the_reference(f, grid):
-    assert collect_bounds(f, grid) == _reference_collect_bounds(f, grid)
-    if not f.is_zero:
-        assert classify(f) == [HypothesisReport(condition, True, d, e, order)
-                               for condition, d, e, order in analysis._witnesses(f)]
+    reports = [] if f.is_zero else _reference_classify(f)
+    if reports:
+        assert classify(f) == reports
+    assert collect_bounds(f, grid) == _reference_collect_bounds(f, grid, reports)
 
 
 @settings(max_examples=300, deadline=None)
@@ -435,3 +439,59 @@ def test_collect_bounds_matches_the_reference_on_acceptance_corpora():
     for f, grid in cases:
         _holds_against_the_reference(f, grid)
 
+
+# The expression shapes of the benchmark's dense-support workload: 60-165
+# terms in 3-4 variables over F_101 and Z, where many orders give the same
+# successively-largest (seed, d).  Sides are the partial degrees + 1.
+DENSE_SHAPES = {
+    "xyz-z-product": ("int", "xyz", (8, 13, 6), "(x + {a}*y^2 + {b}*z)^5*({c}*x*y + {d})^2"),
+    "xyz-power6": ("fp:101", "xyz", (7, 7, 7), "({a}*x + {b}*y + {c}*z + {d})^6"),
+    "xyzw-z-product": ("int", "xyzw", (6, 6, 4, 4), "({a}*x*y + {b}*z*w + {c}*x + {d})^3*(x + y + {e})^2"),
+    "xyz-z-power7": ("int", "xyz", (8, 8, 8), "({a}*x + {b}*y + {c}*z + {d})^7"),
+    "xyzw-power4": ("fp:101", "xyzw", (5, 5, 5, 5), "({a}*x + {b}*y + {c}*z + {d}*w + {e})^4"),
+    "xyz-product": ("fp:101", "xyz", (12, 8, 8), "({a}*x^2*y + {b}*z + {c})^4*(x + {d}*y*z + {e})^3"),
+    "xyz-product2": ("fp:101", "xyz", (6, 14, 4), "({a}*x + {b}*y^2 + {c})^5*(y + {d}*z + {e})^3"),
+}
+
+
+def _dense_cases(name, draws=3):
+    """Seeded coefficient and grid draws of one shape; the last draw cuts
+    the first side by 1, so that some witnesses do not fit its grid."""
+    ring_text, names, sides, text = DENSE_SHAPES[name]
+    ring = RingSpec.from_string(ring_text)
+    universe = range(-20, 21) if ring.modulus is None else range(ring.modulus)
+    rng = random.Random(name)
+    for draw in range(draws):
+        coeffs = {k: rng.choice((-3, -2, -1, 1, 2, 3)) if ring.modulus is None else rng.randrange(1, 101)
+                  for k in "abcde"}
+        cut = (int(draw == draws - 1),) + (0,) * (len(sides) - 1)
+        grid = GridSpec(ring, [rng.sample(universe, s - c) for s, c in zip(sides, cut)])
+        yield parse_poly(text.format(**coeffs), list(names), ring), grid
+
+
+def test_catalogue_matches_the_per_report_walk_on_dense_supports():
+    # the reference walk yields every (order, seed) report and the reference
+    # catalogue drops repeated successively-largest pairs itself
+    for name in DENSE_SHAPES:
+        for f, grid in _dense_cases(name):
+            reports = classify(f)
+            assert reports == catalogue_reference.classify(f)
+            assert collect_bounds(f, grid) == catalogue_reference.collect_bounds(f, grid)
+            pairs = [(r.witness_e, r.witness_d) for r in reports if r.condition == analysis.SUCCESSIVELY_LARGEST]
+            assert len(set(pairs)) < len(pairs)
+
+
+# sha256 of the JSON of verify_bounds, recorded while the catalogue still
+# deduplicated the walk's reports itself
+VERIFY_DIGESTS = {
+    ("xyzw-power4", 0): "1c296cf3240df6e06da0a332723340f833da645e88485cac6dbd97888339d7bf",
+    ("xyzw-z-product", 0): "96ef6ca1f9e49f59bd652621eefc4a2f6d60fba708fef942c625c64c36b10e15",
+    ("xyz-product2", 2): "518accef1bd68469e920452f1e5ca2c4766e1339340c9a95beffeb1a270263b9",
+}
+
+
+def test_verify_bounds_json_is_pinned_on_dense_supports():
+    for (name, draw), digest in VERIFY_DIGESTS.items():
+        f, grid = list(_dense_cases(name))[draw]
+        text = json.dumps(jsonable(verify_bounds(f, grid)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, draw)

@@ -7,9 +7,11 @@ hands over to the reference.
 
 import logging
 import os
+import random
 import subprocess
 import sys
 from math import gcd, prod
+from operator import mul
 from pathlib import Path
 from unittest import mock
 
@@ -20,10 +22,10 @@ from hypothesis import strategies as st
 
 import nullgrid
 from nullgrid import oracle
-from nullgrid.errors import GridTooLargeError
+from nullgrid.errors import GridTooLargeError, debug
 from nullgrid.oracle import _count_rec, _power_table, _word_primes, count_nonzeros, min_nonzero_search
 from nullgrid.parser import MAX_EXPONENT
-from nullgrid.poly import GridSpec, Polynomial
+from nullgrid.poly import GridSpec, Polynomial, words
 from nullgrid.ring import RingSpec
 from nullgrid.transform import grid_values
 
@@ -409,3 +411,116 @@ def test_import_does_not_load_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _three_pass_plan(f, grid, values):
+    """oracle._plan as written when it walked the terms three times over Z:
+    once for the reference words, once for the lower bound 2^least on the
+    height and once for the exact height."""
+    exps = [sorted({key[i] for key in f.terms}) or [0] for i in range(f.arity)]
+    widths = [len(e) for e in exps]
+    m = f.ring.modulus
+    bounds = [max(abs(a) for a in s) for s in grid.sets]
+    bits = [b.bit_length() for b in bounds]
+    sizes = (words(abs(c).bit_length() + sum(map(mul, key, bits))) for key, c in f.terms.items())
+    words_ = sum(w * (1 + w // 512) for w in sizes)
+    sizes = grid.sizes
+    points = prod(sizes)
+    moduli = []
+    reason = None
+    if "numpy" not in sys.modules and points * words_ <= oracle._cold_work_left:
+        oracle._cold_work_left -= points * words_
+        reason = "numpy not loaded"
+    elif m:
+        moduli = [m]
+        if (m - 1) ** 2 * max(widths) >= oracle._INT64_LIMIT:
+            reason = "overflow guard"
+    else:
+        primes = _word_primes(max(widths))
+        lows = [b.bit_length() - 1 for b in bounds]
+        least = max((abs(c).bit_length() - 1 + sum(map(mul, key, lows)) for key, c in f.terms.items()
+                     if 0 not in bounds or all(b or not e for b, e in zip(bounds, key))), default=-1)
+        height = prod(primes)
+        if least < height.bit_length():
+            height = (2 if values else 1) * sum(abs(c) * prod(b ** e for b, e in zip(bounds, key))
+                                                for key, c in f.terms.items())
+        product = 1
+        for q in primes:
+            if product > height:
+                break
+            moduli.append(q)
+            product *= q
+        if product <= height:
+            reason = "prime count"
+    row = max(prod(sizes[1:i + 1]) * prod(widths[i + 1:]) for i in range(grid.arity))
+    tables = [s * w for s, w in zip(sizes, widths)] if moduli else []
+    per_prime = max(prod(widths), row, *tables)
+    if reason is None and per_prime > oracle._CELL_BUDGET:
+        reason = "tensor budget"
+    group = max(1, min(len(moduli), oracle._CELL_BUDGET // per_prime))
+    rows = min(sizes[0], oracle._CELL_BUDGET // (group * row))
+    debug(oracle.__name__, "grid evaluation path=%s reason=%s primes=%d chunks=%d",
+          "reference" if reason else "kernel", reason or "none",
+          0 if m else len(moduli), 0 if reason else -(-sizes[0] // rows))
+    if reason is None:
+        return exps, moduli, group, rows
+    if points * words_ > oracle._REFERENCE_WORK:
+        raise GridTooLargeError(f"reference evaluation needs {points} points x {words_} "
+                                f"coefficient words, limit is {oracle._REFERENCE_WORK}")
+    return None
+
+
+def _random_integer_case(rng):
+    """A Z polynomial on a small grid: sets of {0}, of negative and of
+    80-bit elements, and terms up to 3000-bit coefficients and exponent
+    400.  Heights near the product of the 16 word primes (about 2^500) are
+    common, so 2^least passes it for some and H is built for others."""
+    n = rng.randint(1, 3)
+    sets = []
+    for _ in range(n):
+        if rng.random() < 0.2:
+            sets.append([0])
+        else:
+            top = rng.choice((3, 1000, 2**80))
+            sets.append(list({rng.randint(-top, top) for _ in range(rng.randint(1, 4))}))
+    top = rng.choice((2, 30, 400))
+    terms = {tuple(rng.randint(0, top) for _ in range(n)):
+             rng.choice((-1, 1)) * rng.randrange(1, 2 ** rng.choice((4, 64, rng.randint(450, 520), 3000)))
+             for _ in range(rng.randint(1, 6))}
+    return Polynomial(n, Z, terms), GridSpec(Z, sets)
+
+
+def test_one_pass_plan_matches_the_three_pass_plan(monkeypatch, caplog):
+    rng = random.Random(20)
+    cases = [_random_integer_case(rng) for _ in range(400)]
+    # least = bits(c) + 4 <= log2 H < bits(c) + 5 log2(3): the product of the
+    # 16 primes (496 bits for two exponents) falls in between for a few; and
+    # H = 2^least exactly, for 2^bits x^3 on a set of bound 4
+    cases += [(Polynomial(1, Z, {(5,): 2**bits, (0,): -1}), GridSpec(Z, [(-3, 2, 3)])) for bits in range(480, 500)]
+    cases += [(Polynomial(1, Z, {(3,): 2**bits}), GridSpec(Z, [(-4, 1, 4)])) for bits in range(490, 505)]
+    seen = set()
+    for f, grid in cases:
+        for values in (False, True):
+            outcomes = []
+            for plan in (oracle._plan, _three_pass_plan):
+                caplog.clear()
+                with caplog.at_level(logging.DEBUG, logger="nullgrid"):
+                    try:
+                        outcome = plan(f, grid, values)
+                    except GridTooLargeError as exc:
+                        outcome = str(exc)
+                outcomes.append((outcome, [r.getMessage() for r in caplog.records]))
+            assert outcomes[0] == outcomes[1], (f, grid, values)
+        width = max(len({key[i] for key in f.terms}) for i in range(f.arity))
+        least = oracle._reference_words(f, [max(map(abs, s)) for s in grid.sets])[1]
+        built = least < prod(_word_primes(width)).bit_length()
+        seen.add((built, outcomes[0][1][0].split("reason=")[1].split(" chunks")[0]))
+        if not isinstance(outcomes[0][0], str):
+            answers = [(count_nonzeros(f, grid), grid_values(f, grid))]
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_plan", _three_pass_plan)
+                answers.append((count_nonzeros(f, grid), grid_values(f, grid)))
+            assert answers[0] == answers[1]
+    # H = 0 on a set {0}; H built and passed by the primes or not; H never built
+    assert {(True, "none primes=0"), (True, "none primes=1"), (True, "prime count primes=16"),
+            (False, "prime count primes=16")} <= seen
