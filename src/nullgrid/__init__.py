@@ -44,7 +44,7 @@ _EXPORTS = {
     "puzzle": """AgreementPattern LocalSearchResult PuzzleInstance SearchResult
         agreement_count exhaustive_search k22_check local_search zarankiewicz_k22_bound""",
     "ring": "CheckResult RingElem RingSpec grid_condition_check is_prime",
-    "transform": "Multipliers coefficient_via_grid grid_values trim vandermonde_multipliers",
+    "transform": "GridValues Multipliers coefficient_via_grid grid_values trim vandermonde_multipliers",
 }
 # public name -> the submodule that defines it
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

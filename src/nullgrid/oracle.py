@@ -28,7 +28,9 @@ the search runs, so a short run never loads it.
 Counting refuses grids above a configurable point limit instead of
 running forever, the reference refuses work above ``_REFERENCE_WORK``,
 and grid values, which are held all at once, refuse grids above
-``DEFAULT_ZERO_SET_CAP`` points.
+``DEFAULT_ZERO_SET_CAP`` points.  ``_grid_values`` returns them as one
+flat list in odometer order, one int per point, which
+``transform.grid_values`` wraps in a read-only mapping view, not a dict.
 """
 
 from __future__ import annotations

@@ -12,12 +12,19 @@ Coefficient extraction goes the other way: from the values of f on a grid
 x^d, valid whenever d is maximal in f and |S_i| > d_i.  The multipliers
 g(a) generalize the reciprocals of the Vandermonde-basis products, and
 are validated against their defining power-sum identities at build time.
+``grid_values`` hands the values over as ``GridValues``, a read-only
+mapping view of the oracle's flat odometer-ordered list, not a dict: it
+builds no key per point, and ``coefficient_via_grid`` reads a view of
+its own grid in place, only on the sub-box S_1[:d_1+1] x ... x
+S_n[:d_n+1], with no scan for coverage.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, NamedTuple, Sequence
+from collections.abc import Mapping
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from . import poly
 from .errors import GridTooLargeError, HypothesisViolationError, UnsupportedRingError
@@ -126,8 +133,10 @@ def vandermonde_multipliers(ring: RingSpec, elements: Sequence, d: int | None = 
 
     d defaults to |S| - 1 (the classical reciprocal-product case).  The
     defining power-sum identities are recomputed and asserted before the
-    result is returned, so a faulty build cannot escape.  Both take about
-    (d + 1) |S| ring operations, refused past ``poly.MAX_WORK``.
+    result is returned, so a faulty build cannot escape.  g is zero beyond
+    the first d + 1 elements, so the build and the check each take
+    (d + 1)^2 ring operations, the check with running powers; the
+    (d + 1) |S| charged against ``poly.MAX_WORK`` bounds them from above.
     """
     if not ring.is_field:
         raise UnsupportedRingError("multipliers need a prime field")
@@ -153,31 +162,78 @@ def vandermonde_multipliers(ring: RingSpec, elements: Sequence, d: int | None = 
             if k != j:
                 denom = ring.mul(denom, ring.sub(a, b))
         g.append(ring.invert(denom))
-    values = tuple(g) + (0,) * (len(vals) - d - 1)
 
     p = ring.modulus
+    powers = [1] * len(head)
     for k in range(d + 1):
-        acc = sum(gv * pow(a, k, p) for gv, a in zip(values, vals)) % p
+        acc = sum(map(mul, g, powers)) % p
         expected = 1 if k == d else 0
         if acc != expected:
             raise AssertionError(f"multiplier identity failed at power {k}: {acc} != {expected}")
-    return Multipliers(ring, vals, d, values)
+        powers = [x * a % p for x, a in zip(powers, head)]
+    return Multipliers(ring, vals, d, tuple(g) + (0,) * (len(vals) - d - 1))
 
 
-def grid_values(f: Polynomial, grid: GridSpec) -> dict[tuple[int, ...], int]:
+class GridValues(Mapping):
+    """The values of a polynomial on a grid: a read-only mapping from each
+    canonical point tuple to its canonical integer value.
+
+    A view of one flat list of values in odometer order (last variable
+    fastest), the order of ``grid.points()``; it costs that list and one
+    position dict per set, nothing per point.  A lookup maps the point to
+    its flat index through the position dicts.  A wrong-length, off-grid
+    or non-canonical point raises KeyError, as it would in a dict keyed by
+    the points.  Iteration yields ``grid.points()``, ``len`` is the grid
+    size, a dict with the same items compares equal to it in both
+    directions, and item assignment raises TypeError.
+    """
+
+    __slots__ = ("grid", "_flat", "_positions")
+
+    def __init__(self, grid: GridSpec, flat: Sequence[int]):
+        if len(flat) != grid.size():
+            raise ValueError(f"{len(flat)} values for a grid of {grid.size()} points")
+        self.grid = grid
+        self._flat = flat
+        self._positions = [{a: i for i, a in enumerate(s)} for s in grid.sets]
+
+    def __getitem__(self, point):
+        if not isinstance(point, tuple) or len(point) != len(self._positions):
+            hash(point)  # an unhashable key raises TypeError, as in a dict
+            raise KeyError(point)
+        index = 0
+        try:
+            for positions, x in zip(self._positions, point):
+                index = index * len(positions) + positions[x]
+        except KeyError:
+            raise KeyError(point) from None
+        return self._flat[index]
+
+    def __iter__(self):
+        return self.grid.points()
+
+    def __len__(self):
+        return len(self._flat)
+
+
+def grid_values(f: Polynomial, grid: GridSpec) -> GridValues:
     """Evaluate f at every grid point: the value map consumed by
-    coefficient_via_grid, keyed by canonical point tuples."""
+    coefficient_via_grid, a read-only ``GridValues`` view keyed by
+    canonical point tuples, not a dict.  It holds the oracle's flat list
+    of values, so it costs one int per point and builds no key; grids over
+    ``oracle.DEFAULT_ZERO_SET_CAP`` points raise GridTooLargeError."""
     from .oracle import _grid_values
 
     check_compatible(f, grid)
-    return dict(zip(grid.points(), _grid_values(f, grid)))
+    return GridValues(grid, _grid_values(f, grid))
 
 
 def require_extractable(grid: GridSpec, d: Sequence[int]) -> tuple[int, ...]:
     """d as a tuple, once checked that ``coefficient_via_grid`` can read x^d
     off the grid: a prime field, one entry per variable, 0 <= d_i < |S_i|,
-    and multipliers whose cost, sum (d_i + 1) |S_i|, is within
-    ``poly.MAX_WORK``."""
+    and multipliers whose cost is within ``poly.MAX_WORK``.  The cost is
+    charged as sum (d_i + 1) |S_i|, an upper bound on the sum (d_i + 1)^2
+    ring operations they take."""
     if not grid.ring.is_field:
         raise UnsupportedRingError("coefficient extraction needs a prime field")
     d = tuple(d)
@@ -204,24 +260,32 @@ def coefficient_via_grid(values: Mapping[tuple[int, ...], int], grid: GridSpec,
     non-maximal d it is still a well-defined functional of the values,
     just not the coefficient.
 
-    The value map must cover the whole grid; the sum itself only touches
-    the points supported by the multipliers, i.e. the first d_i + 1
-    elements per variable.  Its values are ints or elements of the grid's
-    ring; an element of another ring raises RingMismatchError.
+    The sum only touches the prod (d_i + 1) points where the multipliers
+    are nonzero, the first d_i + 1 elements per variable, one row of the
+    last variable at a time.  A ``GridValues`` view of an equal grid
+    covers that grid by construction, and its flat list is read in place.
+    Any other value map must cover the whole grid, checked point by point;
+    its values are ints or elements of the grid's ring, and an element of
+    another ring raises RingMismatchError.
     """
     ring = grid.ring
     d = require_extractable(grid, d)
-    missing = sum(1 for pt in grid.points() if pt not in values)
-    if missing:
-        raise ValueError(f"value map misses {missing} of {grid.size()} grid points")
+    if isinstance(values, GridValues) and values.grid == grid:
+        flat, sizes = values._flat, grid.sizes
+    else:
+        missing = sum(1 for pt in grid.points() if pt not in values)
+        if missing:
+            raise ValueError(f"value map misses {missing} of {grid.size()} grid points")
+        box = itertools.product(*(s[:di + 1] for s, di in zip(grid.sets, d)))
+        flat, sizes = [ring.coerce(values[pt]) for pt in box], tuple(di + 1 for di in d)
 
-    mults = [vandermonde_multipliers(ring, grid.sets[i], d[i]) for i in range(grid.arity)]
-    supported = [tuple(zip(grid.sets[i][:d[i] + 1], mults[i].values)) for i in range(grid.arity)]
+    *lead, last = [vandermonde_multipliers(ring, s, di).values[:di + 1] for s, di in zip(grid.sets, d)]
     p = ring.modulus
     acc = 0
-    for entry in itertools.product(*supported):
-        w = 1
-        for _, gv in entry:
-            w = w * gv % p
-        acc = (acc + ring.coerce(values[tuple(x for x, _ in entry)]) * w) % p
+    for entry in itertools.product(*map(enumerate, lead)):
+        row, weight = 0, 1
+        for (j, gj), size in zip(entry, sizes):
+            row, weight = row * size + j, weight * gj % p
+        start = row * sizes[-1]
+        acc = (acc + weight * sum(map(mul, last, flat[start:start + len(last)]))) % p
     return RingElem(ring, acc)

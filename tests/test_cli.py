@@ -565,6 +565,15 @@ def test_a_rendered_20000_term_file_reads_back_in_trim_and_verify(tmp_path):
             assert json.loads(proc.stdout)["polynomial"] == text
 
 
+# a 30-term polynomial over F_10007 with maximal monomials x^67*y^30,
+# x^60*y^49 and x^57*y^64
+POLY_30 = ("5984*x^57*y^64 + 9178*x^60*y^49 + 694*x^55*y^52 + 2703*x^53*y^53 + 6321*x^40*y^62 "
+           "+ 8276*x^67*y^30 + 9019*x^66*y^28 + 8779*x^52*y^37 + 7777*x^65*y^23 + 4609*x^61*y^27 "
+           "+ 5446*x^44*y^39 + 1529*x^20*y^63 + 6576*x^62*y^19 + 8850*x^63*y^14 + 47*x^62*y^8 "
+           "+ 2961*x^21*y^44 + 3063*x^4*y^60 + 7425*x^20*y^43 + 9591*x^54*y^8 + 3295*x^43*y^18 "
+           "+ 2375*x^29*y^29 + 9364*x^40*y^14 + 53*x*y^47 + 7240*x^4*y^42 + 6334*x^34*y^3 "
+           "+ 4027*x^13*y^21 + 3849*x^9*y^25 + 3418*x^9*y^15 + 6037*x^2*y^19 + 1450*x^15*y^2")
+
 # (argv, exit code, sha256 of stdout), recorded before integer grid values
 # moved into the kernel and the annihilator got one builder
 GOLDEN = [
@@ -618,6 +627,19 @@ GOLDEN = [
      "ff18f29be52fd07c522def52a89672df963287bfd10c578e80fab28678fe261a"),
     (["verify", "--grid", "0..4;0..4;0..4;1,2,3,4", "--ring", "zmod:35", "--poly", "(x+2*y+3*z+4*w+1)^4"], 0,
      "821c3ef5eeb8fce99b7caf0a30f37292478a9fadb6d03b9428ca376305395992"),
+    # coefficients read off grid values, recorded while the values were a
+    # dict: a maximal and a non-maximal monomial, sets out of order with a
+    # non-canonical element, and a grid just under the 10^6-point value cap
+    (["coeff", "--ring", "fp:10007", "--grid", "0..99;0..99", "--monomial", "60,49", "--poly", POLY_30], 0,
+     "a07d714df71d9e580cec25375058e5a68987ac83062f96a4d44f877f4a5fe379"),
+    (["coeff", "--ring", "fp:10007", "--grid", "0..99;0..99", "--monomial", "40,40", "--poly", POLY_30], 0,
+     "cfb04165d31ce6d76cc6a4435a375b0bb831b48ac21cee48247b8ae4d054b3ab"),
+    (["coeff", "--ring", "fp:13", "--grid", "5,1,-2,3,0;9,2,7,4", "--monomial", "3,2",
+      "--poly", "3*x^3*y^2 + x*y^3 + 5*x^2 + 1"], 0,
+     "2585d142231b29becfb75b0f38fab23ffe200c9e2fcb7ba416a2815428686d53"),
+    (["coeff", "--ring", "fp:1009", "--grid", "0..1008;0..990", "--monomial", "300,200",
+      "--poly", "x^300*y^200 - 4*x^299*y^3 + 7*x^5*y^200 + x + 1"], 0,
+     "9f1570965e874fefeeda337cadd49f43dc8089c89a5dec3c8a215e04b02b9e4e"),
 ]
 
 

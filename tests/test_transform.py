@@ -1,19 +1,27 @@
+import contextlib
+import copy
+import itertools
+import logging
+import pickle
 import random
+import sys
 import time
-from math import gcd
+from math import gcd, prod
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullgrid import poly
+from nullgrid import oracle, poly
+from nullgrid.analysis import maximal_monomials
 from nullgrid.errors import GridTooLargeError, HypothesisViolationError, RingMismatchError, UnsupportedRingError
 from nullgrid.oracle import random_polynomial, tightness_family
 from nullgrid.parser import parse_poly
 from nullgrid.poly import GridSpec, Polynomial, annihilator, vanishing_poly
 from nullgrid.ring import RingSpec
 from nullgrid.transform import (
+    GridValues,
     coefficient_via_grid,
     grid_values,
     trim,
@@ -161,8 +169,6 @@ def test_coefficient_via_grid_random_maximal_agreement():
     hits = 0
     for _ in range(60):
         f = random_polynomial(2, (4, 4), 0.35, F7, seed=rng.randrange(10**9))
-        from nullgrid.analysis import maximal_monomials
-
         grid = GridSpec(F7, [range(6), range(6)])
         vals = grid_values(f, grid)
         for d in maximal_monomials(f):
@@ -197,6 +203,162 @@ def test_coefficient_via_grid_checks_the_ring_of_each_value():
     foreign = {pt: F13.element(v + 10) for pt, v in vals.items()}
     with pytest.raises(RingMismatchError, match="value from fp:13 used in fp:7"):
         coefficient_via_grid(foreign, grid, (1, 1))
+
+
+# -- the grid values view ------------------------------------------------------
+
+@st.composite
+def _extraction_cases(draw):
+    """A prime field, a grid of up to 3 unsorted sets given partly by
+    non-canonical integers, and a polynomial whose partial degrees reach
+    up to one past the set sizes."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101, 10007]))
+    arity = draw(st.integers(1, 3))
+    sets = [draw(st.lists(st.integers(-2 * p, 2 * p), min_size=1, max_size=min(p, 5),
+                          unique_by=lambda v: v % p)) for _ in range(arity)]
+    grid = GridSpec(RingSpec.prime_field(p), sets)
+    exps = st.tuples(*[st.integers(0, s) for s in grid.sizes])
+    f = Polynomial(arity, grid.ring, draw(st.dictionaries(exps, st.integers(-10**6, 10**6), max_size=8)))
+    return grid, f
+
+
+@pytest.mark.parametrize("path", ["reference", "kernel"])
+@settings(max_examples=80, deadline=None)
+@given(case=_extraction_cases())
+def test_the_view_gives_the_coefficients_a_dict_gives(path, case):
+    grid, f = case
+    if path == "reference":
+        evaluation = mock.patch.object(oracle, "_plan", return_value=None)
+        guard = contextlib.nullcontext()
+    else:
+        import numpy  # noqa: F401  with numpy loaded, even the zero polynomial goes to the kernel
+
+        evaluation = mock.patch.object(oracle, "_cold_work_left", 0)
+        guard = mock.patch.object(oracle, "_count_rec", side_effect=AssertionError("the reference ran"))
+    with evaluation, guard:
+        view = grid_values(f, grid)
+    assert isinstance(view, GridValues)
+    as_dict = dict(view)
+    for d in itertools.product(*map(range, grid.sizes)):
+        assert coefficient_via_grid(view, grid, d) == coefficient_via_grid(as_dict, grid, d)
+    for d in [] if f.is_zero else maximal_monomials(f):
+        if all(di < s for di, s in zip(d, grid.sizes)):
+            assert coefficient_via_grid(view, grid, d) == f.coefficient(d)
+
+
+def _evaluated(f, grid):
+    return {pt: f.eval_raw(pt) for pt in grid.points()}
+
+
+def test_the_view_keeps_the_contract_of_the_dict_it_replaced():
+    f = parse_poly("x^2*y + 3*x + 1", ["x", "y"], F7)
+    grid = GridSpec(F7, [(5, 0, 3), (6, 1)])
+    view = grid_values(f, grid)
+    parent = _evaluated(f, grid)
+    assert not isinstance(view, dict)
+    assert len(view) == 6
+    assert list(view) == list(grid.points())
+    assert list(view.items()) == list(parent.items())
+    # on the grid, off it, non-canonical (-1 and 12 over F_7), wrong
+    # length, equal but not int, and not a tuple at all
+    keys = [(5, 6), (3, 1), (5, 2), (-1, 6), (12, 6), (5,), (5, 6, 0), (), (5, 6.0), "ab", 5, None]
+    for key in keys:
+        assert (key in view) == (key in parent)
+        assert view.get(key, "absent") == parent.get(key, "absent")
+        if key not in parent:
+            with pytest.raises(KeyError):
+                view[key]
+    for unhashable in ([5, 6], ([5], 6)):
+        for values in (view, parent):
+            with pytest.raises(TypeError):
+                unhashable in values
+    with pytest.raises(TypeError):
+        view[(5, 6)] = 0
+    with pytest.raises(TypeError):
+        del view[(5, 6)]
+    assert view == parent and parent == view
+    changed = {**parent, (5, 6): parent[(5, 6)] + 1}
+    assert view != changed and changed != view
+    for other in (copy.copy(view), copy.deepcopy(view), pickle.loads(pickle.dumps(view))):
+        assert type(other) is GridValues and other.grid == grid
+        assert other == view and other == parent
+    with pytest.raises(ValueError, match="5 values for a grid of 6 points"):
+        GridValues(grid, [0] * 5)
+
+
+def test_the_view_equals_the_evaluated_dict_on_every_path(monkeypatch, caplog):
+    Z35 = RingSpec.integers_mod(35)
+    cases = [
+        (parse_poly("x^3*y - 2*x + 5", ["x", "y"], RingSpec.prime_field(101)),
+         GridSpec(RingSpec.prime_field(101), [(7, 0, 100, 3), (2, 1)]), "path=kernel reason=none"),
+        (parse_poly("x*y - x + 6", ["x", "y"], Z35), GridSpec(Z35, [(0, 1, 3), (2, 0, 1)]),
+         "path=kernel reason=none"),
+        (parse_poly("x^5*y - 3*x*y^2 + 7", ["x", "y"], Z), GridSpec(Z, [(-3, 0, 7), (5, -2)]),
+         "path=kernel reason=none primes=1"),
+        (parse_poly("x^2*y - 4*x", ["x", "y"], Z), GridSpec(Z, [(0,), (-2, 1, 5)]),
+         "path=kernel reason=none primes=0"),
+    ]
+    monkeypatch.setattr(oracle, "_cold_work_left", 0)
+    for f, grid, path in cases:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="nullgrid"):
+            view = grid_values(f, grid)
+        assert path in caplog.records[-1].getMessage()
+        assert view == _evaluated(f, grid) and _evaluated(f, grid) == view
+    # a process that has not loaded numpy evaluates small grids by the reference
+    monkeypatch.delitem(sys.modules, "numpy")
+    monkeypatch.setattr(oracle, "_cold_work_left", 10**6)
+    for f, grid, _ in cases:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="nullgrid"):
+            view = grid_values(f, grid)
+        assert "path=reference reason=numpy not loaded" in caplog.records[-1].getMessage()
+        assert view == _evaluated(f, grid) and _evaluated(f, grid) == view
+
+
+class _CountingList(list):
+    """A list that counts the entries read through indexing and slicing,
+    and refuses to be iterated whole."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = 0
+
+    def __getitem__(self, index):
+        got = super().__getitem__(index)
+        self.read += len(got) if isinstance(index, slice) else 1
+        return got
+
+    def __iter__(self):
+        raise AssertionError("the value list was iterated")
+
+
+def test_a_view_of_the_grid_is_read_only_on_the_supported_box():
+    F101 = RingSpec.prime_field(101)
+    f = parse_poly("x^3*y^2*z^4 + 5*x^6*y - 2*z^5 + x*y*z + 9", ["x", "y", "z"], F101)
+    grid = GridSpec(F101, [(9, 2, 40, 0, 77, 5, 13), (3, 1, 100, 8, 6), (4, 0, 1, 99, 50, 2)])
+    want = coefficient_via_grid(_evaluated(f, grid), grid, (3, 2, 4))
+    assert want == F101.element(1)
+    for d in ((3, 2, 4), (6, 1, 0), (0, 0, 0), (6, 4, 5)):
+        flat = _CountingList(oracle._grid_values(f, grid))
+        # an equal grid built apart takes the same path
+        same = GridSpec(F101, grid.sets)
+        with mock.patch.object(GridSpec, "points", side_effect=AssertionError("grid.points() was called")):
+            got = coefficient_via_grid(GridValues(grid, flat), same, d)
+        assert flat.read == prod(di + 1 for di in d)
+        assert got == coefficient_via_grid(_evaluated(f, grid), grid, d)
+
+
+def test_a_view_of_another_grid_is_checked_for_coverage():
+    f = parse_poly("x*y + 2", ["x", "y"], F7)
+    view = grid_values(f, GridSpec(F7, [(0, 1, 2), (0, 1)]))
+    other = GridSpec(F7, [(0, 1, 3), (0, 1)])
+    with pytest.raises(ValueError, match="^value map misses 2 of 6 grid points$"):
+        coefficient_via_grid(view, other, (1, 1))
+    # over another ring with the same sets, no point is missing and each
+    # value is read through the view
+    F11 = RingSpec.prime_field(11)
+    assert coefficient_via_grid(view, GridSpec(F11, [(0, 1, 2), (0, 1)]), (1, 1)) == F11.element(1)
 
 
 # -- the grid annihilators against repeated multiplication --------------------
