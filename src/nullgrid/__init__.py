@@ -34,8 +34,8 @@ _EXPORTS = {
         schwartz_zippel_count sz_probability zippel_bound""",
     "errors": """ArityMismatchError ExpansionTooLargeError ExponentOverflowError
         GridTooLargeError HypothesisViolationError InsufficientSampleSpaceError
-        NullgridError ParseError RingMismatchError SearchBudgetError UnknownVariableError
-        UnsupportedRingError ZeroPolynomialError""",
+        NullgridError ParseError ResourceLimitError RingMismatchError SearchBudgetError
+        UnknownVariableError UnsupportedRingError ZeroPolynomialError""",
     "oracle": """BoundCheck GridCount MinNonzeroResult VerificationReport count_nonzeros
         min_nonzero_search random_polynomial tightness_family verify_bounds""",
     "parser": "ExprDag DagBuilder expand_dag infer_variables parse_dag parse_poly",

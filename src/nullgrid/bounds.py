@@ -20,7 +20,7 @@ from operator import itemgetter, sub
 from typing import NamedTuple
 
 from . import analysis, poly
-from .errors import HypothesisViolationError, SearchBudgetError
+from .errors import HypothesisViolationError, SearchBudgetError, charge
 from .poly import GridSpec, Polynomial, check_compatible
 
 
@@ -159,9 +159,8 @@ def min_products_by_total(lows: tuple[int, ...], highs: tuple[int, ...]) -> dict
             raise ValueError(f"need 1 <= low <= high, got [{lo}, {hi}]")
         work += states * (hi - lo + 1)
         states += hi - lo
-    if work > poly.MAX_WORK:
-        raise SearchBudgetError(f"the generalized Alon-Furedi table over {len(lows)} variables needs {work} "
-                                f"steps, limit is {poly.MAX_WORK}")
+    charge(work, poly.MAX_WORK, SearchBudgetError,
+           "the generalized Alon-Furedi table over {} variables needs {work} steps, limit is {limit}", len(lows))
     table: dict[int, tuple[int, tuple[int, ...]]] = {0: (1, ())}
     for lo, hi in zip(lows, highs):
         nxt: dict[int, tuple[int, tuple[int, ...]]] = {}

@@ -17,12 +17,12 @@ import os
 import sys
 
 from .errors import (
-    ExpansionTooLargeError,
     GridTooLargeError,
     HypothesisViolationError,
     NullgridError,
     ParseError,
-    SearchBudgetError,
+    ResourceLimitError,
+    charge,
 )
 
 SCHEMA = 1
@@ -153,8 +153,8 @@ def _cmd_verify(args):
     from . import oracle
 
     ring, f, names, grid = _load_poly_and_grid(args)
-    if args.list_zeros and grid.size() > oracle.DEFAULT_ZERO_SET_CAP:
-        raise GridTooLargeError(f"grid has {grid.size()} points, --list-zeros limit is {oracle.DEFAULT_ZERO_SET_CAP}")
+    charge(args.list_zeros and grid.size(), oracle.DEFAULT_ZERO_SET_CAP, GridTooLargeError,
+           "grid has {work} points, --list-zeros limit is {limit}")
     count = oracle.count_nonzeros(f, grid, collect_zeros=args.list_zeros,
                                   point_limit=_point_limit(args))
     report = oracle.verify_bounds(f, grid, count=count)
@@ -411,7 +411,7 @@ def main(argv=None) -> int:
     except HypothesisViolationError as e:
         _emit_error("hypothesis-violation", str(e), fmt)
         return EXIT_HYPOTHESIS
-    except (ExpansionTooLargeError, GridTooLargeError, SearchBudgetError) as e:
+    except ResourceLimitError as e:
         _emit_error("resource-limit", str(e), fmt)
         return EXIT_RESOURCE
     except (NullgridError, ValueError) as e:

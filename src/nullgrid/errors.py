@@ -52,23 +52,33 @@ class InsufficientSampleSpaceError(HypothesisViolationError):
     bound, so the failure probability guarantee would be vacuous."""
 
 
-class GridTooLargeError(NullgridError, RuntimeError):
+class ResourceLimitError(NullgridError, RuntimeError):
+    """Work was refused before it started: raised by ``charge``, exit 3 on the command line."""
+
+
+class GridTooLargeError(ResourceLimitError):
     """Work on a grid was refused before it started: enumeration past the
     configured point limit, or a grid set too large to evaluate on, to
     build its annihilator from, to reduce modulo that annihilator or to
     check pair by pair within the package's work budgets."""
 
 
-class ExpansionTooLargeError(NullgridError, RuntimeError):
+class ExpansionTooLargeError(ResourceLimitError):
     """Expanding an expression into a sparse polynomial was refused because
     its work exceeds the expansion budget."""
 
 
-class SearchBudgetError(NullgridError, RuntimeError):
+class SearchBudgetError(ResourceLimitError):
     """A search exceeds its budget: an exhaustive puzzle search (use the
     local search instead), identity-test trials times DAG nodes, or the
     steps of the dynamic program behind the generalized Alon-Furedi
     bound."""
+
+
+def charge(work: int, limit: int, error: type[ResourceLimitError], text: str, *args) -> None:
+    """Raise ``error`` when work > limit, only then formatting ``text`` with args, work and limit."""
+    if work > limit:
+        raise error(text.format(*args, work=work, limit=limit))
 
 
 class ParseError(NullgridError, ValueError):

@@ -47,6 +47,7 @@ from .errors import (
     GridTooLargeError,
     HypothesisViolationError,
     UnsupportedRingError,
+    charge,
     debug,
 )
 from .poly import GridSpec, Polynomial, annihilator, check_compatible, words
@@ -283,9 +284,8 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
           0 if m else len(moduli), 0 if reason else -(-sizes[0] // rows))
     if reason is None:
         return exps, moduli, group, rows
-    if points * words > _REFERENCE_WORK:
-        raise GridTooLargeError(f"reference evaluation needs {points} points x {words} "
-                                f"coefficient words, limit is {_REFERENCE_WORK}")
+    charge(points * words, _REFERENCE_WORK, GridTooLargeError,
+           "reference evaluation needs {} points x {} coefficient words, limit is {limit}", points, words)
     return None
 
 
@@ -379,8 +379,7 @@ def _grid_values(f: Polynomial, grid: GridSpec) -> list[int]:
     """f at every grid point in odometer order, as canonical integers;
     grids over DEFAULT_ZERO_SET_CAP points raise GridTooLargeError."""
     size = grid.size()
-    if size > DEFAULT_ZERO_SET_CAP:
-        raise GridTooLargeError(f"grid has {size} points, value limit is {DEFAULT_ZERO_SET_CAP}")
+    charge(size, DEFAULT_ZERO_SET_CAP, GridTooLargeError, "grid has {work} points, value limit is {limit}")
     plan = _plan(f, grid, values=True)
     if plan is None:
         out: list[int] = []
@@ -409,8 +408,7 @@ def count_nonzeros(f: Polynomial, grid: GridSpec, *,
     check_compatible(f, grid)
     require_grid_condition(f.ring, grid)
     size = grid.size()
-    if size > point_limit:
-        raise GridTooLargeError(f"grid has {size} points, limit is {point_limit}")
+    charge(size, point_limit, GridTooLargeError, "grid has {work} points, limit is {limit}")
     want_zeros = collect_zeros and size <= DEFAULT_ZERO_SET_CAP
     zeros: list | None = [] if want_zeros else None
     plan = _plan(f, grid, values=False)

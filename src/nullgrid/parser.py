@@ -35,6 +35,7 @@ from .errors import (
     ParseError,
     RingMismatchError,
     UnknownVariableError,
+    charge,
 )
 from .poly import Polynomial, product_work, words
 from .ring import RingSpec, _Frozen
@@ -331,20 +332,19 @@ def expand_dag(dag: ExprDag) -> Polynomial:
     arity, ring = dag.arity, dag.ring
     budget, spent = poly.MAX_WORK, 0
 
-    def charge(work: int, step: str):
+    def spend(work: int, step: str, *args):
         nonlocal spent
         spent += work
-        if spent > budget:
-            raise ExpansionTooLargeError(f"expansion passes its budget of {budget} term products at {step}; "
-                                         "expand a smaller expression")
+        charge(spent, budget, ExpansionTooLargeError, "expansion passes its budget of {limit} term products at "
+               + step + "; expand a smaller expression", *args)
 
     def mul(a: Polynomial, b: Polynomial) -> Polynomial:
-        charge(product_work(len(a.terms), _words(a), len(b.terms), _words(b)),
-               f"a product of {len(a.terms)} and {len(b.terms)} terms")
+        spend(product_work(len(a.terms), _words(a), len(b.terms), _words(b)),
+              "a product of {} and {} terms", len(a.terms), len(b.terms))
         return a * b
 
     def power(a: Polynomial, k: int) -> Polynomial:
-        charge(_power_work(a, k, budget), f"a {len(a.terms)}-term polynomial to the power {k}")
+        spend(_power_work(a, k, budget), "a {}-term polynomial to the power {}", len(a.terms), k)
         return a ** k
 
     return fold_dag(dag,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import poly
-from .errors import InsufficientSampleSpaceError, SearchBudgetError, UnsupportedRingError
+from .errors import InsufficientSampleSpaceError, SearchBudgetError, UnsupportedRingError, charge
 from .parser import DagBuilder, ExprDag, fold_dag
 from .ring import RingElem
 
@@ -97,9 +97,8 @@ def identity_test(g1: ExprDag, g2: ExprDag, *, samples_per_var: int,
         raise InsufficientSampleSpaceError(
             f"degree bound {d} needs more than {s} samples per variable")
 
-    if trials * len(diff) > poly.MAX_WORK:
-        raise SearchBudgetError(f"{trials} trials of a {len(diff)}-node DAG need {trials * len(diff)} "
-                                f"node evaluations, limit is {poly.MAX_WORK}")
+    charge(trials * len(diff), poly.MAX_WORK, SearchBudgetError,
+           "{} trials of a {}-node DAG need {work} node evaluations, limit is {limit}", trials, len(diff))
     rng = random.Random(seed)
     for i in range(trials):
         pt = tuple(rng.randrange(s) for _ in range(diff.arity))

@@ -35,6 +35,7 @@ from .errors import (
     GridTooLargeError,
     RingMismatchError,
     ZeroPolynomialError,
+    charge,
 )
 from .ring import RingElem, RingSpec, _Frozen
 
@@ -314,8 +315,8 @@ class GridSpec(_Frozen):
                             raise ValueError
                     else:
                         lo = hi = int(tok)
-                    if len(elems) + hi - lo + 1 > MAX_SET_SIZE:
-                        raise GridTooLargeError(f"grid set {len(sets) + 1} has more than {MAX_SET_SIZE} elements")
+                    charge(len(elems) + hi - lo + 1, MAX_SET_SIZE, GridTooLargeError,
+                           "grid set {} has more than {limit} elements", len(sets) + 1)
                     elems.extend(range(lo, hi + 1))
             except ValueError:
                 raise ValueError(f"bad grid element on line {lineno}: {line!r}") from None
@@ -356,10 +357,8 @@ def annihilator(ring: RingSpec, elements: Sequence[int]) -> list[int]:
     else:
         width = words(max(map(abs, elements), default=0).bit_length())
         height = words(sum(abs(a).bit_length() + 1 for a in elements))
-    work = product_work(len(elements), width, len(elements), height)
-    if work > MAX_WORK:
-        raise GridTooLargeError(f"prod(x - a) over {len(elements)} elements needs {work} "
-                                f"products, limit is {MAX_WORK}")
+    charge(product_work(len(elements), width, len(elements), height), MAX_WORK, GridTooLargeError,
+           "prod(x - a) over {} elements needs {work} products, limit is {limit}", len(elements))
     coeffs = [1]
     for a in elements:
         # times (x - a): the new coefficient of x^k is c_{k-1} - a * c_k

@@ -20,7 +20,7 @@ import random
 from math import comb, isqrt
 from typing import NamedTuple
 
-from .errors import SearchBudgetError
+from .errors import SearchBudgetError, charge
 
 
 class _PuzzleFields(NamedTuple):
@@ -130,9 +130,8 @@ def exhaustive_search(s: int, value_range: int, budget: int = 100_000_000) -> Se
     if m < s:
         raise ValueError(f"range [-{R}, {R}] cannot seat {s} distinct keys")
     examined = comb(m, s) ** 2 * m ** (s - 1)
-    if examined > budget:
-        raise SearchBudgetError(
-            f"{examined} candidate (a, b, u) tuples exceed the budget {budget}; use local_search")
+    charge(examined, budget, SearchBudgetError,
+           "{work} candidate (a, b, u) tuples exceed the budget {limit}; use local_search")
 
     keys = range(-R, R + 1)
     offsets = range(-R, R + 1)

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from math import gcd
 from typing import NamedTuple
 
-from .errors import GridTooLargeError, HypothesisViolationError, RingMismatchError, UnsupportedRingError
+from .errors import GridTooLargeError, HypothesisViolationError, RingMismatchError, UnsupportedRingError, charge
 
 FP = "fp"
 INT = "int"
@@ -325,9 +325,8 @@ def grid_condition_check(ring: RingSpec, sets) -> CheckResult:
         vals = [ring.canon(int(v)) for v in s]
         if moduli is None:
             pairs += len(vals) * (len(vals) - 1) // 2
-            if pairs > MAX_PAIRWISE_PAIRS:
-                raise GridTooLargeError(f"checking the grid over {ring} compares {pairs} pairs, "
-                                        f"limit is {MAX_PAIRWISE_PAIRS}")
+            charge(pairs, MAX_PAIRWISE_PAIRS, GridTooLargeError,
+                   "checking the grid over {} compares {work} pairs, limit is {limit}", ring)
             for j, x in enumerate(vals):
                 for y in vals[j + 1:]:
                     if gcd(x - y, ring.modulus) != 1:

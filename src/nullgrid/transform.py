@@ -27,7 +27,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from . import poly
-from .errors import GridTooLargeError, HypothesisViolationError, UnsupportedRingError
+from .errors import GridTooLargeError, HypothesisViolationError, UnsupportedRingError, charge
 from .poly import (
     Exponents,
     GridSpec,
@@ -39,6 +39,8 @@ from .poly import (
     words,
 )
 from .ring import RingElem, RingSpec, require_grid_condition
+
+_MULTIPLIER_WORK = "the multipliers need {work} ring operations, limit is {limit}"
 
 
 def trim(f: Polynomial, grid: GridSpec, order: Sequence[int] | None = None) -> Polynomial:
@@ -96,10 +98,8 @@ def _reduce_variable(f: Polynomial, grid: GridSpec, var: int) -> Polynomial:
         wide = (sum(map(abs, f.terms.values())).bit_length() + top - 1
                 + (top - s) * max(map(abs, elements)).bit_length())
     nonzero_r = 1 if s == m else s - (0 in elements)
-    work = product_work(pops * rests, words(wide), nonzero_r, words(narrow))
-    if work > poly.MAX_WORK:
-        raise GridTooLargeError(f"reducing x{var + 1}^{top} modulo {s} elements needs {work} "
-                                f"products, limit is {poly.MAX_WORK}")
+    charge(product_work(pops * rests, words(wide), nonzero_r, words(narrow)), poly.MAX_WORK, GridTooLargeError,
+           "reducing x{}^{} modulo {} elements needs {work} products, limit is {limit}", var + 1, top, s)
     replacement = [(j, -c) for j, c in enumerate(annihilator(ring, elements)[:-1]) if c]
     for t in range(top, s - 1, -1):
         layer = {rest: v for rest, c in layers.pop(t, {}).items() if (v := c % m if m else c)}
@@ -150,9 +150,7 @@ def vandermonde_multipliers(ring: RingSpec, elements: Sequence, d: int | None = 
         d = len(vals) - 1
     if not 0 <= d < len(vals):
         raise HypothesisViolationError(f"need 0 <= d < |S|, got d = {d}, |S| = {len(vals)}")
-    work = (d + 1) * len(vals)
-    if work > poly.MAX_WORK:
-        raise GridTooLargeError(f"the multipliers need {work} ring operations, limit is {poly.MAX_WORK}")
+    charge((d + 1) * len(vals), poly.MAX_WORK, GridTooLargeError, _MULTIPLIER_WORK)
 
     head = vals[:d + 1]
     g = []
@@ -244,9 +242,7 @@ def require_extractable(grid: GridSpec, d: Sequence[int]) -> tuple[int, ...]:
             raise ValueError(f"negative degree {di}")
         if s <= di:
             raise HypothesisViolationError(f"need |S_{i + 1}| > d_{i + 1}, got {s} <= {di}")
-    work = sum((di + 1) * s for di, s in zip(d, grid.sizes))
-    if work > poly.MAX_WORK:
-        raise GridTooLargeError(f"the multipliers need {work} ring operations, limit is {poly.MAX_WORK}")
+    charge(sum((di + 1) * s for di, s in zip(d, grid.sizes)), poly.MAX_WORK, GridTooLargeError, _MULTIPLIER_WORK)
     return d
 
 
