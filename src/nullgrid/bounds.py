@@ -29,7 +29,8 @@ class BoundReport(NamedTuple):
 
     value is an exact count (int), an exact probability or exponent
     (Fraction), or a float for the one asymptotic density formula without
-    an exact rational value.  ``guaranteed`` distinguishes claims whose
+    an exact rational value (an int past the float range, as
+    ``erdos_density_bound`` says).  ``guaranteed`` distinguishes claims whose
     hypothesis provably implies them from diagnostic entries recorded to
     be checked against truth (and expected to fail sometimes);
     ``asymptotic`` marks order-of-growth statements that no finite grid
@@ -227,18 +228,26 @@ def erdos_density_bound(arity: int, l: int, size: int):
     n-uniform hypergraph argument applies, asymptotic in s.
 
     Returns an exact Fraction when s is a perfect l^(n-1)-th power and a
-    float (documented tolerance 1e-12) otherwise.
+    float (documented tolerance 1e-12) otherwise.  Past the float range
+    (from n = 121, where (3n)^n passes 2^1024, or once l^(n-1) does) the
+    float quotient cannot be formed, and the value is the integer
+    (3n)^n // r, r the float root s^(1/L) as an exact ratio: within the
+    same tolerance, and never an error.
     """
     if arity < 1 or l < 1 or size < 1:
         raise ValueError("need arity >= 1, l >= 1, size >= 1")
     L = l ** (arity - 1)
     numerator = (3 * arity) ** arity
-    root = round(size ** (1.0 / L))
+    root = size ** (1 / L)  # int / int: exact rounding, whatever the size of L
     # once L >= size.bit_length(), k^L >= 2^L > size for every k >= 2
-    for k in (root - 1, root, root + 1):
+    for k in (round(root) - 1, round(root), round(root) + 1):
         if (k == 1 or k >= 2 and L < size.bit_length()) and k**L == size:
             return Fraction(numerator, k)
-    return numerator / size ** (1.0 / L)
+    try:
+        return numerator / size ** (1.0 / L)
+    except OverflowError:
+        num, den = root.as_integer_ratio()
+        return numerator * den // num
 
 
 def kst_exponent(d1: int, d2: int) -> Fraction:

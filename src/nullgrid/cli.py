@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -366,15 +367,33 @@ _HANDLERS = {
 }
 
 
-def _emit(payload: dict, fmt: str):
+def _render(payload: dict, fmt: str) -> str:
+    """The output text of a payload.  An integer past Python's digit limit
+    for ``str`` is refused as a ResourceLimitError, not printed."""
     payload = jsonable({"schema": SCHEMA, **payload})
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for key, value in payload.items():
-            if isinstance(value, (list, dict)):
-                value = json.dumps(value, sort_keys=True)
-            print(f"{key}: {value}")
+    try:
+        if fmt == "json":
+            return json.dumps(payload, sort_keys=True, indent=2)
+        return "\n".join(f"{key}: {json.dumps(value, sort_keys=True) if isinstance(value, (list, dict)) else value}"
+                         for key, value in payload.items())
+    except ValueError:
+        charge(_widest(payload), sys.get_int_max_str_digits(), ResourceLimitError,
+               "the output holds a {work}-digit integer, limit is {limit}")
+        raise
+
+
+def _widest(value) -> int:
+    """Decimal digits of the widest integer in a JSON-ready value, found
+    without converting any integer to a string."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return max(map(_widest, value), default=0)
+    if not isinstance(value, int) or not value:
+        return 0
+    n = abs(value)
+    k = int(math.log10(n))  # floor(log10 n), give or take one
+    return k + 1 - (10**k > n) + (10 ** (k + 1) <= n)
 
 
 def _emit_error(code: str, message: str, fmt: str):
@@ -401,7 +420,7 @@ def main(argv=None) -> int:
             handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
             logger.addHandler(handler)
             logger.setLevel(logging.DEBUG)
-        payload = _HANDLERS[args.cmd](args)
+        text = _render(_HANDLERS[args.cmd](args), fmt)
     except _UsageError as e:
         _emit_error("usage", str(e), fmt)
         return EXIT_USAGE
@@ -421,7 +440,7 @@ def main(argv=None) -> int:
         if handler is not None:
             logger.removeHandler(handler)
             logger.setLevel(level)
-    _emit(payload, fmt)
+    print(text)
     return EXIT_OK
 
 

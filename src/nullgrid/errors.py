@@ -1,10 +1,42 @@
-"""Exception hierarchy shared across the package, and its DEBUG records.
+"""Exception hierarchy shared across the package, its cost bounds' one
+refusal path, and its DEBUG records.
 
 Everything raised deliberately by this package derives from NullgridError,
 so callers (the command line driver in particular) can map failures to
 exit codes without matching on message text.
+
+Every cost bound refuses through ``charge``, with a ResourceLimitError
+subclass, before the work it prices starts.  The fourteen budgets:
+
+================================  ======================  ===========  ======================
+site                              limit                   unit         exception
+================================  ======================  ===========  ======================
+poly.GridSpec.from_text           poly.MAX_SET_SIZE       elements     GridTooLargeError
+poly.annihilator                  poly.MAX_WORK           products     GridTooLargeError
+parser.expand_dag (running)       poly.MAX_WORK           products     ExpansionTooLargeError
+transform._reduce_variable        poly.MAX_WORK           products     GridTooLargeError
+transform.vandermonde_multipliers poly.MAX_WORK           ring ops     GridTooLargeError
+transform.require_extractable     poly.MAX_WORK           ring ops     GridTooLargeError
+pit.identity_test                 poly.MAX_WORK           node evals   SearchBudgetError
+bounds.min_products_by_total      poly.MAX_WORK           DP steps     SearchBudgetError
+puzzle.exhaustive_search          ``budget`` argument     tuples       SearchBudgetError
+ring.grid_condition_check         ring.MAX_PAIRWISE_PAIRS pairs        GridTooLargeError
+(running over the sets)
+oracle._plan                      oracle._REFERENCE_WORK  point-words  GridTooLargeError
+oracle._grid_values               DEFAULT_ZERO_SET_CAP    points       GridTooLargeError
+oracle.count_nonzeros             ``point_limit`` arg     points       GridTooLargeError
+cli._cmd_verify --list-zeros      DEFAULT_ZERO_SET_CAP    points       GridTooLargeError
+================================  ======================  ===========  ======================
+
+MAX_SET_SIZE and DEFAULT_ZERO_SET_CAP are 10^6, MAX_WORK 4·10^6,
+_REFERENCE_WORK 3·10^7, MAX_PAIRWISE_PAIRS 10^6; the exhaustive search's
+budget defaults to 10^8 and the point limit to 10^8.  A running site
+charges a total that grows step by step.  The command line also refuses,
+with a plain ResourceLimitError, output that holds an integer past
+Python's digit limit for printing one.
 """
 
+import math
 import sys
 
 
@@ -75,10 +107,30 @@ class SearchBudgetError(ResourceLimitError):
     bound."""
 
 
+# a figure below this prints in full; from it on, as ~10^k
+FULL_FIGURE = 10**100
+
+
+def figure(value) -> str:
+    """``value`` as a message shows it: an integer in full below
+    ``FULL_FIGURE`` in size, else as ~10^k, k the nearest integer to its
+    log10 (which ``math.log10`` takes from the bit length and the leading
+    bits, so ``str`` is never called on it); anything else by ``str``."""
+    if isinstance(value, int) and abs(value) >= FULL_FIGURE:
+        return f"{'-' if value < 0 else ''}~10^{round(math.log10(abs(value)))}"
+    return str(value)
+
+
 def charge(work: int, limit: int, error: type[ResourceLimitError], text: str, *args) -> None:
-    """Raise ``error`` when work > limit, only then formatting ``text`` with args, work and limit."""
+    """Refuse ``work`` past ``limit``: raise ``error`` when work > limit.
+
+    Only then is the message built, as ``text.format(*args, work=...,
+    limit=...)`` with every figure shown by ``figure``, so a refusal
+    prints a short message however large its figures are.  The module
+    docstring lists every call.
+    """
     if work > limit:
-        raise error(text.format(*args, work=work, limit=limit))
+        raise error(text.format(*map(figure, args), work=figure(work), limit=figure(limit)))
 
 
 class ParseError(NullgridError, ValueError):

@@ -10,8 +10,9 @@ Grammar (whitespace insensitive, implicit multiplication rejected):
 Precedence is ^ above unary minus above * above binary +/-, which the
 grammar enforces structurally.  A sum of T terms is a balanced tree of add
 and sub nodes, so it expands in O(T log T) term copies.  Exponents are
-capped at 10**6, and an expansion at ``poly.MAX_WORK`` term products
-weighted by coefficient size.
+capped at 10**6, parentheses at ``MAX_NESTING`` levels (past them the
+recursive descent would pass Python's recursion limit), and an expansion
+at ``poly.MAX_WORK`` term products weighted by coefficient size.
 
 ``parse_poly`` expands the expression eagerly into a sparse Polynomial;
 ``parse_dag`` builds a hash-consed expression DAG without any expansion,
@@ -41,6 +42,8 @@ from .poly import Polynomial, product_work, words
 from .ring import RingSpec, _Frozen
 
 MAX_EXPONENT = 10**6
+# each level of parentheses takes four Python frames (expr, term, factor, atom)
+MAX_NESTING = 200
 
 # Node tags.  A node is a tuple whose first entry is the tag:
 #   ("var", index) ("const", value) ("add", l, r) ("sub", l, r)
@@ -144,6 +147,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.vars = {name: idx for idx, name in enumerate(variables)}
         if len(self.vars) != len(variables):
             raise ValueError(f"repeated variable name in {list(variables)}")
@@ -228,8 +232,12 @@ class _Parser:
                 raise UnknownVariableError(f"unknown variable {val!r}", pos)
             return self.b.var(idx)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING} levels", pos)
+            self.depth += 1
             node = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return node
         raise ParseError(f"expected a variable, integer, or parenthesized expression, got {val!r}" if val else "unexpected end of input", pos)
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import comb, isqrt
+from math import comb, isqrt, lgamma, log, log1p
 from typing import NamedTuple
 
-from .errors import SearchBudgetError, charge
+from .errors import FULL_FIGURE, SearchBudgetError, charge
 
 
 class _PuzzleFields(NamedTuple):
@@ -112,6 +112,21 @@ class SearchResult(NamedTuple):
     examined: int
 
 
+def _tuples_order(m: int, s: int) -> int:
+    """The nearest integer to log10 of comb(m, s)^2 m^(s - 1), from logs,
+    without building either.  ln C(m, k) = ln m!/n! - ln k! with k =
+    min(s, m - s) and n = m - k; ln m!/n! comes from Stirling's series to
+    its 1/12n term, the log of n/m taken by log1p, so nothing cancels when
+    m is far above k.  Past the float range, the order of m^(s - 1) alone."""
+    k = min(s, m - s)
+    n = m - k
+    try:
+        ln_comb = k * log(m) - (n + 0.5) * log1p(-k / m) - k + (1 / m - 1 / n) / 12 - lgamma(k + 1)
+        return round((2 * ln_comb + (s - 1) * log(m)) / log(10))
+    except OverflowError:
+        return (s - 1) * (m.bit_length() - 1) * 30103 // 100000
+
+
 def exhaustive_search(s: int, value_range: int, budget: int = 100_000_000) -> SearchResult:
     """Best canonical instance with keys and offsets within [-R, R].
 
@@ -122,6 +137,11 @@ def exhaustive_search(s: int, value_range: int, budget: int = 100_000_000) -> Se
     are discarded.  Note the u_1 = 0 normalization of an instance can push
     v entries past R, so the canonical space is a mild restriction of the
     raw one at the same R.
+
+    The space holds comb(2R + 1, s)^2 (2R + 1)^(s - 1) tuples, charged
+    against ``budget`` before the scan.  Once m^(s - 1) alone has more bits
+    than the budget and than ``errors.FULL_FIGURE``, the count is refused
+    unbuilt, its order of magnitude taken from ``_tuples_order``.
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -129,6 +149,10 @@ def exhaustive_search(s: int, value_range: int, budget: int = 100_000_000) -> Se
     m = 2 * R + 1
     if m < s:
         raise ValueError(f"range [-{R}, {R}] cannot seat {s} distinct keys")
+    # m^(s - 1) alone has at least this many bits: past the budget and the
+    # figures shown in full, the count is never built, only its log taken
+    charge((s - 1) * (m.bit_length() - 1), max(budget.bit_length(), FULL_FIGURE.bit_length()), SearchBudgetError,
+           "~10^{} candidate (a, b, u) tuples exceed the budget {}; use local_search", _tuples_order(m, s), budget)
     examined = comb(m, s) ** 2 * m ** (s - 1)
     charge(examined, budget, SearchBudgetError,
            "{work} candidate (a, b, u) tuples exceed the budget {limit}; use local_search")

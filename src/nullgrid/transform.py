@@ -153,15 +153,15 @@ def vandermonde_multipliers(ring: RingSpec, elements: Sequence, d: int | None = 
     charge((d + 1) * len(vals), poly.MAX_WORK, GridTooLargeError, _MULTIPLIER_WORK)
 
     head = vals[:d + 1]
+    p = ring.modulus
     g = []
     for j, a in enumerate(head):
         denom = 1
         for k, b in enumerate(head):
             if k != j:
-                denom = ring.mul(denom, ring.sub(a, b))
-        g.append(ring.invert(denom))
+                denom = denom * (a - b) % p
+        g.append(pow(denom, p - 2, p))  # denom != 0: the elements are distinct
 
-    p = ring.modulus
     powers = [1] * len(head)
     for k in range(d + 1):
         acc = sum(map(mul, g, powers)) % p

@@ -4,13 +4,28 @@ Each case raises the site's exact exception class with its exact message
 from the library, and, where the command line reaches the site, prints
 the exact JSON error and exits 3."""
 
+import ast
 import json
+import math
+import time
+from math import comb
+from pathlib import Path
 
 import pytest
 
+import nullgrid
 from nullgrid import bounds, cli, oracle, pit, poly, puzzle, transform
-from nullgrid.errors import ExpansionTooLargeError, GridTooLargeError, SearchBudgetError
-from nullgrid.parser import parse_dag, parse_poly
+from nullgrid.errors import (
+    ExpansionTooLargeError,
+    GridTooLargeError,
+    NullgridError,
+    ParseError,
+    ResourceLimitError,
+    SearchBudgetError,
+    charge,
+    figure,
+)
+from nullgrid.parser import MAX_NESTING, parse_dag, parse_poly
 from nullgrid.poly import GridSpec
 from nullgrid.ring import RingSpec, grid_condition_check
 
@@ -109,3 +124,139 @@ def test_each_budget_refuses_with_its_pinned_message(capsys, error, call, argv, 
         assert out.out == json.dumps({"schema": 1, "error": {"code": "resource-limit", "message": message}},
                                      sort_keys=True, indent=2) + "\n"
         assert out.err == ""
+
+
+RESOURCE_LIMITS = {"ResourceLimitError", "GridTooLargeError", "ExpansionTooLargeError", "SearchBudgetError"}
+
+
+def test_only_charge_raises_a_resource_limit():
+    # every refusal goes through errors.charge, which raises the class it is
+    # handed, so its message rules hold everywhere
+    offenders = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if (getattr(exc, "id", None) or getattr(exc, "attr", None)) in RESOURCE_LIMITS:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_the_resource_limits_keep_their_names_and_ancestry():
+    for cls in (GridTooLargeError, ExpansionTooLargeError, SearchBudgetError):
+        assert cls.__bases__ == (ResourceLimitError,)
+        assert issubclass(cls, NullgridError) and issubclass(cls, RuntimeError)
+        assert getattr(nullgrid, cls.__name__) is cls
+    assert len({GridTooLargeError, ExpansionTooLargeError, SearchBudgetError}) == 3
+    handlers = [h for h in ast.walk(ast.parse(Path(cli.__file__).read_text())) if isinstance(h, ast.ExceptHandler)]
+    names = {n.id for h in handlers if h.type for n in ast.walk(h.type) if isinstance(n, ast.Name)}
+    assert names & RESOURCE_LIMITS == {"ResourceLimitError"}
+
+
+FIGURES = [
+    (10**100 - 1, str(10**100 - 1)),
+    (-(10**100 - 1), str(-(10**100 - 1))),
+    (10**100, "~10^100"),
+    (-(10**100), "-~10^100"),
+    (10**5000, "~10^5000"),
+    (4 * 10**4999, "~10^5000"),
+    (3 * 10**4999, "~10^4999"),
+    (7, "7"),
+    ("zmod:6", "zmod:6"),
+]
+
+
+@pytest.mark.parametrize("value,shown", FIGURES, ids=[shown[:12] for _, shown in FIGURES])
+def test_a_figure_prints_in_full_up_to_100_digits(value, shown):
+    assert figure(value) == shown
+
+
+def test_charge_builds_no_message_within_its_limit():
+    class Loud:
+        def __str__(self):
+            raise AssertionError("the message was built")
+
+    charge(5, 5, GridTooLargeError, "{} {work} {limit}", Loud())
+    with pytest.raises(SearchBudgetError, match=r"^x 6 past 5 at ~10\^200$"):
+        charge(6, 5, SearchBudgetError, "{} {work} past {limit} at {}", "x", 10**200)
+
+
+def test_the_puzzle_count_order_from_logs_matches_the_exact_count():
+    # the order from logs rounds a log10 within 1e-6 of the exact count's
+    for m in [*range(1, 40), 101, 2001, 4001, 20001, 10**6 + 1, 10**30 + 1]:
+        for s in {1, 2, 3, 7, 40, 300, m // 2, m - 1, m}:
+            if 1 <= s <= m and s * m.bit_length() < 100_000:
+                exact = math.log10(comb(m, s) ** 2 * m ** (s - 1))
+                assert abs(puzzle._tuples_order(m, s) - exact) < 0.5 + 1e-6, (m, s)
+
+
+def test_the_asymptotic_density_entry_never_raises():
+    assert isinstance(bounds.erdos_density_bound(120, 2, 10), float)
+    value = bounds.erdos_density_bound(121, 2, 10)
+    numerator = 363**121
+    assert isinstance(value, int) and abs(numerator - value) * 10**12 < numerator
+    assert bounds.erdos_density_bound(5000, 2, 10) == 15000**5000  # the root of 10 rounds to 1.0
+
+
+def test_parentheses_nest_to_a_fixed_depth():
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_poly(deep, ["x"], F101) == parse_poly("x", ["x"], F101)
+    with pytest.raises(ParseError) as info:
+        parse_dag("1 + " + "(" * 250 + "x" + ")" * 250, ["x"], F101)
+    assert info.value.position == 4 + MAX_NESTING
+    assert str(info.value) == "parentheses nest deeper than 200 levels (at position 204)"
+
+
+def _sets(n, text="0..9"):
+    return ";".join([text] * n)
+
+
+def _names(n):
+    return ",".join(f"x{i}" for i in range(1, n + 1))
+
+
+# inputs that once crashed or printed thousands of digits
+REPROS = [
+    (["tightness", "--grid", _sets(5000), "--d", ",".join(["0"] * 5000)], 3,
+     "grid has ~10^5000 points, limit is 100000000"),
+    (["tightness", "--grid", _sets(2000), "--d", ",".join(["0"] * 2000)], 3,
+     "grid has ~10^2000 points, limit is 100000000"),
+    (["verify", "--ring", "fp:101", "--vars", _names(5000), "--poly", "x1+1", "--grid", _sets(5000)], 3,
+     "grid has ~10^5000 points, limit is 100000000"),
+    (["coeff", "--ring", "fp:101", "--vars", _names(5000), "--poly", "x1+1", "--grid", _sets(5000),
+      "--monomial", ",".join(["0"] * 5000)], 3,
+     "grid has ~10^5000 points, value limit is 1000000"),
+    (["puzzle", "exhaustive", "--size", "1000", "--range", "1000"], 3,
+     "~10^4499 candidate (a, b, u) tuples exceed the budget 100000; use local_search"),
+    (["puzzle", "exhaustive", "--size", "300", "--range", "1000"], 3,
+     "~10^1718 candidate (a, b, u) tuples exceed the budget 100000; use local_search"),
+    (["puzzle", "exhaustive", "--size", "1000000", "--range", "1000000"], 3,
+     "~10^7505138 candidate (a, b, u) tuples exceed the budget 100000; use local_search"),
+    (["bounds", "--ring", "fp:101", "--vars", _names(125), "--poly", "x1*x2+1", "--grid", _sets(125, "0..2")], 0,
+     None),
+    (["bounds", "--ring", "fp:101", "--vars", _names(5000), "--poly", "1", "--grid", _sets(5000)], 3,
+     "the output holds a 5001-digit integer, limit is 4300"),
+    (["analyze", "--ring", "fp:101", "--poly", "(" * 250 + "x" + ")" * 250], 1,
+     "parentheses nest deeper than 200 levels (at position 200)"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv,code,message", REPROS, ids=[" ".join(a[:2]) + f"-{i}" for i, (a, _, _) in
+                                                           enumerate(REPROS)])
+def test_inputs_past_the_budgets_exit_fast_with_a_short_answer(capsys, fmt, argv, code, message):
+    start = time.perf_counter()
+    assert cli.main(["--format", fmt, *argv]) == code
+    assert time.perf_counter() - start < 5
+    out = capsys.readouterr()
+    assert out.err == ""
+    if code == 0:
+        data = json.loads(out.out) if fmt == "json" else None
+        assert fmt == "text" or any(b["name"] == "erdos-density" for b in data["bounds"])
+        return
+    assert len(out.out) < 1024
+    kind = "parse" if code == 1 else "resource-limit"
+    if fmt == "json":
+        assert json.loads(out.out)["error"] == {"code": kind, "message": message}
+    else:
+        assert out.out == f"error ({kind}): {message}\n"
