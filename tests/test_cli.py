@@ -14,6 +14,7 @@ from nullgrid import oracle, poly, transform
 from nullgrid.cli import main
 from nullgrid.errors import GridTooLargeError
 from nullgrid.ring import RingSpec
+from record_cli_golden import DIGESTS, run as run_golden
 
 
 def run_cli(capsys, *argv):
@@ -647,3 +648,15 @@ GOLDEN = [
 def test_golden_output(capsys, argv, code, digest):
     got, out = run_cli(capsys, *argv)
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def test_cli_cold_argument_lists_are_byte_identical():
+    # the 392 distinct cli-cold argument lists of seeds 1-3, each in JSON and
+    # in --format text: exit code and stdout digest as recorded before the
+    # parser read plain string tokens (tests/record_cli_golden.py records them)
+    rows = json.loads(DIGESTS.read_text())
+    assert len(rows) == 392
+    changed = [(row["argv"], fmt) for row in rows
+               for fmt, argv in (("json", row["argv"]), ("text", ["--format", "text", *row["argv"]]))
+               if run_golden(argv) != row[fmt]]
+    assert changed == []
