@@ -127,19 +127,18 @@ class DagBuilder:
         return ExprDag(self.arity, self.ring, tuple(self.nodes), root)
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()])|(?P<bad>\S)"
-)
+# a token is its text: an integer, an identifier or an operator; whitespace
+# between tokens is skipped, and any other character is refused by _BAD_RE
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^()]")
+_BAD_RE = re.compile(r"[^\s\dA-Za-z_()*+^-]")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):  # whitespace matches no group and is skipped
-        if m.lastgroup == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append((m.lastgroup, m.group(), m.start()))
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _tokenize(text: str) -> list[str]:
+    """The token texts of ``text``, then "" as the end marker."""
+    bad = _BAD_RE.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    return _TOKEN_RE.findall(text) + [""]
 
 
 class _Parser:
@@ -153,33 +152,31 @@ class _Parser:
             raise ValueError(f"repeated variable name in {list(variables)}")
         self.b = builder
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
+    def take(self, *ops: str) -> str | None:
+        """The next token, consumed, if it is one of ``ops``; else None."""
         tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+        if tok in ops:
+            self.i += 1
+            return tok
+        return None
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.advance()
+    def error(self, message: str, i: int, cls: type[ParseError] = ParseError) -> ParseError:
+        """A ``cls`` at token i; its position is found only now, by a rescan."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)] + [len(self.text)]
+        return cls(message, starts[i])
 
     def parse(self) -> int:
         node = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {val!r}", pos)
+        if self.tokens[self.i]:
+            raise self.error(f"unexpected {self.tokens[self.i]!r}", self.i)
         return node
 
     def expr(self) -> int:
         """Signed terms joined pairwise into a balanced tree: a pair keeps
         the left sign, and is an add node if the signs agree, else a sub."""
         terms = [("+", self.term())]
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            terms.append((self.advance()[1], self.term()))
+        while sign := self.take("+", "-"):
+            terms.append((sign, self.term()))
         while len(terms) > 1:
             pairs = [(s, self.b.add(a, b) if s == t else self.b.sub(a, b))
                      for (s, a), (t, b) in zip(terms[::2], terms[1::2])]
@@ -188,58 +185,49 @@ class _Parser:
 
     def term(self) -> int:
         negations = 0
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "-":
-                self.advance()
-                negations += 1
-            else:
-                break
+        while self.take("-"):
+            negations += 1
         node = self.factor()
         for _ in range(negations):
             node = self.b.neg(node)
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.advance()
-                node = self.b.mul(node, self.factor())
-            else:
-                break
+        while self.take("*"):
+            node = self.b.mul(node, self.factor())
         return node
 
     def factor(self) -> int:
         node = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            kind, val, pos = self.peek()
-            if kind != "int":
-                raise ParseError("expected a nonnegative integer exponent after '^'", pos)
-            self.advance()
-            e = int(val)
+        if self.take("^"):
+            tok = self.tokens[self.i]
+            if not tok.isdecimal():
+                raise self.error("expected a nonnegative integer exponent after '^'", self.i)
+            e = int(tok)
             if e > MAX_EXPONENT:
-                raise ExponentOverflowError(f"exponent {e} exceeds the maximum {MAX_EXPONENT}", pos)
+                raise self.error(f"exponent {e} exceeds the maximum {MAX_EXPONENT}", self.i, ExponentOverflowError)
+            self.i += 1
             node = self.b.pow(node, e)
         return node
 
     def atom(self) -> int:
-        kind, val, pos = self.advance()
-        if kind == "int":
-            return self.b.const(int(val))
-        if kind == "ident":
-            idx = self.vars.get(val)
+        tok = self.tokens[self.i]
+        self.i += 1
+        if tok.isdecimal():
+            return self.b.const(int(tok))
+        if tok.isidentifier():
+            idx = self.vars.get(tok)
             if idx is None:
-                raise UnknownVariableError(f"unknown variable {val!r}", pos)
+                raise self.error(f"unknown variable {tok!r}", self.i - 1, UnknownVariableError)
             return self.b.var(idx)
-        if kind == "op" and val == "(":
+        if tok == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nest deeper than {MAX_NESTING} levels", pos)
+                raise self.error(f"parentheses nest deeper than {MAX_NESTING} levels", self.i - 1)
             self.depth += 1
             node = self.expr()
-            self.expect_op(")")
+            if not self.take(")"):
+                raise self.error("expected ')'", self.i)
             self.depth -= 1
             return node
-        raise ParseError(f"expected a variable, integer, or parenthesized expression, got {val!r}" if val else "unexpected end of input", pos)
+        raise self.error(f"expected a variable, integer, or parenthesized expression, got {tok!r}" if tok
+                         else "unexpected end of input", self.i - 1)
 
 
 def parse_dag(text: str, variables: Sequence[str], ring: RingSpec) -> ExprDag:
@@ -371,11 +359,7 @@ def infer_variables(text: str) -> list[str]:
     declare them.  Names of the form x<k> yield the full prefix x1..xmax;
     any other names are returned in first-appearance order.
     """
-    seen: list[str] = []
-    for m in re.finditer(r"[A-Za-z_][A-Za-z0-9_]*", text):
-        name = m.group(0)
-        if name not in seen:
-            seen.append(name)
+    seen = list(dict.fromkeys(filter(str.isidentifier, _TOKEN_RE.findall(text))))
     if seen and all(re.fullmatch(r"x[1-9][0-9]*", n) for n in seen):
         top = max(int(n[1:]) for n in seen)
         return [f"x{i}" for i in range(1, top + 1)]

@@ -4,13 +4,19 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nullgrid import poly
-from nullgrid.errors import ExpansionTooLargeError, ExponentOverflowError, ParseError, UnknownVariableError
+from nullgrid.errors import (
+    ExpansionTooLargeError,
+    ExponentOverflowError,
+    ParseError,
+    UnknownVariableError,
+)
 from nullgrid.parser import (
     MAX_EXPONENT,
+    MAX_NESTING,
     DagBuilder,
     _power_work,
     _tokenize,
@@ -23,6 +29,7 @@ from nullgrid.parser import (
 from nullgrid.pit import eval_dag
 from nullgrid.poly import MAX_WORK, Polynomial, product_work
 from nullgrid.ring import RingSpec
+import parser_reference
 
 Z = RingSpec.integers()
 F7 = RingSpec.prime_field(7)
@@ -75,7 +82,35 @@ _PIECES = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(st.lists(_PIECES, max_size=12).map("".join))
 def test_tokenize_matches_the_reference(text):
-    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_reference_tokenize, text)
+    # a token is its text, and "" ends the list; the reference's kinds and
+    # positions are dropped, its bad-character error is kept
+    tokens = _tokens_or_error(_tokenize, text)
+    want = _tokens_or_error(_reference_tokenize, text)
+    assert tokens == ([value for _, value, _ in want] if isinstance(want, list) else want)
+
+
+_NESTED = ["(" * k + "x" + ")" * k for k in (MAX_NESTING, MAX_NESTING + 1)]
+
+
+def _dag_or_error(parse, text):
+    try:
+        dag = parse(text, ["x", "y1", "_z"], Z)
+    except ParseError as e:
+        return type(e), str(e), e.position
+    return dag.nodes, dag.root
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.one_of(_PIECES, st.sampled_from(["²", "1000001", "(" * MAX_NESTING, *_NESTED])),
+                max_size=12).map("".join))
+@example("")
+@example(_NESTED[0])
+@example(_NESTED[1])
+def test_parse_dag_and_infer_variables_match_the_reference(text):
+    # nodes and root, or the error class, message and position, of the
+    # parser as it was when a token was a (kind, value, position) tuple
+    assert _dag_or_error(parse_dag, text) == _dag_or_error(parser_reference.parse_dag, text)
+    assert infer_variables(text) == parser_reference.infer_variables(text)
 
 
 def test_simple_terms():
