@@ -263,7 +263,7 @@ def _witnesses(f: Polynomial):
         # exponents read in order (itemgetter of one index gives an int); a key's d
         # keeps the lead up to where the key leaves prev, and takes the key after
         permute = itemgetter(*order) if n > 1 else tuple
-        restore = itemgetter(*map(order.index, range(n))) if n > 1 else tuple
+        restore = itemgetter(*sorted(range(n), key=order.__getitem__)) if n > 1 else tuple
         keys = sorted(map(permute, f.terms), reverse=True)
         lead = keys[0]
         leads = {lead: lead}

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -24,6 +23,8 @@ from .errors import (
     ParseError,
     ResourceLimitError,
     charge,
+    charge_output,
+    digits,
 )
 
 SCHEMA = 1
@@ -377,8 +378,7 @@ def _render(payload: dict, fmt: str) -> str:
         return "\n".join(f"{key}: {json.dumps(value, sort_keys=True) if isinstance(value, (list, dict)) else value}"
                          for key, value in payload.items())
     except ValueError:
-        charge(_widest(payload), sys.get_int_max_str_digits(), ResourceLimitError,
-               "the output holds a {work}-digit integer, limit is {limit}")
+        charge_output(_widest(payload))
         raise
 
 
@@ -389,11 +389,7 @@ def _widest(value) -> int:
         value = list(value.values())
     if isinstance(value, list):
         return max(map(_widest, value), default=0)
-    if not isinstance(value, int) or not value:
-        return 0
-    n = abs(value)
-    k = int(math.log10(n))  # floor(log10 n), give or take one
-    return k + 1 - (10**k > n) + (10 ** (k + 1) <= n)
+    return digits(value) if isinstance(value, int) else 0
 
 
 def _emit_error(code: str, message: str, fmt: str):

@@ -6,7 +6,8 @@ so callers (the command line driver in particular) can map failures to
 exit codes without matching on message text.
 
 Every cost bound refuses through ``charge``, with a ResourceLimitError
-subclass, before the work it prices starts.  The fourteen budgets:
+or one of its subclasses, before the work it prices starts.  The fifteen
+budgets:
 
 ================================  ======================  ===========  ======================
 site                              limit                   unit         exception
@@ -26,14 +27,17 @@ oracle._plan                      oracle._REFERENCE_WORK  point-words  GridTooLa
 oracle._grid_values               DEFAULT_ZERO_SET_CAP    points       GridTooLargeError
 oracle.count_nonzeros             ``point_limit`` arg     points       GridTooLargeError
 cli._cmd_verify --list-zeros      DEFAULT_ZERO_SET_CAP    points       GridTooLargeError
+parser.infer_variables            parser.MAX_INFERRED     names        ResourceLimitError
 ================================  ======================  ===========  ======================
 
 MAX_SET_SIZE and DEFAULT_ZERO_SET_CAP are 10^6, MAX_WORK 4·10^6,
-_REFERENCE_WORK 3·10^7, MAX_PAIRWISE_PAIRS 10^6; the exhaustive search's
-budget defaults to 10^8 and the point limit to 10^8.  A running site
-charges a total that grows step by step.  The command line also refuses,
-with a plain ResourceLimitError, output that holds an integer past
-Python's digit limit for printing one.
+_REFERENCE_WORK 3·10^7, MAX_PAIRWISE_PAIRS 10^6, MAX_INFERRED 10^3; the
+exhaustive search's budget defaults to 10^8 and the point limit to 10^8.
+A running site charges a total that grows step by step.  A negative
+budget or point limit is invalid input (ValueError), not a limit; 0 is a
+limit.  ``Polynomial.render`` and the command line's output also refuse,
+with a plain ResourceLimitError (``charge_output``), an integer past
+Python's digit limit for printing one, its digits counted by ``digits``.
 """
 
 import math
@@ -131,6 +135,22 @@ def charge(work: int, limit: int, error: type[ResourceLimitError], text: str, *a
     """
     if work > limit:
         raise error(text.format(*map(figure, args), work=figure(work), limit=figure(limit)))
+
+
+def digits(n: int) -> int:
+    """Decimal digits of |n| (0 for 0), found without converting it to a string."""
+    n = abs(n)
+    if not n:
+        return 0
+    k = int(math.log10(n))  # floor(log10 n), give or take one
+    return k + 1 - (10**k > n) + (10 ** (k + 1) <= n)
+
+
+def charge_output(widest: int) -> None:
+    """Refuse output that holds an integer of ``widest`` digits, past
+    Python's limit for converting one to a string."""
+    charge(widest, sys.get_int_max_str_digits(), ResourceLimitError,
+           "the output holds a {work}-digit integer, limit is {limit}")
 
 
 class ParseError(NullgridError, ValueError):

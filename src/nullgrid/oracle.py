@@ -403,8 +403,11 @@ def count_nonzeros(f: Polynomial, grid: GridSpec, *,
     ``DEFAULT_ZERO_SET_CAP`` points and ``collect_zeros`` is set.  Grids
     larger than ``point_limit`` raise GridTooLargeError.  The grid must
     pass the zero-divisor difference condition; otherwise zero counts
-    over Z_m would not mean what callers assume.
+    over Z_m would not mean what callers assume.  A negative
+    ``point_limit`` is invalid input (ValueError), not a limit.
     """
+    if point_limit < 0:
+        raise ValueError("point_limit must be nonnegative")
     check_compatible(f, grid)
     require_grid_condition(f.ring, grid)
     size = grid.size()

@@ -14,6 +14,12 @@ capped at 10**6, parentheses at ``MAX_NESTING`` levels (past them the
 recursive descent would pass Python's recursion limit), and an expansion
 at ``poly.MAX_WORK`` term products weighted by coefficient size.
 
+A token is its text (an integer, an identifier or one operator character),
+and "" ends the token list.  Tokens carry no position: an error's position
+is found only when it is raised, by scanning the text again.
+``infer_variables`` reads the same tokens, and expands an x<k> prefix to at
+most ``MAX_INFERRED`` names.
+
 ``parse_poly`` expands the expression eagerly into a sparse Polynomial;
 ``parse_dag`` builds a hash-consed expression DAG without any expansion,
 so (x+y)^16 stays a single power node.  Both run the same grammar; the
@@ -34,6 +40,7 @@ from .errors import (
     ExpansionTooLargeError,
     ExponentOverflowError,
     ParseError,
+    ResourceLimitError,
     RingMismatchError,
     UnknownVariableError,
     charge,
@@ -44,6 +51,8 @@ from .ring import RingSpec, _Frozen
 MAX_EXPONENT = 10**6
 # each level of parentheses takes four Python frames (expr, term, factor, atom)
 MAX_NESTING = 200
+# names x1..xk that infer_variables may return
+MAX_INFERRED = 1000
 
 # Node tags.  A node is a tuple whose first entry is the tag:
 #   ("var", index) ("const", value) ("add", l, r) ("sub", l, r)
@@ -127,9 +136,8 @@ class DagBuilder:
         return ExprDag(self.arity, self.ring, tuple(self.nodes), root)
 
 
-# a token is its text: an integer, an identifier or an operator; whitespace
-# between tokens is skipped, and any other character is refused by _BAD_RE
 _TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^()]")
+# a character that is neither whitespace nor the first of a token
 _BAD_RE = re.compile(r"[^\s\dA-Za-z_()*+^-]")
 
 
@@ -356,11 +364,14 @@ def parse_poly(text: str, variables: Sequence[str], ring: RingSpec) -> Polynomia
 
 def infer_variables(text: str) -> list[str]:
     """Variable names appearing in an expression, for callers that do not
-    declare them.  Names of the form x<k> yield the full prefix x1..xmax;
-    any other names are returned in first-appearance order.
+    declare them.  Names of the form x<k> yield the full prefix x1..xmax,
+    refused past ``MAX_INFERRED`` names; any other names are returned in
+    first-appearance order.
     """
     seen = list(dict.fromkeys(filter(str.isidentifier, _TOKEN_RE.findall(text))))
     if seen and all(re.fullmatch(r"x[1-9][0-9]*", n) for n in seen):
         top = max(int(n[1:]) for n in seen)
+        charge(top, MAX_INFERRED, ResourceLimitError,
+               "x1..x{work} would be {work} inferred variables, limit is {limit}; name them with --vars")
         return [f"x{i}" for i in range(1, top + 1)]
     return seen

@@ -36,6 +36,8 @@ from .errors import (
     RingMismatchError,
     ZeroPolynomialError,
     charge,
+    charge_output,
+    digits,
 )
 from .ring import RingElem, RingSpec, _Frozen
 
@@ -223,7 +225,9 @@ class Polynomial(_Frozen):
 
         Terms are ordered by descending (total degree, exponents).  Over Z,
         negative coefficients fold into the +/- chain; over modular rings
-        every coefficient prints as its canonical representative.
+        every coefficient prints as its canonical representative.  A
+        coefficient past Python's digit limit for ``str`` is refused as a
+        ResourceLimitError (``errors.charge_output``).
         """
         if not self.terms:
             return "0"
@@ -242,12 +246,15 @@ class Polynomial(_Frozen):
                 elif e > 1:
                     factors.append(f"{name}^{e}")
             mag, sign = (abs(c), "-" if c < 0 else "+") if signed else (c, "+")
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
+            if factors and mag == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
+                try:
+                    coefficient = str(mag)
+                except ValueError:  # past Python's digit limit for str
+                    charge_output(digits(mag))
+                    raise
+                body = "*".join([coefficient, *factors])
             if not parts:
                 parts.append(body if sign == "+" else f"-{body}")
             else:

@@ -145,6 +145,10 @@ def exhaustive_search(s: int, value_range: int, budget: int = 100_000_000) -> Se
     """
     if s < 1:
         raise ValueError("s must be positive")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if value_range < 0:
+        raise ValueError("value_range must be nonnegative")
     R = value_range
     m = 2 * R + 1
     if m < s:
@@ -216,6 +220,8 @@ def local_search(s: int, *, budget: int = 100_000, seed: int = 0,
         raise ValueError("s must be positive")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    if value_range < 0:
+        raise ValueError("value_range must be nonnegative")
     R = value_range
     if 2 * R + 1 < s:
         raise ValueError(f"range [-{R}, {R}] cannot seat {s} distinct keys")

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import nullgrid
-from nullgrid import bounds, cli, oracle, pit, poly, puzzle, transform
+from nullgrid import analysis, bounds, cli, oracle, pit, poly, puzzle, transform
 from nullgrid.errors import (
     ExpansionTooLargeError,
     GridTooLargeError,
@@ -23,9 +23,10 @@ from nullgrid.errors import (
     ResourceLimitError,
     SearchBudgetError,
     charge,
+    digits,
     figure,
 )
-from nullgrid.parser import MAX_NESTING, parse_dag, parse_poly
+from nullgrid.parser import MAX_INFERRED, MAX_NESTING, infer_variables, parse_dag, parse_poly
 from nullgrid.poly import GridSpec
 from nullgrid.ring import RingSpec, grid_condition_check
 
@@ -260,3 +261,102 @@ def test_inputs_past_the_budgets_exit_fast_with_a_short_answer(capsys, fmt, argv
         assert json.loads(out.out)["error"] == {"code": kind, "message": message}
     else:
         assert out.out == f"error ({kind}): {message}\n"
+
+
+_WIDE = ",".join(str(10**2500 + i) for i in range(4))
+
+# an inferred x<k> prefix past its cap, a coefficient too wide to print, and
+# negative limits: each exits at once with its code and a short message
+SHORT_ANSWERS = [
+    (["analyze", "--poly", "x100000"], 3, "resource-limit",
+     "x1..x100000 would be 100000 inferred variables, limit is 1000; name them with --vars"),
+    (["analyze", "--poly", "x1000000"], 3, "resource-limit",
+     "x1..x1000000 would be 1000000 inferred variables, limit is 1000; name them with --vars"),
+    (["pit", "x1001", "x1", "--samples", "50"], 3, "resource-limit",
+     "x1..x1001 would be 1001 inferred variables, limit is 1000; name them with --vars"),
+    (["analyze", "--ring", "int", "--poly", "x*10^4400"], 3, "resource-limit",
+     "the output holds a 4401-digit integer, limit is 4300"),
+    (["trim", "--ring", "int", "--poly", "x^3*10^4400 + 1", "--grid", "0..2"], 3, "resource-limit",
+     "the output holds a 4401-digit integer, limit is 4300"),
+    (["tightness", "--ring", "int", "--d", "2", "--grid", _WIDE], 3, "resource-limit",
+     "the output holds a 5001-digit integer, limit is 4300"),
+    (["verify", "--grid", "0..1;0..1", "--limit-grid", "-5", "--poly", "x*y"], 1, "invalid-input",
+     "point_limit must be nonnegative"),
+    (["tightness", "--grid", "0..1;0..1", "--d", "1,1", "--limit-grid", "-5"], 1, "invalid-input",
+     "point_limit must be nonnegative"),
+    (["verify", "--grid", "0..1;0..1", "--limit-grid", "0", "--poly", "x*y"], 3, "resource-limit",
+     "grid has 4 points, limit is 0"),
+    (["puzzle", "exhaustive", "--size", "2", "--budget", "-1"], 1, "invalid-input",
+     "budget must be nonnegative"),
+    (["puzzle", "exhaustive", "--size", "3", "--range", "-1"], 1, "invalid-input",
+     "value_range must be nonnegative"),
+    (["puzzle", "local", "--size", "3", "--range", "-1"], 1, "invalid-input",
+     "value_range must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv,code,kind,message", SHORT_ANSWERS,
+                         ids=[" ".join(a[:2]) + f"-{i}" for i, (a, *_) in enumerate(SHORT_ANSWERS)])
+def test_prefixes_wide_coefficients_and_negative_limits_get_a_short_answer(capsys, fmt, argv, code, kind,
+                                                                            message):
+    start = time.perf_counter()
+    assert cli.main(["--format", fmt, *argv]) == code
+    assert time.perf_counter() - start < 5
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert len(out.out) < 1024
+    if fmt == "json":
+        assert json.loads(out.out)["error"] == {"code": kind, "message": message}
+    else:
+        assert out.out == f"error ({kind}): {message}\n"
+
+
+def test_the_inferred_prefix_stops_at_its_cap():
+    assert infer_variables(f"x{MAX_INFERRED} + x2") == [f"x{i}" for i in range(1, MAX_INFERRED + 1)]
+    with pytest.raises(ResourceLimitError) as info:
+        infer_variables(f"x2 + x{MAX_INFERRED + 1}")
+    assert type(info.value) is ResourceLimitError
+    # other names are never expanded, so nothing caps them
+    assert infer_variables(f"y{10**6} + x3") == [f"y{10**6}", "x3"]
+
+
+def test_render_refuses_a_coefficient_too_wide_to_print():
+    f = parse_poly("x*10^4400 + 1", ["x"], Z)
+    with pytest.raises(ResourceLimitError) as info:
+        f.render(["x"])
+    assert type(info.value) is ResourceLimitError
+    assert str(info.value) == "the output holds a 4401-digit integer, limit is 4300"
+    assert parse_poly("x*10^4299 - 1", ["x"], Z).render(["x"]) == f"{10**4299}*x - 1"
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 99, 10**15 - 1, 10**15, 10**15 + 1, 2**53, 2**53 + 1,
+                               10**299 - 1, 10**299, -10**4299, 10**4299 - 1])
+def test_digits_counts_without_converting(n):
+    assert digits(n) == len(str(abs(n))) - (n == 0)
+
+
+def test_negative_limits_are_invalid_input_and_zero_is_a_limit():
+    f = parse_poly("x*y", ["x", "y"], F101)
+    grid = _grid("0..1;0..1", F101)
+    with pytest.raises(ValueError, match="point_limit must be nonnegative"):
+        oracle.count_nonzeros(f, grid, point_limit=-1)
+    with pytest.raises(GridTooLargeError, match="limit is 0"):
+        oracle.count_nonzeros(f, grid, point_limit=0)
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        puzzle.exhaustive_search(2, 2, budget=-1)
+    with pytest.raises(SearchBudgetError):
+        puzzle.exhaustive_search(2, 2, budget=0)
+    for search in (lambda: puzzle.exhaustive_search(1, -1), lambda: puzzle.local_search(1, value_range=-1)):
+        with pytest.raises(ValueError, match="value_range must be nonnegative"):
+            search()
+    assert puzzle.local_search(1, budget=5, value_range=0).instance.s == 1
+
+
+def test_classify_inverts_each_order_in_linear_time():
+    n = 20_000
+    f = poly.Polynomial(n, F101, {tuple(range(n)): 1, (0,) * n: 1})
+    start = time.perf_counter()
+    reports = analysis.classify(f)
+    assert time.perf_counter() - start < 0.5
+    assert reports[0].witness_d == tuple(range(n))
