@@ -1,8 +1,17 @@
+import contextlib
 import itertools
+import json
 import logging
+import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracle_reference
+import record_library_golden
 
 from nullgrid import oracle
 from nullgrid.errors import GridTooLargeError, HypothesisViolationError
@@ -98,6 +107,84 @@ def test_every_grid_goes_to_the_kernel_once_numpy_is_loaded(caplog, ring):
         assert len(messages) == 2 and all("path=kernel reason=none" in m for m in messages)
         assert (count.nonzeros, count.zero_set) == (nonzeros, tuple(zeros))
         assert kernel_values == dict(zip(grid.points(), values))
+
+
+# Z_m with its smallest prime factor: up to that many multiples of a unit,
+# shifted by any element, have pairwise unit differences
+_ZMODS = ((12, 2), (35, 5), (64, 2), (9, 3), (77, 7))
+
+
+@st.composite
+def _reference_cases(draw):
+    """A polynomial over F_p, a Z_m whose grid passes the condition, or Z
+    with negative elements, in 1-4 variables on at most 256 points: the
+    zero polynomial, {0} sets and terms that all carry a variable whose
+    set holds 0 (identically zero on that slice) come up often."""
+    kind = draw(st.sampled_from(["fp", "zmod", "int"]))
+    arity = draw(st.integers(1, 4))
+    side = st.integers(1, {1: 12, 2: 8, 3: 5, 4: 4}[arity])
+    sets = []
+    if kind == "fp":
+        ring = RingSpec.prime_field(draw(st.sampled_from([2, 3, 5, 7, 101])))
+        elements = st.integers(0, ring.modulus - 1)
+    elif kind == "zmod":
+        m, least = draw(st.sampled_from(_ZMODS))
+        ring = RingSpec.integers_mod(m)
+    else:
+        ring = Z
+        elements = st.integers(-20, 20)
+    for _ in range(arity):
+        if draw(st.integers(0, 5)) == 0:
+            sets.append((0,))
+        elif kind == "zmod":
+            unit = draw(st.sampled_from([u for u in range(1, m) if math.gcd(u, m) == 1]))
+            shift = draw(st.integers(0, m - 1))
+            steps = draw(st.lists(st.integers(0, least - 1), min_size=1, max_size=least, unique=True))
+            sets.append(tuple((shift + unit * t) % m for t in steps))
+        else:
+            sets.append(tuple(draw(st.lists(elements, min_size=1, max_size=draw(side), unique=True))))
+    big = 2**70 if ring.modulus is None else ring.modulus
+    coefficient = st.one_of(st.integers(-9, 9), st.integers(-big, big))
+    exponents = st.tuples(*[st.integers(0, 5)] * arity)
+    terms = draw(st.dictionaries(exponents, coefficient, max_size=8))
+    if terms and draw(st.booleans()):
+        # every term carries x_1: zero on the slice x_1 = 0 when 0 is in S_1
+        terms = {(e[0] or 1,) + e[1:]: c for e, c in terms.items()}
+    return Polynomial(arity, ring, terms), GridSpec(ring, sets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_reference_cases())
+@example(case=(Polynomial.zero(2, Z), GridSpec(Z, [(0, -3), (5,)])))
+@example(case=(Polynomial(3, F5, {(1, 2, 0): 3, (2, 0, 1): 1}), GridSpec(F5, [(0, 4), (0,), (1, 2)])))
+def test_the_reference_gives_the_frozen_counts_zero_sets_and_values(case):
+    # the package's reference evaluation, forced, against the recursion as
+    # it was when one function returned the count and appended zeros and values
+    f, grid = case
+    zeros, values = [], []
+    nonzeros = oracle_reference.count_rec(f.terms, grid.sets, f.ring.modulus, (), zeros, values)
+    with mock.patch.object(oracle, "_plan", return_value=None):
+        collected = count_nonzeros(f, grid)
+        bare = count_nonzeros(f, grid, collect_zeros=False)
+        grid_list = oracle._grid_values(f, grid)
+    assert collected == (nonzeros, grid.size() - nonzeros, tuple(zeros))
+    assert bare == (nonzeros, grid.size() - nonzeros, None)
+    assert grid_list == values
+    assert repr(collected.zero_set) == repr(tuple(zeros)) and repr(grid_list) == repr(values)
+
+
+@pytest.mark.usefixtures("numpy_counted_as_loaded")
+def test_library_results_are_byte_identical():
+    # repr of each benchmark case's result as recorded; tiny cases also on
+    # the reference, which must give the kernel's bytes
+    for row in json.loads(record_library_golden.DIGESTS.read_text()):
+        paths = [contextlib.nullcontext()]
+        if row["size"] == "tiny":
+            paths.append(mock.patch.object(oracle, "_plan", return_value=None))
+        for path in paths:
+            with path:
+                result = record_library_golden.execute(row["workload"], row["spec"])
+            assert record_library_golden.digest(result) == row["sha256"], (row, path)
 
 
 def test_count_zero_polynomial():
