@@ -9,10 +9,12 @@ built by vectorized square-and-multiply (``_power_table``), for all its
 moduli at once: over Z the word primes ride on one leading axis, in
 batches sized to ``_CELL_BUDGET`` cells summed over the batch's primes,
 and ``_garner`` rebuilds integer values from the residues.  The
-pure-Python recursion ``_count_rec`` is kept on purpose as the
-independent reference the tests compare the kernel against, and runs
-wherever a kernel guard fails, and on any grid until numpy is loaded or
-a work budget under its import cost is spent.
+pure-Python generator ``_reference_values`` is kept on purpose as the
+independent reference the tests compare the kernel against: it yields
+f's values in odometer order, the kernel's order, substituting one
+variable at a time, and counts, zero sets and value lists all read that
+one stream.  It runs wherever a kernel guard fails, and on any grid until
+numpy is loaded or a work budget under its import cost is spent.
 ``min_nonzero_search`` streams its candidate coefficient vectors in
 int64 blocks, decoded in mixed radix when it enumerates the space and
 drawn from bulk generator words (the exact ``randrange`` stream of its
@@ -40,7 +42,7 @@ import random
 import sys
 from functools import lru_cache
 from math import floor, isqrt, prod
-from operator import mul, sub
+from operator import mul, not_, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -133,34 +135,19 @@ def _substitute_first(terms: dict, value: int, modulus: int | None) -> dict:
     return out
 
 
-def _count_rec(terms: dict, sets: tuple, modulus: int | None,
-               prefix: tuple, zeros: list | None, values: list | None = None) -> int:
-    """Nonzero count of the (partially substituted) terms over the
-    remaining sets; appends zero points to ``zeros`` and every value, in
-    odometer order, to ``values`` when given."""
-    if not sets:
-        value = terms.get((), 0)
-        if values is not None:
-            values.append(value)
-        if value:
-            return 1
-        if zeros is not None:
-            zeros.append(prefix)
-        return 0
+def _reference_values(terms: dict, sets: tuple, modulus: int | None):
+    """Yield the (partially substituted) terms' values on the remaining
+    sets, at least one, in odometer order, substituting one variable at a
+    time."""
     if not terms:
         # identically zero on the remaining subgrid
-        if zeros is not None:
-            for tail in itertools.product(*sets):
-                zeros.append(prefix + tail)
-        if values is not None:
-            values.extend([0] * prod(map(len, sets)))
-        return 0
-    nonzeros = 0
-    rest = sets[1:]
-    for a in sets[0]:
-        sub = _substitute_first(terms, a, modulus)
-        nonzeros += _count_rec(sub, rest, modulus, prefix + (a,), zeros, values)
-    return nonzeros
+        yield from itertools.repeat(0, prod(map(len, sets)))
+    elif len(sets) == 1:
+        for a in sets[0]:
+            yield _substitute_first(terms, a, modulus).get((), 0)
+    else:
+        for a in sets[0]:
+            yield from _reference_values(_substitute_first(terms, a, modulus), sets[1:], modulus)
 
 
 @lru_cache(maxsize=64)
@@ -382,9 +369,7 @@ def _grid_values(f: Polynomial, grid: GridSpec) -> list[int]:
     charge(size, DEFAULT_ZERO_SET_CAP, GridTooLargeError, "grid has {work} points, value limit is {limit}")
     plan = _plan(f, grid, values=True)
     if plan is None:
-        out: list[int] = []
-        _count_rec(f.terms, grid.sets, f.ring.modulus, (), None, out)
-        return out
+        return list(_reference_values(f.terms, grid.sets, f.ring.modulus))
     moduli = plan[1]
     if not moduli:  # H = 0 over Z
         return [0] * size
@@ -416,8 +401,12 @@ def count_nonzeros(f: Polynomial, grid: GridSpec, *,
     zeros: list | None = [] if want_zeros else None
     plan = _plan(f, grid, values=False)
     if plan is None:
-        nonzeros = _count_rec(f.terms, grid.sets, f.ring.modulus, (), zeros)
-        return GridCount(nonzeros, size - nonzeros, None if zeros is None else tuple(zeros))
+        values = _reference_values(f.terms, grid.sets, f.ring.modulus)
+        if zeros is None:
+            nonzeros = sum(map(bool, values))
+            return GridCount(nonzeros, size - nonzeros)
+        zero_set = tuple(itertools.compress(grid.points(), map(not_, values)))
+        return GridCount(size - len(zero_set), len(zero_set), zero_set)
 
     import numpy as np
 

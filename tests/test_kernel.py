@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import nullgrid
 from nullgrid import oracle
 from nullgrid.errors import GridTooLargeError, debug
-from nullgrid.oracle import _count_rec, _power_table, _word_primes, count_nonzeros, min_nonzero_search
+from nullgrid.oracle import _power_table, _reference_values, _word_primes, count_nonzeros, min_nonzero_search
 from nullgrid.parser import MAX_EXPONENT
 from nullgrid.poly import GridSpec, Polynomial, words
 from nullgrid.ring import RingSpec
@@ -38,9 +38,8 @@ ZMODS = ((12, 2), (35, 5), (64, 2), (9, 3), (77, 7))
 
 
 def _reference(f, grid):
-    zeros = []
-    nonzeros = _count_rec(f.terms, grid.sets, f.ring.modulus, (), zeros)
-    return nonzeros, tuple(zeros)
+    values = list(_reference_values(f.terms, grid.sets, f.ring.modulus))
+    return sum(map(bool, values)), tuple(pt for pt, v in zip(grid.points(), values) if not v)
 
 
 def _assert_matches_reference(f, grid):
@@ -195,7 +194,7 @@ def test_batches_split_before_the_reference_takes_over(monkeypatch, caplog):
     grid = GridSpec(Z, [range(-6, 6), (-4, -1, 0, 2, 9)])
     expected = _points_of(f, grid)
     monkeypatch.setattr(oracle, "_CELL_BUDGET", 64)
-    monkeypatch.setattr(oracle, "_count_rec", mock.Mock(side_effect=AssertionError("reference ran")))
+    monkeypatch.setattr(oracle, "_reference_values", mock.Mock(side_effect=AssertionError("reference ran")))
     seen = _traced_kernel(monkeypatch)
     message = _path(caplog, lambda: grid_values(f, grid))
     assert message.startswith("grid evaluation path=kernel reason=none primes=")

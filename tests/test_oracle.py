@@ -16,7 +16,7 @@ import record_library_golden
 from nullgrid import oracle
 from nullgrid.errors import GridTooLargeError, HypothesisViolationError
 from nullgrid.oracle import (
-    _count_rec,
+    _reference_values,
     count_nonzeros,
     min_nonzero_search,
     random_polynomial,
@@ -82,8 +82,8 @@ def test_count_kernel_agrees_with_reference(caplog):
     with caplog.at_level(logging.DEBUG, logger="nullgrid"):
         count = count_nonzeros(f, grid)
     assert "path=kernel" in caplog.records[-1].getMessage()
-    zeros = []
-    nonzeros = _count_rec(f.terms, grid.sets, None, (), zeros)
+    values = list(_reference_values(f.terms, grid.sets, None))
+    nonzeros, zeros = sum(map(bool, values)), [pt for pt, v in zip(grid.points(), values) if not v]
     assert (count.nonzeros, count.zero_set) == (nonzeros, tuple(zeros))
 
 
@@ -97,8 +97,8 @@ def test_every_grid_goes_to_the_kernel_once_numpy_is_loaded(caplog, ring):
                        ((range(-12, 13), range(-20, 21)), 1025)):
         grid = GridSpec(ring, sets)
         assert grid.size() == size
-        zeros, values = [], []
-        nonzeros = _count_rec(f.terms, grid.sets, ring.modulus, (), zeros, values)
+        values = list(_reference_values(f.terms, grid.sets, ring.modulus))
+        nonzeros, zeros = sum(map(bool, values)), [pt for pt, v in zip(grid.points(), values) if not v]
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="nullgrid"):
             count = count_nonzeros(f, grid)

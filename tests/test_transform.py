@@ -234,7 +234,7 @@ def test_the_view_gives_the_coefficients_a_dict_gives(path, case):
         import numpy  # noqa: F401  with numpy loaded, even the zero polynomial goes to the kernel
 
         evaluation = mock.patch.object(oracle, "_cold_work_left", 0)
-        guard = mock.patch.object(oracle, "_count_rec", side_effect=AssertionError("the reference ran"))
+        guard = mock.patch.object(oracle, "_reference_values", side_effect=AssertionError("the reference ran"))
     with evaluation, guard:
         view = grid_values(f, grid)
     assert isinstance(view, GridValues)
