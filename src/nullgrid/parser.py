@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from math import prod
 from typing import Sequence
 
@@ -53,6 +54,8 @@ MAX_EXPONENT = 10**6
 MAX_NESTING = 200
 # names x1..xk that infer_variables may return
 MAX_INFERRED = 1000
+# digits of k in an x<k> name past which a refusal gives their count, not k
+_NAME_DIGITS = 100
 
 # Node tags.  A node is a tuple whose first entry is the tag:
 #   ("var", index) ("const", value) ("add", l, r) ("sub", l, r)
@@ -141,6 +144,13 @@ _TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^()]")
 _BAD_RE = re.compile(r"[^\s\dA-Za-z_()*+^-]")
 
 
+def _too_long(tok: str) -> bool:
+    """Whether ``int`` refuses the digits ``tok``: Python's limit on the
+    digits of an integer read from a string (0 for none), applied to the
+    token's length without reading it."""
+    return 0 < sys.get_int_max_str_digits() < len(tok)
+
+
 def _tokenize(text: str) -> list[str]:
     """The token texts of ``text``, then "" as the end marker."""
     bad = _BAD_RE.search(text)
@@ -208,6 +218,9 @@ class _Parser:
             tok = self.tokens[self.i]
             if not tok.isdecimal():
                 raise self.error("expected a nonnegative integer exponent after '^'", self.i)
+            if _too_long(tok):
+                raise self.error(f"exponent of {len(tok)} digits exceeds the maximum {MAX_EXPONENT}", self.i,
+                                 ExponentOverflowError)
             e = int(tok)
             if e > MAX_EXPONENT:
                 raise self.error(f"exponent {e} exceeds the maximum {MAX_EXPONENT}", self.i, ExponentOverflowError)
@@ -219,6 +232,9 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         if tok.isdecimal():
+            if _too_long(tok):
+                raise self.error(f"integer of {len(tok)} digits exceeds the limit of "
+                                 f"{sys.get_int_max_str_digits()} digits", self.i - 1)
             return self.b.const(int(tok))
         if tok.isidentifier():
             idx = self.vars.get(tok)
@@ -370,7 +386,12 @@ def infer_variables(text: str) -> list[str]:
     """
     seen = list(dict.fromkeys(filter(str.isidentifier, _TOKEN_RE.findall(text))))
     if seen and all(re.fullmatch(r"x[1-9][0-9]*", n) for n in seen):
-        top = max(int(n[1:]) for n in seen)
+        # no k starts with 0, so the longest name holds the largest k; a k
+        # of more than _NAME_DIGITS digits is refused by its length, unread
+        k = max(seen, key=lambda n: (len(n), n))[1:]
+        charge(len(k), _NAME_DIGITS, ResourceLimitError, "x1..x<k> for a {work}-digit k would be more than {} "
+               "inferred variables; name them with --vars", MAX_INFERRED)
+        top = int(k)
         charge(top, MAX_INFERRED, ResourceLimitError,
                "x1..x{work} would be {work} inferred variables, limit is {limit}; name them with --vars")
         return [f"x{i}" for i in range(1, top + 1)]

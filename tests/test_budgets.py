@@ -16,6 +16,7 @@ import pytest
 import nullgrid
 from nullgrid import analysis, bounds, cli, oracle, pit, poly, puzzle, transform
 from nullgrid.errors import (
+    ExponentOverflowError,
     ExpansionTooLargeError,
     GridTooLargeError,
     NullgridError,
@@ -292,6 +293,17 @@ SHORT_ANSWERS = [
      "value_range must be nonnegative"),
     (["puzzle", "local", "--size", "3", "--range", "-1"], 1, "invalid-input",
      "value_range must be nonnegative"),
+    # integers past Python's 4,300-digit limit for reading one from a string
+    (["analyze", "--vars", "x", "--poly", "x + " + "1" * 5000], 1, "parse",
+     "integer of 5000 digits exceeds the limit of 4300 digits (at position 4)"),
+    (["analyze", "--vars", "x", "--poly", "x^" + "1" * 5000], 1, "parse",
+     "exponent of 5000 digits exceeds the maximum 1000000 (at position 2)"),
+    (["analyze", "--poly", "x" + "1" * 5000], 3, "resource-limit",
+     "x1..x<k> for a 5000-digit k would be more than 1000 inferred variables; name them with --vars"),
+    (["analyze", "--ring", "fp:101", "--vars", "x", "--poly", "x*" + "1" * 5000], 1, "parse",
+     "integer of 5000 digits exceeds the limit of 4300 digits (at position 2)"),
+    (["pit", "x + " + "1" * 5000, "x", "--ring", "fp:101", "--samples", "5"], 1, "parse",
+     "integer of 5000 digits exceeds the limit of 4300 digits (at position 4)"),
 ]
 
 
@@ -319,6 +331,26 @@ def test_the_inferred_prefix_stops_at_its_cap():
     assert type(info.value) is ResourceLimitError
     # other names are never expanded, so nothing caps them
     assert infer_variables(f"y{10**6} + x3") == [f"y{10**6}", "x3"]
+
+
+def test_integers_past_the_digit_limit_are_refused_by_their_length():
+    long = "1" * 4301
+    with pytest.raises(ParseError) as info:
+        parse_dag(f"(x - {long})", ["x"], Z)
+    assert type(info.value) is ParseError and info.value.position == 5
+    with pytest.raises(ExponentOverflowError) as info:
+        parse_dag(f"x^{long}", ["x"], Z)
+    assert info.value.position == 2
+    assert "4301 digits" in str(info.value)
+    # at the limit the literal is read, and its value decides
+    assert parse_poly("1" * 4300, ["x"], Z).terms == {(0,): int("1" * 4300)}
+    with pytest.raises(ExponentOverflowError, match="exponent 1000001 exceeds"):
+        parse_dag("x^" + "0" * 4293 + "1000001", ["x"], Z)
+    # an x<k> name is refused from the digits of k alone past 100 of them
+    with pytest.raises(ResourceLimitError, match="for a 101-digit k"):
+        infer_variables("x2 + x" + "1" * 101)
+    with pytest.raises(ResourceLimitError, match=f"x1..x{'9' * 100} would be"):
+        infer_variables("x2 + x" + "9" * 100)
 
 
 def test_render_refuses_a_coefficient_too_wide_to_print():
