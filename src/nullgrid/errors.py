@@ -23,7 +23,7 @@ bounds.min_products_by_total      poly.MAX_WORK           DP steps     SearchBud
 puzzle.exhaustive_search          ``budget`` argument     tuples       SearchBudgetError
 ring.grid_condition_check         ring.MAX_PAIRWISE_PAIRS pairs        GridTooLargeError
 (running over the sets)
-oracle._plan                      oracle._REFERENCE_WORK  point-words  GridTooLargeError
+oracle._plan                      oracle._REFERENCE_WORK  steps        GridTooLargeError
 oracle._grid_values               DEFAULT_ZERO_SET_CAP    points       GridTooLargeError
 oracle.count_nonzeros             ``point_limit`` arg     points       GridTooLargeError
 cli._cmd_verify --list-zeros      DEFAULT_ZERO_SET_CAP    points       GridTooLargeError
@@ -31,7 +31,8 @@ parser.infer_variables            parser.MAX_INFERRED     names        ResourceL
 ================================  ======================  ===========  ======================
 
 MAX_SET_SIZE and DEFAULT_ZERO_SET_CAP are 10^6, MAX_WORK 4·10^6,
-_REFERENCE_WORK 3·10^7, MAX_PAIRWISE_PAIRS 10^6, MAX_INFERRED 10^3; the
+_REFERENCE_WORK 3·10^7 steps of about 30 ns (``oracle._reference_steps``),
+MAX_PAIRWISE_PAIRS 10^6, MAX_INFERRED 10^3; the
 exhaustive search's budget defaults to 10^8 and the point limit to 10^8.
 A running site charges a total that grows step by step.  A negative
 budget or point limit is invalid input (ValueError), not a limit; 0 is a

@@ -72,8 +72,10 @@ _INT64_LIMIT = 1 << 63
 # short run never loads it and a long one loses at most about one
 # import's time before the kernel takes over
 _cold_work_left = 200_000
-# most grid points x coefficient words the reference may evaluate (about 1.5 s
-# on a 2-vCPU VM); beyond it evaluation is refused
+# most steps of ``_reference_steps`` the reference may take, beyond which
+# evaluation is refused: the largest grid admitted ran 0.1 to 1.5 s, over
+# F_p, Z_m and Z, narrow and wide values and exponents up to 2^1000, on one
+# core of a 2-vCPU VM
 _REFERENCE_WORK = 3 * 10**7
 
 
@@ -180,6 +182,37 @@ def _reference_words(f: Polynomial, bounds: list[int]) -> tuple[int, int]:
     return sum(w * (1 + w // 512) for w in map(words, tops)), least
 
 
+def _reference_steps(f: Polynomial, sizes: tuple[int, ...], bounds: list[int]) -> int:
+    """An upper bound on the time ``_reference_values`` takes on a grid of
+    these set sizes and bounds, in steps of about 30 ns.
+
+    Variable i is substituted once per element of S_1 x ... x S_i, into
+    each distinct exponent suffix (e_i, ..., e_n) of the terms.  Such a
+    pass costs 8 steps, and each suffix 8 more plus its products, a
+    product of u- and v-word integers counting u v // 4.  Modulo a w-word
+    m, ``pow`` takes about one product of residues per bit of e_i, and one
+    more multiplies the coefficient.  Over Z, a**e_i of v words costs
+    v (1 + v // 512), as ``_reference_words`` counts, and multiplying it
+    into a coefficient of u words so far u v // 4.
+    """
+    m = f.ring.modulus
+    w = words(m.bit_length()) if m else 0
+    bits = [b.bit_length() for b in bounds]
+    steps, passes = 0, 1
+    for i, size in enumerate(sizes):
+        passes *= size
+        cost: dict[tuple[int, ...], int] = {}
+        for key, c in f.terms.items():
+            if m:
+                step = (1 + key[i].bit_length()) * (8 + w * w)
+            else:
+                u, v = words(abs(c).bit_length() + sum(map(mul, key[:i], bits))), words(key[i] * bits[i])
+                step = u * v // 4 + v * (1 + v // 512)
+            cost[key[i:]] = max(cost.get(key[i:], 0), 8 + step)
+        steps += passes * (8 + sum(cost.values()))
+    return steps
+
+
 def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     """The kernel's distinct exponents E_i, moduli, primes per batch and
     S_1 slice height, or None when the reference must run instead.  Logs
@@ -190,9 +223,10 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     loaded") until their points times coefficient words add up to
     ``_cold_work_left``, less work than importing numpy costs; after that
     the kernel runs.  So a short run never imports numpy, whatever its
-    input, and a long one pays it once.  The reference is refused with
-    GridTooLargeError when points times the words of every term's largest
-    value exceed ``_REFERENCE_WORK``.
+    input, and a long one pays it once; a grid whose reference steps
+    (``_reference_steps``) pass ``_REFERENCE_WORK`` goes to the kernel at
+    once.  Any other grid the reference gets is refused with
+    GridTooLargeError when its steps pass ``_REFERENCE_WORK``.
 
     Each contraction sums at most |E_i| products of residues below q, so
     the guard (q - 1)^2 * max |E_i| < 2^63 keeps int64 arithmetic exact,
@@ -234,7 +268,8 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     points = prod(sizes)
     moduli: list[int] = []
     reason = None
-    if "numpy" not in sys.modules and points * words <= _cold_work_left:
+    if "numpy" not in sys.modules and points * words <= _cold_work_left \
+            and _reference_steps(f, sizes, bounds) <= _REFERENCE_WORK:
         _cold_work_left -= points * words
         reason = "numpy not loaded"
     elif m:
@@ -271,8 +306,8 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
           0 if m else len(moduli), 0 if reason else -(-sizes[0] // rows))
     if reason is None:
         return exps, moduli, group, rows
-    charge(points * words, _REFERENCE_WORK, GridTooLargeError,
-           "reference evaluation needs {} points x {} coefficient words, limit is {limit}", points, words)
+    charge(_reference_steps(f, sizes, bounds), _REFERENCE_WORK, GridTooLargeError,
+           "reference evaluation needs {} points and {work} steps, limit is {limit}", points)
     return None
 
 

@@ -96,7 +96,7 @@ SITES = [
     ("oracle._plan", GridTooLargeError,
      lambda: oracle.count_nonzeros(*_tight(1000)),
      ["tightness", "--ring", "int", "--grid", "0..999", "--d", "1000"],
-     "reference evaluation needs 1000 points x 158045 coefficient words, limit is 30000000"),
+     "reference evaluation needs 1000 points and 1221319000 steps, limit is 30000000"),
     ("oracle._grid_values", GridTooLargeError,
      lambda: transform.grid_values(parse_poly("x*y", ["x", "y"], F1000003), _grid("0..1000;0..999", F1000003)),
      ["coeff", "--ring", "fp:1000003", "--grid", "0..1000;0..999", "--monomial", "1,1", "--poly", "x*y"],
@@ -293,6 +293,12 @@ SHORT_ANSWERS = [
      "value_range must be nonnegative"),
     (["puzzle", "local", "--size", "3", "--range", "-1"], 1, "invalid-input",
      "value_range must be nonnegative"),
+    # the reference's steps on a narrow modulus: each once ran 28 s
+    (["verify", "--ring", "fp:2305843009213693951", "--vars", "x,y", "--poly", "x*y",
+      "--grid", "0..4999;0..4999"], 3, "resource-limit",
+     "reference evaluation needs 25000000 points and 850170000 steps, limit is 30000000"),
+    (["tightness", "--ring", "fp:2305843009213693951", "--grid", "0..4999;0..4999", "--d", "1,1"], 3,
+     "resource-limit", "reference evaluation needs 25000000 points and 850170000 steps, limit is 30000000"),
     # integers past Python's 4,300-digit limit for reading one from a string
     (["analyze", "--vars", "x", "--poly", "x + " + "1" * 5000], 1, "parse",
      "integer of 5000 digits exceeds the limit of 4300 digits (at position 4)"),
@@ -331,6 +337,38 @@ def test_the_inferred_prefix_stops_at_its_cap():
     assert type(info.value) is ResourceLimitError
     # other names are never expanded, so nothing caps them
     assert infer_variables(f"y{10**6} + x3") == [f"y{10**6}", "x3"]
+
+
+@pytest.mark.usefixtures("numpy_counted_as_loaded")
+@pytest.mark.parametrize("ring,terms,top", [
+    (RingSpec.prime_field(2**61 - 1), {(1, 1): 1}, 2**61 - 1),
+    (RingSpec.prime_field(2**61 - 1), {(2**200 + 1, 3): 5, (7, 2**100): 1}, 2**61 - 1),
+    (Z, {(3, 1): 7**2800, (0, 2): -(3**5000)}, 1000),
+], ids=["narrow", "exponents", "wide"])
+def test_the_largest_grid_the_reference_takes_runs_in_seconds(caplog, ring, terms, top):
+    # the side n of an n x n grid past which the reference refuses, found
+    # from its charge alone; that grid is evaluated within 5 s
+    f = poly.Polynomial(2, ring, terms)
+
+    def grid(n):
+        return GridSpec(ring, [range(n), range(top - n, top)])
+
+    def steps(n):
+        return oracle._reference_steps(f, (n, n), [max(map(abs, s)) for s in grid(n).sets])
+
+    n, high = 1, 2
+    while steps(high) <= oracle._REFERENCE_WORK:
+        n, high = high, 2 * high
+    while high - n > 1:
+        middle = (n + high) // 2
+        n, high = (middle, high) if steps(middle) <= oracle._REFERENCE_WORK else (n, middle)
+    with pytest.raises(GridTooLargeError, match="reference evaluation needs"):
+        oracle.count_nonzeros(f, grid(n + 1), collect_zeros=False)
+    caplog.set_level("DEBUG", logger="nullgrid")
+    start = time.process_time()
+    oracle.count_nonzeros(f, grid(n), collect_zeros=False)
+    assert time.process_time() - start < 5
+    assert "path=reference" in caplog.records[-1].getMessage()
 
 
 def test_integers_past_the_digit_limit_are_refused_by_their_length():

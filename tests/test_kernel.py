@@ -311,21 +311,24 @@ def test_fallback_prime_count(caplog):
 
 
 def test_reference_work_is_charged_before_evaluating(caplog):
-    # 8 points x 21 words for each of the two 1333- and 1329-bit terms
+    # 4 passes over x and 8 over y, each of 8 steps and, for each of the two
+    # exponent suffixes, 8 + 21 * 1 // 4 + 1: the 21-word coefficient
+    # times a 1-word power, and that power
     f = Polynomial(2, Z, {(1, 1): 10**400, (0, 0): -(10**400)})
     grid = GridSpec(Z, [(-1, 0, 1, 2), (1, 3)])
-    with mock.patch.object(oracle, "_REFERENCE_WORK", 336):
+    with mock.patch.object(oracle, "_REFERENCE_WORK", 432):
         assert count_nonzeros(f, grid).nonzeros == 7
-    with mock.patch.object(oracle, "_REFERENCE_WORK", 335), \
-            pytest.raises(GridTooLargeError, match="8 points x 42 coefficient words"):
+    with mock.patch.object(oracle, "_REFERENCE_WORK", 431), \
+            pytest.raises(GridTooLargeError, match="8 points and 432 steps"):
         count_nonzeros(f, grid)
-    # one word per term below a word-size modulus, whatever the reason
+    # below a word-size modulus a suffix takes 8 + (1 + bits(e)) (8 + 1)
+    # whatever the reason: 4 passes of 8 + 35 + 17 + 17, 12 of 8 + 26 + 17
     fp = RingSpec.prime_field(2**61 - 1)
     g = Polynomial(2, fp, {(2, 1): 2**60 + 3, (0, 1): -1, (0, 0): 5})
     big = GridSpec(fp, [(0, 1, 2**40, 2**61 - 2), (0, 3, 2**59)])
     with caplog.at_level(logging.DEBUG, logger="nullgrid"), \
-            mock.patch.object(oracle, "_REFERENCE_WORK", 35), \
-            pytest.raises(GridTooLargeError, match="12 points x 3 coefficient words"):
+            mock.patch.object(oracle, "_REFERENCE_WORK", 919), \
+            pytest.raises(GridTooLargeError, match="12 points and 920 steps"):
         grid_values(g, big)
     assert "path=reference reason=overflow guard" in caplog.records[-1].getMessage()
 
