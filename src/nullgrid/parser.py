@@ -142,6 +142,8 @@ class DagBuilder:
 _TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^()]")
 # a character that is neither whitespace nor the first of a token
 _BAD_RE = re.compile(r"[^\s\dA-Za-z_()*+^-]")
+# digits up to which Python reads any integer string, whatever its limit
+_FREE_DIGITS = sys.int_info.str_digits_check_threshold
 
 
 def _too_long(tok: str) -> bool:
@@ -218,7 +220,7 @@ class _Parser:
             tok = self.tokens[self.i]
             if not tok.isdecimal():
                 raise self.error("expected a nonnegative integer exponent after '^'", self.i)
-            if _too_long(tok):
+            if len(tok) > _FREE_DIGITS and _too_long(tok):
                 raise self.error(f"exponent of {len(tok)} digits exceeds the maximum {MAX_EXPONENT}", self.i,
                                  ExponentOverflowError)
             e = int(tok)
@@ -232,7 +234,7 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         if tok.isdecimal():
-            if _too_long(tok):
+            if len(tok) > _FREE_DIGITS and _too_long(tok):
                 raise self.error(f"integer of {len(tok)} digits exceeds the limit of "
                                  f"{sys.get_int_max_str_digits()} digits", self.i - 1)
             return self.b.const(int(tok))

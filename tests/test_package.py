@@ -109,6 +109,22 @@ def test_numpy_loads_once_the_cold_budget_is_spent():
     assert all(row[:2] == rows[0][:2] for row in rows)
 
 
+def test_a_cold_grid_past_the_reference_budget_goes_to_the_kernel():
+    # 101 x 101 points x 2 words fit the cold budget, but y^(2^400) takes
+    # a product of residues per bit at each point, past the reference's
+    # steps: the kernel runs it in a process that had not loaded numpy
+    code = ("import sys\nfrom nullgrid import oracle\nfrom nullgrid.poly import GridSpec, Polynomial\n"
+            "from nullgrid.ring import RingSpec\n"
+            "F = RingSpec.prime_field(101)\nf = Polynomial(2, F, {(0, 2**400): 1, (0, 0): 1})\n"
+            "grid = GridSpec(F, [range(101), range(101)])\n"
+            "print(oracle.count_nonzeros(f, grid, collect_zeros=False).nonzeros, 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    nonzeros = 101 * sum(1 for y in range(101) if (pow(y, 2**400, 101) + 1) % 101)
+    assert proc.stdout.split() == [str(nonzeros), "True"]
+
+
 LATE_HANDLER = """
 import json, sys
 from nullgrid import GridSpec, RingSpec, classify, count_nonzeros, min_nonzero_search, parse_poly
@@ -134,22 +150,6 @@ logging.getLogger("nullgrid").setLevel(logging.DEBUG)
 run()
 print(json.dumps([loaded_before, records]))
 """
-
-
-def test_a_cold_grid_past_the_reference_budget_goes_to_the_kernel():
-    # 101 x 101 points x 2 words fit the cold budget, but y^(2^400) takes
-    # a product of residues per bit at each point, past the reference's
-    # steps: the kernel runs it in a process that had not loaded numpy
-    code = ("import sys\nfrom nullgrid import oracle\nfrom nullgrid.poly import GridSpec, Polynomial\n"
-            "from nullgrid.ring import RingSpec\n"
-            "F = RingSpec.prime_field(101)\nf = Polynomial(2, F, {(0, 2**400): 1, (0, 0): 1})\n"
-            "grid = GridSpec(F, [range(101), range(101)])\n"
-            "print(oracle.count_nonzeros(f, grid, collect_zeros=False).nonzeros, 'numpy' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=SRC))
-    assert proc.returncode == 0, proc.stderr
-    nonzeros = 101 * sum(1 for y in range(101) if (pow(y, 2**400, 101) + 1) % 101)
-    assert proc.stdout.split() == [str(nonzeros), "True"]
 
 
 def test_debug_records_reach_a_handler_added_after_import():
