@@ -269,8 +269,9 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     points = prod(sizes)
     moduli: list[int] = []
     reason = None
+    steps = 0  # the reference's, found only where it may run
     if "numpy" not in sys.modules and points * words <= _cold_work_left \
-            and _reference_steps(f, sizes, bounds) <= _REFERENCE_WORK:
+            and (steps := _reference_steps(f, sizes, bounds)) <= _REFERENCE_WORK:
         _cold_work_left -= points * words
         reason = "numpy not loaded"
     elif m:
@@ -307,7 +308,7 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
           0 if m else len(moduli), 0 if reason else -(-sizes[0] // rows))
     if reason is None:
         return exps, moduli, group, rows
-    charge(_reference_steps(f, sizes, bounds), _REFERENCE_WORK, GridTooLargeError,
+    charge(steps or _reference_steps(f, sizes, bounds), _REFERENCE_WORK, GridTooLargeError,
            "reference evaluation needs {} points and {work} steps, limit is {limit}", points)
     return None
 
