@@ -18,7 +18,9 @@ A token is its text (an integer, an identifier or one operator character),
 and "" ends the token list.  Tokens carry no position: an error's position
 is found only when it is raised, by scanning the text again.
 ``infer_variables`` reads the same tokens, and expands an x<k> prefix to at
-most ``MAX_INFERRED`` names.
+most ``MAX_INFERRED`` names.  An integer token longer than Python reads
+from a string, or a k of more than ``_NAME_DIGITS`` digits, is refused
+from its length, never converted.
 
 ``parse_poly`` expands the expression eagerly into a sparse Polynomial;
 ``parse_dag`` builds a hash-consed expression DAG without any expansion,
