@@ -392,7 +392,15 @@ def _widest(value) -> int:
     return digits(value) if isinstance(value, int) else 0
 
 
+# characters an error message keeps at each end once it is longer than
+# twice this: an argument it echoes may be of any length
+_MESSAGE_END = 400
+
+
 def _emit_error(code: str, message: str, fmt: str):
+    left_out = len(message) - 2 * _MESSAGE_END
+    if left_out > 0:
+        message = f"{message[:_MESSAGE_END]} ... ({left_out} characters left out) ... {message[-_MESSAGE_END:]}"
     payload = {"schema": SCHEMA, "error": {"code": code, "message": message}}
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))

@@ -6,7 +6,7 @@ so callers (the command line driver in particular) can map failures to
 exit codes without matching on message text.
 
 Every cost bound refuses through ``charge``, with a ResourceLimitError
-or one of its subclasses, before the work it prices starts.  The fifteen
+or one of its subclasses, before the work it prices starts.  The sixteen
 budgets:
 
 ================================  ======================  ===========  ======================
@@ -26,6 +26,7 @@ ring.grid_condition_check         ring.MAX_PAIRWISE_PAIRS pairs        GridTooLa
 oracle._plan                      oracle._REFERENCE_WORK  steps        GridTooLargeError
 oracle._grid_values               DEFAULT_ZERO_SET_CAP    points       GridTooLargeError
 oracle.count_nonzeros             ``point_limit`` arg     points       GridTooLargeError
+oracle.min_nonzero_search         poly.MAX_WORK           mult-adds    SearchBudgetError
 cli._cmd_verify --list-zeros      DEFAULT_ZERO_SET_CAP    points       GridTooLargeError
 parser.infer_variables            parser.MAX_INFERRED     names        ResourceLimitError
 ================================  ======================  ===========  ======================
@@ -34,6 +35,8 @@ MAX_SET_SIZE and DEFAULT_ZERO_SET_CAP are 10^6, MAX_WORK 4·10^6,
 _REFERENCE_WORK 3·10^7 steps of about 30 ns (``oracle._reference_steps``),
 MAX_PAIRWISE_PAIRS 10^6, MAX_INFERRED 10^3; the
 exhaustive search's budget defaults to 10^8 and the point limit to 10^8.
+The minimum search charges its multiply-adds, rows scored x points x
+monomials, against 64 MAX_WORK in int64 and MAX_WORK on Python integers.
 A running site charges a total that grows step by step.  A negative
 budget or point limit is invalid input (ValueError), not a limit; 0 is a
 limit.  ``Polynomial.render`` and the command line's output also refuse,
@@ -107,9 +110,9 @@ class ExpansionTooLargeError(ResourceLimitError):
 
 class SearchBudgetError(ResourceLimitError):
     """A search exceeds its budget: an exhaustive puzzle search (use the
-    local search instead), identity-test trials times DAG nodes, or the
+    local search instead), identity-test trials times DAG nodes, the
     steps of the dynamic program behind the generalized Alon-Furedi
-    bound."""
+    bound, or the multiply-adds of a minimum nonzero search."""
 
 
 # a figure below this prints in full; from it on, as ~10^k

@@ -13,25 +13,28 @@ pure-Python generator ``_reference_values`` is kept on purpose as the
 independent reference the tests compare the kernel against: it yields
 f's values in odometer order, the kernel's order, substituting one
 variable at a time, and counts, zero sets and value lists all read that
-one stream.  It runs wherever a kernel guard fails, and on any grid until
-numpy is loaded or a work budget under its import cost is spent.
+one stream, with the open levels on a stack rather than the call stack.
+It runs wherever a kernel guard fails, and on any grid until numpy is
+loaded or a work budget under its import cost is spent.
 ``min_nonzero_search`` streams its candidate coefficient vectors in
 int64 blocks, decoded in mixed radix when it enumerates the space and
 drawn from bulk generator words (the exact ``randrange`` stream of its
 seed) when it samples.  When there are fewer classes of vectors that
 differ by a scalar than candidates, and their table fits the cell budget
-like any other array here, it scores each class once and looks each
-candidate up (``_class_lookup``); ``_scorer`` decides p | v for each
-value by one multiplication with the inverse of p modulo 2^64, with no
-division.  Each evaluation and each search logs its path at DEBUG level
-on the ``nullgrid`` logger.  numpy is imported only when the kernel or
-the search runs, so a short run never loads it.
+like any other array here, it counts each class's zeros by hyperplane
+incidence, one ``np.bincount`` per chunk of grid points, and looks each
+candidate up (``_class_lookup``); otherwise ``_scorer`` decides p | v
+for each value by one multiplication with the inverse of p modulo 2^64,
+with no division.  Each evaluation and each search logs its path at
+DEBUG level on the ``nullgrid`` logger.  numpy is imported only when the
+kernel or the search runs, so a short run never loads it.
 
 Counting refuses grids above a configurable point limit instead of
 running forever, the reference refuses work above ``_REFERENCE_WORK``,
-and grid values, which are held all at once, refuse grids above
-``DEFAULT_ZERO_SET_CAP`` points.  ``_grid_values`` returns them as one
-flat list in odometer order, one int per point, which
+the minimum search refuses multiply-adds above its share of
+``poly.MAX_WORK``, and grid values, which are held all at once, refuse
+grids above ``DEFAULT_ZERO_SET_CAP`` points.  ``_grid_values`` returns
+them as one flat list in odometer order, one int per point, which
 ``transform.grid_values`` wraps in a read-only mapping view, not a dict.
 """
 
@@ -40,7 +43,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import floor, isqrt, prod
 from operator import mul, not_, sub
 from typing import TYPE_CHECKING, NamedTuple
@@ -48,11 +51,12 @@ from typing import TYPE_CHECKING, NamedTuple
 from .errors import (
     GridTooLargeError,
     HypothesisViolationError,
+    SearchBudgetError,
     UnsupportedRingError,
     charge,
     debug,
 )
-from .poly import GridSpec, Polynomial, annihilator, check_compatible, words
+from .poly import MAX_WORK, GridSpec, Polynomial, annihilator, check_compatible, words
 from .ring import RingSpec, is_prime, require_grid_condition
 
 if TYPE_CHECKING:
@@ -140,16 +144,20 @@ def _substitute_first(terms: dict, value: int, modulus: int | None) -> dict:
 def _reference_values(terms: dict, sets: tuple, modulus: int | None):
     """Yield the (partially substituted) terms' values on the remaining
     sets, at least one, in odometer order, substituting one variable at a
-    time."""
-    if not terms:
-        # identically zero on the remaining subgrid
-        yield from itertools.repeat(0, prod(map(len, sets)))
-    elif len(sets) == 1:
-        for a in sets[0]:
-            yield _substitute_first(terms, a, modulus).get((), 0)
-    else:
-        for a in sets[0]:
-            yield from _reference_values(_substitute_first(terms, a, modulus), sets[1:], modulus)
+    time.  The substitutions of each open level wait on a stack, not in
+    nested frames, so no number of variables reaches the recursion limit."""
+    stack = [iter((terms,))]  # stack[i] yields the terms with x_1..x_i substituted
+    while stack:
+        rest, done = next(stack[-1], None), len(stack) - 1
+        if rest is None:
+            stack.pop()
+        elif done == len(sets):
+            yield rest.get((), 0)
+        elif not rest:
+            # identically zero on the remaining subgrid
+            yield from itertools.repeat(0, prod(map(len, sets[done:])))
+        else:
+            stack.append(map(partial(_substitute_first, rest, modulus=modulus), sets[done]))
 
 
 @lru_cache(maxsize=64)
@@ -544,10 +552,11 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
     One rule picks what is scored: when there are fewer classes than
     candidates to try (every enumerated space with p > 2, and a sample
     of more than p^(k-1) candidates) and their table fits ``_CELL_BUDGET``
-    cells, as any array of this module must, each representative is
-    scored once into a table of counts and each candidate c reads the
-    entry of c * c[req]^-1 mod p (``_class_lookup``); otherwise each
-    candidate is scored (``_scorer``).  Either way the candidates come in
+    cells, as any array of this module must, a table of counts is built
+    by hyperplane incidence, with no representative scored, and each
+    candidate c reads the entry of c * c[req]^-1 mod p
+    (``_class_lookup``); otherwise each candidate is scored
+    (``_scorer``).  Either way the candidates come in
     the same stream, described below, and the first one that reaches the
     least count wins (``_best_assignment``).  No candidate goes below the
     table's least entry (or below 0), so the scan stops at the first
@@ -555,6 +564,10 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
     keeps the earlier candidate.  So ``min_count``, the witness,
     ``exhaustive`` and ``tried`` (the candidates the answer covers) are
     those of scoring every candidate one by one.
+    Before any grid value is computed, rows x points x k multiply-adds
+    are charged, rows being the classes or candidates scored, against 64
+    ``MAX_WORK`` in int64 and ``MAX_WORK`` on Python integers (where
+    p^2 k >= 2^62), and refused past that with SearchBudgetError.
     Rows are scored in int64 blocks of at most ``_BLOCK_ROWS`` rows
     (fewer when the grid is large, so one block's value matrix stays
     under the cell budget); the answer does not depend on the block size.
@@ -606,8 +619,6 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
     space = (p - 1) * p ** (k - 1)
     classes = p ** (k - 1)
 
-    # value matrix: one column per grid point, one row per support monomial
-    matrix = [_grid_values(Polynomial.monomial(grid.arity, ring, m), grid) for m in support]
     rows = max(1, min(_BLOCK_ROWS, _CELL_BUDGET // grid.size()))
 
     if space <= exhaustive_limit:
@@ -618,15 +629,22 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
         exhaustive, tried = False, sample_budget
         source = "words" if p.bit_length() <= 32 else "randrange"
     by_class = classes < tried and classes <= _CELL_BUDGET
-    score, least = _scorer(matrix, p), 0
-    if by_class:
-        score, least = _class_lookup(score, p, k, req_idx, rows, grid.size())
+    scored = classes if by_class else tried
+    # a multiply-add on Python integers (``_scorer`` past 2^62) took 110 to
+    # 230 ns on one core of a 2-vCPU VM, 64 of them in int64 120 to 200 ns
+    wide = not by_class and p * p * k >= 2**62
+    charge(scored * grid.size() * k, MAX_WORK * (1 if wide else 64), SearchBudgetError,
+           "minimum search scores {} rows x {} points x {} monomials, {work} multiply-adds, limit is {limit}",
+           scored, grid.size(), k)
+    # value matrix: one column per grid point, one row per support monomial
+    matrix = [_grid_values(Polynomial.monomial(grid.arity, ring, m), grid) for m in support]
+    score, least = _class_lookup(matrix, p, k, req_idx) if by_class else (_scorer(matrix, p), 0)
     # zip draws a block before a count, so next(drawn) is then the blocks drawn
     drawn = itertools.count()
     best_count, best_coeffs = _best_assignment((b for b, _ in zip(blocks, drawn)), score, least)
     debug(__name__, "min search path=%s candidates=%d blocks=%d source=%s scored=%s rows=%d",
           "exhaustive" if exhaustive else "sampled", tried, next(drawn), source,
-          "classes" if by_class else "candidates", classes if by_class else tried)
+          "classes" if by_class else "candidates", scored)
     witness = Polynomial(grid.arity, ring, dict(zip(support, best_coeffs)))
     return MinNonzeroResult(best_count, witness, exhaustive, tried)
 
@@ -741,28 +759,53 @@ def _scorer(matrix: list[list[int]], p: int):
     return score
 
 
-def _class_lookup(score, p: int, k: int, req: int, rows: int, points: int):
-    """A scorer of the same counts as ``score`` that scores each class
-    once, and the least count of any class.
+def _class_lookup(matrix: list[list[int]], p: int, k: int, req: int):
+    """A scorer of each candidate's count, given the value matrix over
+    F_p, that reads a table of the p^(k-1) classes' counts, and the least
+    count of any class.
 
-    ``score`` runs on the p^(k-1) class representatives (1 in slot
-    ``req``, ``_product_blocks`` order) in blocks of ``rows`` rows, into
-    a table of the smallest dtype that holds counts up to ``points``.
-    Candidate c then reads the count of c * c[req]^-1 mod p, whose entry
-    is its slots other than req read in radix p, last slot least
-    significant.  c is a nonzero multiple of that representative, so it
-    vanishes at the same grid points.  All of it is int64: k = 1
-    multiplies nothing, and for k >= 2 the caller's rule p^(k-1) <=
-    ``_CELL_BUDGET`` keeps p <= 2^22, so each product stays below 2^44."""
+    The table is counted by incidence, not by scoring.  With 1 in slot
+    ``req``, the classes that vanish at a point a solve v_req(a) +
+    sum_j c_j v_j(a) = 0 mod p over the free slots j, one affine
+    hyperplane (as in Alon and Furedi's covers of the cube).  If some
+    free v_j(a) is nonzero, c_j for the first such j is solved for on
+    each of the p^(k-2) assignments of the other free slots; if none is,
+    a vanishes for every class when v_req(a) = 0 and for none otherwise.
+    One ``np.bincount`` of the solutions' class indices per chunk of at
+    most ``_CELL_BUDGET`` // p^(k-2) points counts the zeros, and the
+    partial sums and indices grow one free slot at a time, so no array
+    passes the cell budget.  The table holds points - zeros in the
+    smallest dtype that holds the number of points; a class's entry is
+    its slots other than req read in radix p, last slot least
+    significant (``_product_blocks`` order).  Candidate c reads the entry
+    of c * c[req]^-1 mod p, a class member that vanishes where c does.
+    All of it is int64: partial sums stay below p + (k-2)(p-1)^2, and
+    for k >= 2 the caller's rule p^(k-1) <= ``_CELL_BUDGET`` keeps
+    p <= 2^22, so every product stays below p^2 <= 2^44."""
     import numpy as np
 
-    classes = p ** (k - 1)
-    table = np.empty(classes, dtype=np.min_scalar_type(points))
-    for start, block in zip(range(0, classes, rows), _product_blocks(p, k, req, classes, rows)):
-        table[start:start + len(block)] = score(block)
     free = [i for i in range(k) if i != req]
+    # with no free slot values are only compared with 0, so p may pass int64
+    classes, values = p ** (k - 1), np.array(matrix, dtype=np.int64 if free else object)
     # a^(p-2) = a^-1 mod p (Fermat); with no free slot nothing is scaled
     inverse = _power_table(range(p), [p - 2], [p])[0, :, 0] if free else None
+    # each point's first free slot (its place in free) with a nonzero value, len(free) if none
+    lead = np.count_nonzero(np.cumsum(values[free] != 0, axis=0) == 0, axis=0)
+    zeros = np.full(classes, np.count_nonzero(values[req, lead == len(free)] == 0), dtype=np.int64)
+    weight = [p ** (len(free) - 1 - j) for j in range(len(free))]
+    width = max(1, _CELL_BUDGET * p // classes)
+    for j, slot in enumerate(free):
+        at, digit = np.flatnonzero(lead == j), np.arange(p)
+        for start in range(0, len(at), width):
+            cols = values[:, at[start:start + width]]
+            total, index = cols[req], np.zeros(1, dtype=np.int64)
+            for i, other in enumerate(free):
+                if i != j:
+                    total = (total + digit[:, None, None] * cols[other]).reshape(-1, cols.shape[1])
+                    index = (index + digit[:, None] * weight[i]).ravel()
+            solved = -total % p * inverse[cols[slot]] % p
+            zeros += np.bincount((index[:, None] + solved * weight[j]).ravel(), minlength=classes)
+    table = (len(matrix[0]) - zeros).astype(np.min_scalar_type(len(matrix[0])))
 
     def lookup(block):
         index = np.zeros(len(block), dtype=np.int64)

@@ -7,6 +7,9 @@ the exact JSON error and exits 3."""
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from math import comb
 from pathlib import Path
@@ -97,6 +100,13 @@ SITES = [
      lambda: oracle.count_nonzeros(*_tight(1000)),
      ["tightness", "--ring", "int", "--grid", "0..999", "--d", "1000"],
      "reference evaluation needs 1000 points and 1221319000 steps, limit is 30000000"),
+    # 20000 sampled rows on 300 x 300 points once ran 11.7 s
+    ("oracle.min_nonzero_search", SearchBudgetError,
+     lambda: oracle.min_nonzero_search(((3, 2), (0, 4), (4, 0)), (3, 2), _grid("0..299;0..299", F10007),
+                                       exhaustive_limit=0, sample_budget=20_000),
+     None,
+     "minimum search scores 20000 rows x 90000 points x 3 monomials, 5400000000 multiply-adds, "
+     "limit is 256000000"),
     ("oracle._grid_values", GridTooLargeError,
      lambda: transform.grid_values(parse_poly("x*y", ["x", "y"], F1000003), _grid("0..1000;0..999", F1000003)),
      ["coeff", "--ring", "fp:1000003", "--grid", "0..1000;0..999", "--monomial", "1,1", "--poly", "x*y"],
@@ -369,6 +379,90 @@ def test_the_largest_grid_the_reference_takes_runs_in_seconds(caplog, ring, term
     oracle.count_nonzeros(f, grid(n), collect_zeros=False)
     assert time.process_time() - start < 5
     assert "path=reference" in caplog.records[-1].getMessage()
+
+
+@pytest.mark.usefixtures("numpy_counted_as_loaded")
+@pytest.mark.parametrize("p,side", [(10007, 300), (10007, 100), (2**61 - 1, 30)],
+                         ids=["refused", "int64", "python-integers"])
+def test_the_largest_search_admitted_runs_in_seconds(p, side):
+    # a sample past the charge is refused before anything is scored; the
+    # largest one it admits, found from the limit its message gives, is
+    # scored within 5 s (0.5 to 0.8 s on a 2-vCPU VM), in int64 and, where
+    # p^2 k passes 2^62, on Python integers
+    grid = GridSpec(RingSpec.prime_field(p), [range(side), range(side)])
+
+    def search(budget):
+        return oracle.min_nonzero_search(((3, 2), (0, 4), (4, 0)), (3, 2), grid, exhaustive_limit=0,
+                                         sample_budget=budget)
+
+    start = time.process_time()
+    with pytest.raises(SearchBudgetError) as info:
+        search(20_000)
+    assert time.process_time() - start < 1
+    budget = int(str(info.value).rsplit(" ", 1)[1]) // (side * side * 3)
+    if side < 300:
+        start = time.process_time()
+        assert search(budget).tried == budget
+        assert time.process_time() - start < 5
+        with pytest.raises(SearchBudgetError):
+            search(budget + 1)
+
+
+def test_the_reference_takes_more_variables_than_the_recursion_limit():
+    # one generator frame per variable once ended in a RecursionError
+    # traceback on a grid of 1,100 singleton sets
+    n = 1100
+    env = dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).resolve().parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "nullgrid", "verify", "--ring", "int", "--vars", _names(n),
+                           "--poly", "*".join(_names(n).split(",")) + " + 1", "--grid", _sets(n, "2")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["nonzero_count"] == 1
+
+
+_LONG = "1" * 5000
+
+# arguments other than polynomial text, each echoed whole by its message
+ECHOES = [
+    (["verify", "--ring", "fp:101", "--poly", "x", "--grid", "0," + _LONG], "invalid-input",
+     f"bad grid element on line 1: '0,{_LONG}'"),
+    (["verify", "--ring", "zmod:" + _LONG, "--poly", "x", "--grid", "0,1"], "usage",
+     f"bad ring modulus '{_LONG}' in 'zmod:{_LONG}'"),
+    (["tightness", "--ring", "fp:101", "--grid", "0..3", "--d", _LONG + ",1"], "usage",
+     f"bad integer vector '{_LONG},1'"),
+    (["coeff", "--ring", "fp:101", "--poly", "x", "--grid", "0..3", "--monomial", _LONG], "usage",
+     f"bad integer vector '{_LONG}'"),
+    (["pit", "x", "x", "--samples", _LONG], "usage", f"argument --samples: invalid int value: '{_LONG}'"),
+]
+
+
+@pytest.mark.parametrize("argv,kind,whole", ECHOES, ids=[a[0] + f"-{i}" for i, (a, *_) in enumerate(ECHOES)])
+def test_an_echoed_argument_is_clipped(capsys, argv, kind, whole):
+    # the message keeps 400 characters at each end; an error of argparse's
+    # own comes before --format is read, so it is always JSON
+    clipped = f"{whole[:400]} ... ({len(whole) - 800} characters left out) ... {whole[-400:]}"
+    for fmt in ("json", "text"):
+        assert cli.main(["--format", fmt, *argv]) == cli.EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert len(out.out.encode()) < 1024
+        if fmt == "json" or argv[0] == "pit":
+            assert json.loads(out.out)["error"] == {"code": kind, "message": clipped}
+        else:
+            assert out.out == f"error ({kind}): {clipped}\n"
+
+
+@pytest.mark.parametrize("length,clipped", [(800, False), (801, True)])
+def test_a_message_is_clipped_only_past_800_characters(capsys, length, clipped):
+    message = "".join(chr(97 + i % 26) for i in range(length))
+    cli._emit_error("usage", message, "text")
+    out = capsys.readouterr().out
+    if clipped:
+        assert out == f"error (usage): {message[:400]} ... (1 characters left out) ... {message[-400:]}\n"
+    else:
+        assert out == f"error (usage): {message}\n"
 
 
 def test_integers_past_the_digit_limit_are_refused_by_their_length():

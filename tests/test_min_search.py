@@ -9,6 +9,7 @@ block boundaries fall.
 import itertools
 import logging
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -156,9 +157,69 @@ def test_class_table_matches_the_reference(p, points, data, seed):
     if space <= 20_000:
         streams.append(list(_product_blocks(p, k, req, space, rows)))
     for blocks in streams:
-        score, least = _class_lookup(_scorer(matrix, p), p, k, req, rows, points)
+        score, least = _class_lookup(matrix, p, k, req)
         assert _best_assignment(iter(blocks), score, least) \
             == _reference_best_assignment([np.concatenate(blocks)], matrix, p)
+
+
+def _scored_table(matrix, p, k, req):
+    """The class table as it was built before incidence counting: every
+    class representative scored, in ``_product_blocks`` order."""
+    classes, score = p ** (k - 1), _scorer(matrix, p)
+    table = np.empty(classes, dtype=np.min_scalar_type(len(matrix[0])))
+    for start, block in zip(range(0, classes, 4096), _product_blocks(p, k, req, classes, 4096)):
+        table[start:start + len(block)] = score(block)
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7, 101)), points=st.integers(1, 30), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_incidence_table_equals_the_scored_table(p, points, data, seed):
+    # points of four kinds: any values, every free value 0, v_req 0, all 0;
+    # a budget of a few cells splits the points into chunks of one or more
+    k = data.draw(st.integers(1, 4 if p == 101 else 5), label="k")
+    req = data.draw(st.integers(0, k - 1), label="req")
+    cells = data.draw(st.sampled_from((1, 2, 5, 64, p ** k, oracle._CELL_BUDGET)), label="cells")
+    rng = random.Random(seed)
+    columns = []
+    for _ in range(points):
+        kind = rng.randrange(4)
+        column = [rng.choice((0, 1, p - 1)) if rng.random() < 0.5 else rng.randrange(p) for _ in range(k)]
+        columns.append([0 if (kind & 1 and i != req) or (kind & 2 and i == req) else v
+                        for i, v in enumerate(column)])
+    matrix = [list(row) for row in zip(*columns)]
+    expected = _scored_table(matrix, p, k, req)
+    with mock.patch.object(oracle, "_CELL_BUDGET", cells):
+        lookup, least = _class_lookup(matrix, p, k, req)
+    reps = np.concatenate(list(_product_blocks(p, k, req, p ** (k - 1), 4096)))
+    table = lookup(reps)
+    assert table.dtype == expected.dtype
+    assert table.tolist() == expected.tolist()
+    assert least == int(expected.min())
+
+
+def test_the_class_table_is_counted_without_the_scorer(monkeypatch, caplog):
+    def scorer(matrix, p):
+        raise AssertionError("scored a class representative")
+
+    grid = GridSpec(RingSpec.prime_field(23), [range(6), range(6)])
+    monkeypatch.setattr(oracle, "_scorer", scorer)
+    with caplog.at_level(logging.DEBUG, logger="nullgrid"):
+        res = min_nonzero_search(((3, 2), (2, 2), (1, 3), (0, 2)), (1, 3), grid)
+    assert (res.min_count, tuple(sorted(res.witness.terms.items()))) == (20, (((1, 3), 22), ((2, 2), 1)))
+    assert any(r.getMessage().endswith("scored=classes rows=12167") for r in caplog.records)
+
+
+@pytest.mark.parametrize("p,coefficient", [(18446744073709551557, 7106521602475165646),
+                                           (3317044064679887385961813, 195764606286610477549187)])
+def test_one_monomial_over_a_prime_past_a_word_reads_its_one_class(p, coefficient):
+    # with k = 1 the one class is counted by comparing values with 0, so
+    # values past int64 need no arithmetic; the witness was recorded from
+    # the scored table
+    grid = GridSpec(RingSpec.prime_field(p), [range(5)])
+    res = min_nonzero_search(((2,),), (2,), grid, exhaustive_limit=0, sample_budget=5)
+    assert (res.min_count, res.witness.terms, res.tried) == (4, {(2,): coefficient}, 5)
 
 
 def test_scan_stops_at_the_least_count():
