@@ -764,24 +764,20 @@ def _class_lookup(matrix: list[list[int]], p: int, k: int, req: int):
     F_p, that reads a table of the p^(k-1) classes' counts, and the least
     count of any class.
 
-    The table is counted by incidence, not by scoring.  With 1 in slot
-    ``req``, the classes that vanish at a point a solve v_req(a) +
-    sum_j c_j v_j(a) = 0 mod p over the free slots j, one affine
-    hyperplane (as in Alon and Furedi's covers of the cube).  If some
-    free v_j(a) is nonzero, c_j for the first such j is solved for on
-    each of the p^(k-2) assignments of the other free slots; if none is,
-    a vanishes for every class when v_req(a) = 0 and for none otherwise.
-    One ``np.bincount`` of the solutions' class indices per chunk of at
-    most ``_CELL_BUDGET`` // p^(k-2) points counts the zeros, and the
-    partial sums and indices grow one free slot at a time, so no array
-    passes the cell budget.  The table holds points - zeros in the
-    smallest dtype that holds the number of points; a class's entry is
-    its slots other than req read in radix p, last slot least
-    significant (``_product_blocks`` order).  Candidate c reads the entry
-    of c * c[req]^-1 mod p, a class member that vanishes where c does.
-    All of it is int64: partial sums stay below p + (k-2)(p-1)^2, and
-    for k >= 2 the caller's rule p^(k-1) <= ``_CELL_BUDGET`` keeps
-    p <= 2^22, so every product stays below p^2 <= 2^44."""
+    The table is counted by incidence: with 1 in slot ``req``, the
+    classes that vanish at a point a solve v_req(a) + sum_j c_j v_j(a) =
+    0 mod p, one affine hyperplane (as in Alon and Furedi's cube covers).
+    If some free v_j(a) is nonzero, the first such c_j is solved for on
+    each assignment of the other free slots, grown one slot at a time; if
+    none is, a vanishes for every class when v_req(a) = 0, else for none.
+    One ``np.bincount`` per chunk of ``_CELL_BUDGET`` // p^(k-2) points
+    counts the zeros.  A class's entry, in the smallest dtype that holds
+    the number of points, is its free slots read in radix p, last slot
+    least significant (``_product_blocks`` order); candidate c reads that
+    of c * c[req]^-1 mod p, which vanishes where c does.  All of it is
+    int64: partial sums stay below p + (k-2)(p-1)^2, and for k >= 2 the
+    caller's rule p^(k-1) <= ``_CELL_BUDGET`` keeps p <= 2^22, so every
+    product stays below p^2 <= 2^44."""
     import numpy as np
 
     free = [i for i in range(k) if i != req]
