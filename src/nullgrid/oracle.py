@@ -151,11 +151,12 @@ def _reference_values(terms: dict, sets: tuple, modulus: int | None):
         rest, done = next(stack[-1], None), len(stack) - 1
         if rest is None:
             stack.pop()
-        elif done == len(sets):
-            yield rest.get((), 0)
         elif not rest:
             # identically zero on the remaining subgrid
             yield from itertools.repeat(0, prod(map(len, sets[done:])))
+        elif done == len(sets) - 1:
+            for a in sets[done]:
+                yield _substitute_first(rest, a, modulus).get((), 0)
         else:
             stack.append(map(partial(_substitute_first, rest, modulus=modulus), sets[done]))
 
