@@ -163,8 +163,8 @@ def test_class_table_matches_the_reference(p, points, data, seed):
 
 
 def _scored_table(matrix, p, k, req):
-    """The class table as it was built before incidence counting: every
-    class representative scored, in ``_product_blocks`` order."""
+    """The class table by scoring every class representative, in
+    ``_product_blocks`` order: the reference for the incidence count."""
     classes, score = p ** (k - 1), _scorer(matrix, p)
     table = np.empty(classes, dtype=np.min_scalar_type(len(matrix[0])))
     for start, block in zip(range(0, classes, 4096), _product_blocks(p, k, req, classes, 4096)):
