@@ -35,8 +35,9 @@ MAX_SET_SIZE and DEFAULT_ZERO_SET_CAP are 10^6, MAX_WORK 4·10^6,
 _REFERENCE_WORK 3·10^7 steps of about 30 ns (``oracle._reference_steps``),
 MAX_PAIRWISE_PAIRS 10^6, MAX_INFERRED 10^3; the
 exhaustive search's budget defaults to 10^8 and the point limit to 10^8.
-The minimum search charges its multiply-adds, rows scored x points x
-monomials, against 64 MAX_WORK in int64 and MAX_WORK on Python integers.
+The minimum search charges its multiply-adds, rows x points x monomials
+(rows: the candidates scored, or the solutions its class table finds at
+each point), against 64 MAX_WORK in int64 and MAX_WORK on Python integers.
 A running site charges a total that grows step by step.  A negative
 budget or point limit is invalid input (ValueError), not a limit; 0 is a
 limit.  ``Polynomial.render`` and the command line's output also refuse,

@@ -566,9 +566,10 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
     ``exhaustive`` and ``tried`` (the candidates the answer covers) are
     those of scoring every candidate one by one.
     Before any grid value is computed, rows x points x k multiply-adds
-    are charged, rows being the classes or candidates scored, against 64
-    ``MAX_WORK`` in int64 and ``MAX_WORK`` on Python integers (where
-    p^2 k >= 2^62), and refused past that with SearchBudgetError.
+    are charged, rows being the candidates scored or the p^(k-2)
+    solutions the table finds at each point, against 64 ``MAX_WORK`` in
+    int64 and ``MAX_WORK`` on Python integers (where p^2 k >= 2^62), and
+    refused past that with SearchBudgetError.
     Rows are scored in int64 blocks of at most ``_BLOCK_ROWS`` rows
     (fewer when the grid is large, so one block's value matrix stays
     under the cell budget); the answer does not depend on the block size.
@@ -632,11 +633,13 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
     by_class = classes < tried and classes <= _CELL_BUDGET
     scored = classes if by_class else tried
     # a multiply-add on Python integers (``_scorer`` past 2^62) took 110 to
-    # 230 ns on one core of a 2-vCPU VM, 64 of them in int64 120 to 200 ns
+    # 230 ns on one core of a 2-vCPU VM, 64 of them in int64 120 to 200 ns,
+    # and 64 of the table's, whose rows are the p^(k-2) solutions it finds
+    # at each point, 190 to 370 ns
     wide = not by_class and p * p * k >= 2**62
-    charge(scored * grid.size() * k, MAX_WORK * (1 if wide else 64), SearchBudgetError,
-           "minimum search scores {} rows x {} points x {} monomials, {work} multiply-adds, limit is {limit}",
-           scored, grid.size(), k)
+    charge((classes // p if by_class else tried) * grid.size() * k, MAX_WORK * (1 if wide else 64),
+           SearchBudgetError, "minimum search needs {work} multiply-adds on {} points, limit is {limit}",
+           grid.size())
     # value matrix: one column per grid point, one row per support monomial
     matrix = [_grid_values(Polynomial.monomial(grid.arity, ring, m), grid) for m in support]
     score, least = _class_lookup(matrix, p, k, req_idx) if by_class else (_scorer(matrix, p), 0)

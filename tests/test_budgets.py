@@ -105,8 +105,7 @@ SITES = [
      lambda: oracle.min_nonzero_search(((3, 2), (0, 4), (4, 0)), (3, 2), _grid("0..299;0..299", F10007),
                                        exhaustive_limit=0, sample_budget=20_000),
      None,
-     "minimum search scores 20000 rows x 90000 points x 3 monomials, 5400000000 multiply-adds, "
-     "limit is 256000000"),
+     "minimum search needs 5400000000 multiply-adds on 90000 points, limit is 256000000"),
     ("oracle._grid_values", GridTooLargeError,
      lambda: transform.grid_values(parse_poly("x*y", ["x", "y"], F1000003), _grid("0..1000;0..999", F1000003)),
      ["coeff", "--ring", "fp:1000003", "--grid", "0..1000;0..999", "--monomial", "1,1", "--poly", "x*y"],
@@ -406,6 +405,26 @@ def test_the_largest_search_admitted_runs_in_seconds(p, side):
         assert time.process_time() - start < 5
         with pytest.raises(SearchBudgetError):
             search(budget + 1)
+
+
+@pytest.mark.usefixtures("numpy_counted_as_loaded")
+def test_the_class_table_is_charged_for_the_solutions_it_counts():
+    # the table finds 101^2 solutions at each of 79^2 points: 101^2 x 6241
+    # x 4 multiply-adds fit the limit, where the 101^3 classes would count
+    # 101 times as many; scoring them took 67 s on a 2-vCPU VM, the table
+    # 1.5 s.  One more row of points is refused.
+    def search(sides):
+        grid = GridSpec(F101, [range(n) for n in sides])
+        return oracle.min_nonzero_search(((3, 2), (2, 2), (1, 3), (0, 2)), (1, 3), grid, exhaustive_limit=0,
+                                         sample_budget=2_000_000, seed=1)
+
+    start = time.process_time()
+    res = search((79, 79))
+    assert time.process_time() - start < 5
+    assert (res.min_count, sorted(res.witness.terms.items()), res.tried) == (6006, [((1, 3), 88), ((2, 2), 13)],
+                                                                             2_000_000)
+    with pytest.raises(SearchBudgetError, match="needs 257881280 multiply-adds on 6320 points"):
+        search((80, 79))
 
 
 def test_the_reference_takes_more_variables_than_the_recursion_limit():
