@@ -408,9 +408,27 @@ def _emit_error(code: str, message: str, fmt: str):
         print(f"error ({code}): {message}")
 
 
+def _leading_format(argv: list[str]) -> str:
+    """The --format given before the subcommand, read from the raw
+    arguments, so that a usage error argparse raises before it has read
+    them prints in that format too; "json" when none is given or its
+    value is not one of the choices, as argparse then fails on it."""
+    fmt, args = "json", iter(argv)
+    for arg in args:
+        if not arg.startswith("-"):
+            break
+        name, eq, value = arg.partition("=")
+        # argparse takes any prefix of an option's name that names no other
+        if len(name) > 2 and "--format".startswith(name):
+            fmt = value if eq else next(args, "")
+            if fmt not in ("json", "text"):
+                return "json"
+    return fmt
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    fmt = "json"
+    fmt = _leading_format(sys.argv[1:] if argv is None else argv)
     handler = None
     try:
         args = parser.parse_args(argv)

@@ -32,7 +32,7 @@ parser.infer_variables            parser.MAX_INFERRED     names        ResourceL
 ================================  ======================  ===========  ======================
 
 MAX_SET_SIZE and DEFAULT_ZERO_SET_CAP are 10^6, MAX_WORK 4·10^6,
-_REFERENCE_WORK 3·10^7 steps of about 30 ns (``oracle._reference_steps``),
+_REFERENCE_WORK 3·10^7 steps of 8 to 27 ns (``oracle._reference_steps``),
 MAX_PAIRWISE_PAIRS 10^6, MAX_INFERRED 10^3; the
 exhaustive search's budget defaults to 10^8 and the point limit to 10^8.
 The minimum search charges its multiply-adds, rows x points x monomials

@@ -45,7 +45,7 @@ import random
 import sys
 from functools import lru_cache, partial
 from math import floor, isqrt, prod
-from operator import mul, not_, sub
+from operator import mul, not_
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -71,13 +71,13 @@ _CELL_BUDGET = 1 << 22
 # most word-size primes the kernel uses over Z before leaving it to the reference
 _MAX_PRIMES = 16
 _INT64_LIMIT = 1 << 63
-# grid points x coefficient words the reference may still take on while
-# numpy is not loaded: tens of ms in all, less than importing numpy, so a
-# short run never loads it and a long one loses at most about one
-# import's time before the kernel takes over
-_cold_work_left = 200_000
+# steps of ``_reference_steps`` the reference may still take on while
+# numpy is not loaded: 4 to 12 ms in all on one core of a 2-vCPU VM, a
+# quarter of importing numpy there or less, so a short run never loads it
+# and a long one loses little before the kernel takes over
+_cold_work_left = 500_000
 # most steps of ``_reference_steps`` the reference may take, beyond which
-# evaluation is refused: the largest grid admitted ran 0.1 to 1.5 s, over
+# evaluation is refused: the largest grid admitted ran 0.4 to 0.8 s, over
 # F_p, Z_m and Z, narrow and wide values and exponents up to 2^1000, on one
 # core of a 2-vCPU VM
 _REFERENCE_WORK = 3 * 10**7
@@ -173,27 +173,9 @@ def _word_primes(width: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def _reference_words(f: Polynomial, bounds: list[int]) -> tuple[int, int]:
-    """Machine words the reference handles per grid point and, over Z,
-    the exponent least of a lower bound 2^least on the height H, in one
-    pass.  Values are residues below m, or |c| * prod b_i^e_i for the set
-    bounds b_i: below 2^top, top = bits(c) + sum e_i bits(b_i), and at least
-    2^(top - 1 - sum e_i) unless a set {0} zeroes the term.  A w-word value
-    counts w (1 + w // 512), since building it takes wide products."""
-    m = f.ring.modulus
-    if m:
-        w = words(m.bit_length())
-        return len(f.terms) * w * (1 + w // 512), -1
-    bits = [b.bit_length() for b in bounds]
-    tops = [abs(c).bit_length() + sum(map(mul, key, bits)) for key, c in f.terms.items()]
-    live = (0 not in bounds or all(b or not e for b, e in zip(bounds, key)) for key in f.terms)
-    least = max(itertools.compress(map(sub, tops, map(sum, f.terms)), live), default=0) - 1
-    return sum(w * (1 + w // 512) for w in map(words, tops)), least
-
-
 def _reference_steps(f: Polynomial, sizes: tuple[int, ...], bounds: list[int]) -> int:
     """The time ``_reference_values`` takes on a grid of these set sizes
-    and bounds, in steps, each measured at 3 to 50 ns on one core of a
+    and bounds, in steps, each measured at 8 to 27 ns on one core of a
     2-vCPU VM.
 
     Variable i is substituted once per element of S_1 x ... x S_i, into
@@ -202,8 +184,8 @@ def _reference_steps(f: Polynomial, sizes: tuple[int, ...], bounds: list[int]) -
     product of u- and v-word integers counting u v // 4.  Modulo a w-word
     m, ``pow`` takes about one product of residues per bit of e_i, and one
     more multiplies the coefficient.  Over Z, a**e_i of v words costs
-    v (1 + v // 512), as ``_reference_words`` counts, and multiplying it
-    into a coefficient of u words so far u v // 4.
+    v (1 + isqrt(v // 2)), since its squarings run at Karatsuba's
+    v^1.58, and multiplying it into a coefficient of u words so far u v // 4.
     """
     m = f.ring.modulus
     w = words(m.bit_length()) if m else 0
@@ -217,7 +199,7 @@ def _reference_steps(f: Polynomial, sizes: tuple[int, ...], bounds: list[int]) -
                 step = (1 + key[i].bit_length()) * (8 + w * w)
             else:
                 u, v = words(abs(c).bit_length() + sum(map(mul, key[:i], bits))), words(key[i] * bits[i])
-                step = u * v // 4 + v * (1 + v // 512)
+                step = u * v // 4 + v * (1 + isqrt(v // 2))
             cost[key[i:]] = max(cost.get(key[i:], 0), 8 + step)
         steps += passes * (8 + sum(cost.values()))
     return steps
@@ -230,11 +212,10 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
 
     Once numpy is loaded, every grid goes to the kernel unless a guard
     below fails.  While it is not, grids go to the reference ("numpy not
-    loaded") until their points times coefficient words add up to
-    ``_cold_work_left``, less work than importing numpy costs; after that
-    the kernel runs.  So a short run never imports numpy, whatever its
-    input, and a long one pays it once; a grid whose reference steps
-    (``_reference_steps``) pass ``_REFERENCE_WORK`` goes to the kernel at
+    loaded") until their reference steps (``_reference_steps``) add up to
+    ``_cold_work_left``, less work than importing numpy costs; after that,
+    and at once for a grid past what is left, the kernel runs.  So a short
+    run never imports numpy, whatever its input, and a long one pays it
     once.  Any other grid the reference gets is refused with
     GridTooLargeError when its steps pass ``_REFERENCE_WORK``.
 
@@ -254,9 +235,10 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     carries a variable whose set is {0}, or there are no terms: f
     vanishes on the whole grid, no prime is needed (the empty product
     1 exceeds 0), and with no residue to say otherwise every point is
-    a zero of value 0.  H >= 2^least, least given by ``_reference_words``;
-    when 2^least passes the product of all ``_MAX_PRIMES`` primes, that
-    product stands in for H, never built.
+    a zero of value 0.  H >= 2^least: at the bounds b_i = max |S_i|, a
+    term no set {0} zeroes is at least 2^(bits(c) - 1 + sum e_i
+    (bits(b_i) - 1)).  When 2^least passes the product of all
+    ``_MAX_PRIMES`` primes, that product stands in for H, never built.
 
     The kernel runs its primes in batches that share every contraction,
     and ``_CELL_BUDGET`` bounds each array of a batch summed over its
@@ -273,15 +255,13 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     widths = [len(e) for e in exps]
     m = f.ring.modulus
     bounds = [max(abs(a) for a in s) for s in grid.sets]
-    words, least = _reference_words(f, bounds)
     sizes = grid.sizes
     points = prod(sizes)
     moduli: list[int] = []
     reason = None
-    steps = 0  # the reference's, found only where it may run
-    if "numpy" not in sys.modules and points * words <= _cold_work_left \
-            and (steps := _reference_steps(f, sizes, bounds)) <= _REFERENCE_WORK:
-        _cold_work_left -= points * words
+    steps = 0  # the reference's, found here only while numpy is not loaded
+    if "numpy" not in sys.modules and (steps := _reference_steps(f, sizes, bounds)) <= _cold_work_left:
+        _cold_work_left -= steps
         reason = "numpy not loaded"
     elif m:
         moduli = [m]
@@ -289,6 +269,9 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
             reason = "overflow guard"
     else:
         primes = _word_primes(max(widths))
+        lows = [b.bit_length() - 1 for b in bounds]
+        least = max((abs(c).bit_length() - 1 + sum(map(mul, key, lows)) for key, c in f.terms.items()
+                     if 0 not in bounds or all(b or not e for b, e in zip(bounds, key))), default=-1)
         height = prod(primes)
         if least < height.bit_length():
             height = (2 if values else 1) * sum(abs(c) * prod(b ** e for b, e in zip(bounds, key))

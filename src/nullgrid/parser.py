@@ -12,7 +12,8 @@ grammar enforces structurally.  A sum of T terms is a balanced tree of add
 and sub nodes, so it expands in O(T log T) term copies.  Exponents are
 capped at 10**6, parentheses at ``MAX_NESTING`` levels (past them the
 recursive descent would pass Python's recursion limit), and an expansion
-at ``poly.MAX_WORK`` term products weighted by coefficient size.
+at ``poly.MAX_WORK`` term products weighted by coefficient size and by
+the exponent tuples they write.
 
 A token is its text (an integer, an identifier or one operator character),
 and "" ends the token list.  Tokens carry no position: an error's position
@@ -58,6 +59,11 @@ MAX_NESTING = 200
 MAX_INFERRED = 1000
 # digits of k in an x<k> name past which a refusal gives their count, not k
 _NAME_DIGITS = 100
+# exponent-tuple entries counted as one term product: a variable's or a
+# product's tuple took 150 ns an entry, a term product of 2 to 4 variables
+# 0.85 us, on one core of a 2-vCPU VM; 4 prices an entry a little above its
+# time and charges an expansion in up to 3 variables as before
+_ENTRIES = 4
 
 # Node tags.  A node is a tuple whose first entry is the tag:
 #   ("var", index) ("const", value) ("add", l, r) ("sub", l, r)
@@ -319,6 +325,12 @@ def _words(p: Polynomial) -> int:
     return words((p.ring.modulus or max(map(abs, p.terms.values()), default=0)).bit_length())
 
 
+def _product_work(ta: int, wa: int, tb: int, wb: int, arity: int) -> int:
+    """``poly.product_work``, plus arity // ``_ENTRIES`` for the exponent
+    tuple each of the ta·tb term products writes."""
+    return product_work(ta, wa, tb, wb) + ta * tb * (arity // _ENTRIES)
+
+
 def _power_work(f: Polynomial, k: int, cap: int) -> int:
     """An upper bound on the work ``f ** k`` spends, or more than cap once
     it is passed: the square-and-multiply schedule of
@@ -331,7 +343,8 @@ def _power_work(f: Polynomial, k: int, cap: int) -> int:
         return m.bit_length() if m else j * b + 1
 
     def product(i: int, j: int) -> int:  # f^i times f^j
-        return product_work(_terms_bound(f, i, cap), words(bits(i)), _terms_bound(f, j, cap), words(bits(j)))
+        return _product_work(_terms_bound(f, i, cap), words(bits(i)), _terms_bound(f, j, cap), words(bits(j)),
+                             f.arity)
 
     work, have, base = 0, 0, 1
     while k and work <= cap:
@@ -349,8 +362,10 @@ def expand_dag(dag: ExprDag) -> Polynomial:
     """Expand a DAG into a sparse polynomial, one visit per node.
 
     The work, counted in term products weighted by coefficient words
-    (``poly.product_work``), is charged before each product and each power; an
-    expansion that would pass ``poly.MAX_WORK`` raises
+    (``poly.product_work``) and by the arity-long exponent tuple each
+    writes (``_product_work``), is charged before each product and each
+    power, and the tuples of the variable and constant leaves before the
+    first; an expansion that would pass ``poly.MAX_WORK`` raises
     ``ExpansionTooLargeError`` before doing the step that passes it.
     """
     arity, ring = dag.arity, dag.ring
@@ -363,7 +378,7 @@ def expand_dag(dag: ExprDag) -> Polynomial:
                + step + "; expand a smaller expression", *args)
 
     def mul(a: Polynomial, b: Polynomial) -> Polynomial:
-        spend(product_work(len(a.terms), _words(a), len(b.terms), _words(b)),
+        spend(_product_work(len(a.terms), _words(a), len(b.terms), _words(b), arity),
               "a product of {} and {} terms", len(a.terms), len(b.terms))
         return a * b
 
@@ -371,6 +386,9 @@ def expand_dag(dag: ExprDag) -> Polynomial:
         spend(_power_work(a, k, budget), "a {}-term polynomial to the power {}", len(a.terms), k)
         return a ** k
 
+    leaves = sum(node[0] in (VAR, CONST) for node in dag.nodes)
+    spend(leaves * (arity // _ENTRIES), "the exponent tuples of {} variables and constants in {} variables",
+          leaves, arity)
     return fold_dag(dag,
                     lambda i: Polynomial.variable(arity, ring, i),
                     lambda c: Polynomial.constant(arity, ring, c),

@@ -237,6 +237,26 @@ def test_exit_usage_on_unknown_flag(tmp_path, capsys):
     assert json.loads(out)["error"]["code"] == "usage"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--format", "text", "analyze", "--bogus"], "unrecognized arguments: --bogus"),
+    (["-v", "--format=text", "pit", "x", "x", "--samples", "abc"], "argument --samples: invalid int value: 'abc'"),
+    (["--form", "text", "analyze", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_an_argparse_error_prints_in_the_leading_format(capsys, monkeypatch, argv, message):
+    # argparse fails before it has read --format; from a list and from sys.argv
+    assert run_cli(capsys, *argv) == (1, f"error (usage): {message}\n")
+    monkeypatch.setattr(sys, "argv", ["nullgrid", *argv])
+    assert (main(), capsys.readouterr().out) == (1, f"error (usage): {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["--format", "xml", "analyze", "--bogus"],
+                                  ["--format", "text", "--format", "xml", "analyze"], ["--format"]])
+def test_a_bad_format_is_a_json_usage_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert "--format" in json.loads(out)["error"]["message"]
+
+
 def test_exit_hypothesis_violation(tmp_path, capsys):
     poly = write(tmp_path, "f.txt", "x^5 + 1\n")
     grid = write(tmp_path, "g.txt", "0,2,4\n")

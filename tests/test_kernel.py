@@ -25,7 +25,7 @@ from nullgrid import oracle
 from nullgrid.errors import GridTooLargeError, debug
 from nullgrid.oracle import _power_table, _reference_values, _word_primes, count_nonzeros, min_nonzero_search
 from nullgrid.parser import MAX_EXPONENT
-from nullgrid.poly import GridSpec, Polynomial, words
+from nullgrid.poly import GridSpec, Polynomial
 from nullgrid.ring import RingSpec
 from nullgrid.transform import grid_values
 
@@ -333,6 +333,23 @@ def test_reference_work_is_charged_before_evaluating(caplog):
     assert "path=reference reason=overflow guard" in caplog.records[-1].getMessage()
 
 
+def test_the_cold_budget_is_charged_in_reference_steps(monkeypatch, caplog):
+    # in a process without numpy, a grid runs on the reference while the
+    # cold budget has its steps left, and spends them; with one step less
+    # the kernel takes it.  4 passes over x and 8 over y, each of 8 steps
+    # and, for each of the two exponent suffixes, 8 + 1 for a 1-word power
+    f = Polynomial(2, Z, {(1, 1): 7, (0, 0): -1})
+    grid = GridSpec(Z, [(-1, 0, 1, 2), (1, 3)])
+    assert oracle._reference_steps(f, grid.sizes, [2, 3]) == 312
+    monkeypatch.delitem(sys.modules, "numpy")
+    monkeypatch.setattr(oracle, "_cold_work_left", 312)
+    assert "path=reference reason=numpy not loaded" in _path(caplog, lambda: count_nonzeros(f, grid))
+    assert oracle._cold_work_left == 0
+    monkeypatch.setattr(oracle, "_cold_work_left", 311)
+    assert "path=kernel reason=none" in _path(caplog, lambda: oracle._plan(f, grid, False))
+    assert oracle._cold_work_left == 311
+
+
 def test_integer_grid_values_use_kernel(caplog):
     f = Polynomial(1, Z, {(5,): 3, (0,): -1})
     grid = GridSpec(Z, [(-3, 0, 7)])
@@ -415,23 +432,29 @@ def test_import_does_not_load_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def _least(f, bounds):
+    """The exponent of a lower bound 2^least on the height over Z, -1 when
+    every term is zeroed by a set {0}."""
+    lows = [b.bit_length() - 1 for b in bounds]
+    return max((abs(c).bit_length() - 1 + sum(map(mul, key, lows)) for key, c in f.terms.items()
+                if 0 not in bounds or all(b or not e for b, e in zip(bounds, key))), default=-1)
+
+
 def _three_pass_plan(f, grid, values):
     """oracle._plan as written when it walked the terms three times over Z:
-    once for the reference words, once for the lower bound 2^least on the
+    once for the reference steps, once for the lower bound 2^least on the
     height and once for the exact height."""
     exps = [sorted({key[i] for key in f.terms}) or [0] for i in range(f.arity)]
     widths = [len(e) for e in exps]
     m = f.ring.modulus
     bounds = [max(abs(a) for a in s) for s in grid.sets]
-    bits = [b.bit_length() for b in bounds]
-    sizes = (words(abs(c).bit_length() + sum(map(mul, key, bits))) for key, c in f.terms.items())
-    words_ = sum(w * (1 + w // 512) for w in sizes)
     sizes = grid.sizes
     points = prod(sizes)
+    steps = oracle._reference_steps(f, sizes, bounds)
     moduli = []
     reason = None
-    if "numpy" not in sys.modules and points * words_ <= oracle._cold_work_left:
-        oracle._cold_work_left -= points * words_
+    if "numpy" not in sys.modules and steps <= oracle._cold_work_left:
+        oracle._cold_work_left -= steps
         reason = "numpy not loaded"
     elif m:
         moduli = [m]
@@ -439,11 +462,8 @@ def _three_pass_plan(f, grid, values):
             reason = "overflow guard"
     else:
         primes = _word_primes(max(widths))
-        lows = [b.bit_length() - 1 for b in bounds]
-        least = max((abs(c).bit_length() - 1 + sum(map(mul, key, lows)) for key, c in f.terms.items()
-                     if 0 not in bounds or all(b or not e for b, e in zip(bounds, key))), default=-1)
         height = prod(primes)
-        if least < height.bit_length():
+        if _least(f, bounds) < height.bit_length():
             height = (2 if values else 1) * sum(abs(c) * prod(b ** e for b, e in zip(bounds, key))
                                                 for key, c in f.terms.items())
         product = 1
@@ -466,9 +486,9 @@ def _three_pass_plan(f, grid, values):
           0 if m else len(moduli), 0 if reason else -(-sizes[0] // rows))
     if reason is None:
         return exps, moduli, group, rows
-    if points * words_ > oracle._REFERENCE_WORK:
-        raise GridTooLargeError(f"reference evaluation needs {points} points x {words_} "
-                                f"coefficient words, limit is {oracle._REFERENCE_WORK}")
+    if steps > oracle._REFERENCE_WORK:
+        raise GridTooLargeError(f"reference evaluation needs {points} points and {steps} steps, "
+                                f"limit is {oracle._REFERENCE_WORK}")
     return None
 
 
@@ -514,7 +534,7 @@ def test_one_pass_plan_matches_the_three_pass_plan(monkeypatch, caplog):
                 outcomes.append((outcome, [r.getMessage() for r in caplog.records]))
             assert outcomes[0] == outcomes[1], (f, grid, values)
         width = max(len({key[i] for key in f.terms}) for i in range(f.arity))
-        least = oracle._reference_words(f, [max(map(abs, s)) for s in grid.sets])[1]
+        least = _least(f, [max(map(abs, s)) for s in grid.sets])
         built = least < prod(_word_primes(width)).bit_length()
         seen.add((built, outcomes[0][1][0].split("reason=")[1].split(" chunks")[0]))
         if not isinstance(outcomes[0][0], str):

@@ -88,7 +88,7 @@ logging.getLogger("nullgrid").setLevel(logging.DEBUG)
 F = RingSpec.prime_field(101)
 f = Polynomial(2, F, {(1, 1): 1, (0, 0): 1})
 grid = GridSpec(F, [range(40), range(40)])
-oracle._cold_work_left = 10_000
+oracle._cold_work_left = 300_000
 rows = []
 for _ in range(5):
     count = oracle.count_nonzeros(f, grid)
@@ -98,7 +98,7 @@ print(json.dumps(rows))
 
 
 def test_numpy_loads_once_the_cold_budget_is_spent():
-    # each count charges 1600 points x 2 words against 10,000: three fit
+    # each count charges its 83,640 reference steps against 300,000: three fit
     proc = subprocess.run([sys.executable, "-c", COLD_RUN], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
@@ -110,9 +110,9 @@ def test_numpy_loads_once_the_cold_budget_is_spent():
 
 
 def test_a_cold_grid_past_the_reference_budget_goes_to_the_kernel():
-    # 101 x 101 points x 2 words fit the cold budget, but y^(2^400) takes
-    # a product of residues per bit at each point, past the reference's
-    # steps: the kernel runs it in a process that had not loaded numpy
+    # y^(2^400) takes a product of residues per bit at each of the
+    # 101 x 101 points, 3.7·10^7 reference steps, past the cold budget: the
+    # kernel runs it in a process that had not loaded numpy
     code = ("import sys\nfrom nullgrid import oracle\nfrom nullgrid.poly import GridSpec, Polynomial\n"
             "from nullgrid.ring import RingSpec\n"
             "F = RingSpec.prime_field(101)\nf = Polynomial(2, F, {(0, 2**400): 1, (0, 0): 1})\n"
@@ -251,6 +251,32 @@ def _defined_names(cls: ast.ClassDef) -> set[str]:
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             names |= {t.id for t in targets if isinstance(t, ast.Name)}
     return names
+
+
+def _charge_sites(path):
+    """The site of each ``charge`` call in a module: module.function or
+    module.Class.method, the outermost definition around it, so that a
+    nested function counts toward the function it is defined in."""
+    def walk(node, site, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", "")) == "charge":
+                yield site
+            if not in_function and isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, f"{site}.{child.name}", not isinstance(child, ast.ClassDef))
+            else:
+                yield from walk(child, site, in_function)
+
+    return set(walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, False))
+
+
+def test_every_charge_is_a_row_of_the_budget_table():
+    # the table in the errors module's docstring lists every cost bound;
+    # charge_output is described in the prose under it instead
+    lines = nullgrid.errors.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("=")]
+    table = {line.split()[0] for line in lines[rules[1] + 1:rules[2]] if not line.startswith("(")}
+    sites = set().union(*map(_charge_sites, Path(SRC, "nullgrid").glob("*.py")))
+    assert sites - {"errors.charge_output"} == table
 
 
 def test_importing_the_evaluation_modules_loads_no_numpy():

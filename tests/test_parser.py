@@ -318,6 +318,27 @@ def test_expansion_budget_is_charged_before_each_product(monkeypatch):
         expand_dag(parse_dag("(x + y)^2", ["x", "y"], Z))
 
 
+def test_expansion_budget_counts_the_exponent_tuples(monkeypatch):
+    # in 8 variables each tuple counts 8 // 4 = 2: the 9 leaves' 18 before
+    # anything is built, then 7 products of 1 + 2
+    names = [f"x{i}" for i in range(1, 9)]
+    dag = parse_dag("*".join(names) + " + 1", names, Z)
+    want = expand_dag(dag)
+    monkeypatch.setattr(poly, "MAX_WORK", 39)
+    assert expand_dag(dag) == want
+    monkeypatch.setattr(poly, "MAX_WORK", 38)
+    with pytest.raises(ExpansionTooLargeError, match="product of 1 and 1 terms"):
+        expand_dag(dag)
+    monkeypatch.setattr(poly, "MAX_WORK", 17)
+    with pytest.raises(ExpansionTooLargeError, match="tuples of 9 variables and constants in 8 variables"):
+        expand_dag(dag)
+    # a power's products count their tuples too: squaring x1 + ... + x8,
+    # then the square times 1, takes 8·8 + 36·1 term products of 1 + 2
+    # each; below 4 variables a tuple counts nothing
+    assert _power_work(parse_poly("+".join(names), names, Z), 2, MAX_WORK) == 300
+    assert _power_work(parse_poly("x + y + z", ["x", "y", "z"], Z), 2, MAX_WORK) == 3 * 3 + 6 * 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=6, unique=True))),
