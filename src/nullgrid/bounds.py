@@ -113,31 +113,30 @@ def sz_probability(total_degree: int, size: int) -> Fraction:
     return Fraction(total_degree, size)
 
 
-def schwartz_zippel_count(size: int, total_degree: int, arity: int) -> int:
-    """Count form of the d/s vanishing bound: s^n - d * s^(n-1)."""
+def _check_degree(size: int, degree: int, arity: int, kind: str) -> None:
+    """The shared precondition: arity >= 1 and size > degree >= 0."""
     if arity < 1:
         raise ValueError("arity must be positive")
-    if size <= total_degree or total_degree < 0:
-        raise HypothesisViolationError(f"need size {size} > total degree {total_degree} >= 0")
+    if size <= degree or degree < 0:
+        raise HypothesisViolationError(f"need size {size} > {kind} {degree} >= 0")
+
+
+def schwartz_zippel_count(size: int, total_degree: int, arity: int) -> int:
+    """Count form of the d/s vanishing bound: s^n - d * s^(n-1)."""
+    _check_degree(size, total_degree, arity, "total degree")
     return size**arity - total_degree * size ** (arity - 1)
 
 
 def zippel_bound(size: int, degree: int, arity: int) -> int:
     """(s - d)^n when every variable has degree at most d."""
-    if arity < 1:
-        raise ValueError("arity must be positive")
-    if size <= degree or degree < 0:
-        raise HypothesisViolationError(f"need size {size} > per-variable degree {degree} >= 0")
+    _check_degree(size, degree, arity, "per-variable degree")
     return (size - degree) ** arity
 
 
 def demillo_lipton_bound(size: int, total_degree: int, arity: int) -> int:
     """(s - d)^n under the total-degree reading of d; numerically the same
     expression as zippel_bound but with a different hypothesis."""
-    if arity < 1:
-        raise ValueError("arity must be positive")
-    if size <= total_degree or total_degree < 0:
-        raise HypothesisViolationError(f"need size {size} > total degree {total_degree} >= 0")
+    _check_degree(size, total_degree, arity, "total degree")
     return (size - total_degree) ** arity
 
 

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from math import prod
 
 from .errors import (
     GridTooLargeError,
@@ -266,9 +267,7 @@ def _cmd_tightness(args):
     f = oracle.tightness_family(grid, d)
     count = oracle.count_nonzeros(f, grid, collect_zeros=False,
                                   point_limit=_point_limit(args))
-    expected = 1
-    for s, di in zip(grid.sizes, d):
-        expected *= s - di
+    expected = prod(s - di for s, di in zip(grid.sizes, d))
     return {
         "command": "tightness",
         "ring": str(ring),

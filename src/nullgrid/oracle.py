@@ -190,17 +190,24 @@ def _reference_steps(f: Polynomial, sizes: tuple[int, ...], bounds: list[int]) -
     m = f.ring.modulus
     w = words(m.bit_length()) if m else 0
     bits = [b.bit_length() for b in bounds]
-    steps, passes = 0, 1
-    for i, size in enumerate(sizes):
-        passes *= size
-        cost: dict[tuple[int, ...], int] = {}
-        for key, c in f.terms.items():
+    # walked from the last variable back, so no key is sliced: a term's suffix is numbered from e_i and
+    # its number at i + 1, and its bits so far are its bits less e_j bits(b_j) for j >= i
+    suffix = [0] * len(f.terms)
+    so_far = [abs(c).bit_length() + sum(map(mul, key, bits)) for key, c in f.terms.items()]
+    steps = 0
+    for i, passes in reversed(list(enumerate(itertools.accumulate(sizes, mul)))):
+        number: dict[tuple[int, int], int] = {}
+        cost: dict[int, int] = {}
+        for t, key in enumerate(f.terms):
+            e = key[i]
+            j = suffix[t] = number.setdefault((e, suffix[t]), len(number))
             if m:
-                step = (1 + key[i].bit_length()) * (8 + w * w)
+                step = (1 + e.bit_length()) * (8 + w * w)
             else:
-                u, v = words(abs(c).bit_length() + sum(map(mul, key[:i], bits))), words(key[i] * bits[i])
+                so_far[t] -= e * bits[i]
+                u, v = words(so_far[t]), words(e * bits[i])
                 step = u * v // 4 + v * (1 + isqrt(v // 2))
-            cost[key[i:]] = max(cost.get(key[i:], 0), 8 + step)
+            cost[j] = max(cost.get(j, 0), 8 + step)
         steps += passes * (8 + sum(cost.values()))
     return steps
 
@@ -285,7 +292,8 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
         if product <= height:
             reason = "prime count"
     # cells per prime per S_1 element of the intermediate once variables 1..i+1 are substituted
-    row = max(prod(sizes[1:i + 1]) * prod(widths[i + 1:]) for i in range(grid.arity))
+    row = max(map(mul, itertools.accumulate(sizes[1:], mul, initial=1),
+                  reversed(list(itertools.accumulate(reversed(widths[1:]), mul, initial=1)))))
     # cells per prime of the tensor, the intermediate for one S_1 element and
     # each power table; with no prime (H = 0 over Z) no table is built
     tables = [s * w for s, w in zip(sizes, widths)] if moduli else []
@@ -651,10 +659,7 @@ def _product_blocks(p: int, k: int, req: int, space: int, rows: int):
 
     radices = [space // p ** (k - 1) if i == req else p for i in range(k)]
     for start in range(0, space, rows):
-        index = np.arange(start, min(start + rows, space), dtype=np.int64)
-        block = np.empty((len(index), k), dtype=np.int64)
-        for i in reversed(range(k)):
-            index, block[:, i] = np.divmod(index, radices[i])
+        block = np.stack(np.unravel_index(np.arange(start, min(start + rows, space), dtype=np.int64), radices), 1)
         block[:, req] += 1
         yield block
 

@@ -19,9 +19,10 @@ A token is its text (an integer, an identifier or one operator character),
 and "" ends the token list.  Tokens carry no position: an error's position
 is found only when it is raised, by scanning the text again.
 ``infer_variables`` reads the same tokens, and expands an x<k> prefix to at
-most ``MAX_INFERRED`` names.  An integer token longer than Python reads
-from a string, or a k of more than ``_NAME_DIGITS`` digits, is refused
-from its length, never converted.
+most ``MAX_INFERRED`` names.  An integer token past Python's limit on the
+digits of an integer string is refused where ``int`` refuses it, at its
+position; a k of more than ``_NAME_DIGITS`` digits is refused from its
+length, never converted.
 
 ``parse_poly`` expands the expression eagerly into a sparse Polynomial;
 ``parse_dag`` builds a hash-consed expression DAG without any expansion,
@@ -150,15 +151,6 @@ class DagBuilder:
 _TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^()]")
 # a character that is neither whitespace nor the first of a token
 _BAD_RE = re.compile(r"[^\s\dA-Za-z_()*+^-]")
-# digits up to which Python reads any integer string, whatever its limit
-_FREE_DIGITS = sys.int_info.str_digits_check_threshold
-
-
-def _too_long(tok: str) -> bool:
-    """Whether ``int`` refuses the digits ``tok``: Python's limit on the
-    digits of an integer read from a string (0 for none), applied to the
-    token's length without reading it."""
-    return 0 < sys.get_int_max_str_digits() < len(tok)
 
 
 def _tokenize(text: str) -> list[str]:
@@ -228,10 +220,11 @@ class _Parser:
             tok = self.tokens[self.i]
             if not tok.isdecimal():
                 raise self.error("expected a nonnegative integer exponent after '^'", self.i)
-            if len(tok) > _FREE_DIGITS and _too_long(tok):
+            try:
+                e = int(tok)
+            except ValueError:  # past Python's digit limit
                 raise self.error(f"exponent of {len(tok)} digits exceeds the maximum {MAX_EXPONENT}", self.i,
-                                 ExponentOverflowError)
-            e = int(tok)
+                                 ExponentOverflowError) from None
             if e > MAX_EXPONENT:
                 raise self.error(f"exponent {e} exceeds the maximum {MAX_EXPONENT}", self.i, ExponentOverflowError)
             self.i += 1
@@ -242,10 +235,11 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         if tok.isdecimal():
-            if len(tok) > _FREE_DIGITS and _too_long(tok):
+            try:
+                return self.b.const(int(tok))
+            except ValueError:  # past Python's digit limit
                 raise self.error(f"integer of {len(tok)} digits exceeds the limit of "
-                                 f"{sys.get_int_max_str_digits()} digits", self.i - 1)
-            return self.b.const(int(tok))
+                                 f"{sys.get_int_max_str_digits()} digits", self.i - 1) from None
         if tok.isidentifier():
             idx = self.vars.get(tok)
             if idx is None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from math import prod
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -95,7 +96,7 @@ class Polynomial(_Frozen):
     def variable(cls, arity: int, ring: RingSpec, index: int) -> "Polynomial":
         if not 0 <= index < arity:
             raise ArityMismatchError(f"variable index {index} out of range for arity {arity}")
-        exps = tuple(1 if i == index else 0 for i in range(arity))
+        exps = (0,) * index + (1,) + (0,) * (arity - index - 1)
         return cls(arity, ring, {exps: 1})
 
     @classmethod
@@ -162,7 +163,7 @@ class Polynomial(_Frozen):
         out: dict[Exponents, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
         return Polynomial(self.arity, self.ring, out)
 
@@ -183,14 +184,11 @@ class Polynomial(_Frozen):
 
     # -- evaluation --------------------------------------------------------
 
-    def _point_values(self, point: Sequence) -> tuple[int, ...]:
-        if len(point) != self.arity:
-            raise ArityMismatchError(f"point of length {len(point)} for arity {self.arity}")
-        return tuple(map(self.ring.coerce, point))
-
     def evaluate(self, point: Sequence) -> RingElem:
         """Evaluate at a point of ring elements (or plain ints)."""
-        return RingElem(self.ring, self.eval_raw(self._point_values(point)))
+        if len(point) != self.arity:
+            raise ArityMismatchError(f"point of length {len(point)} for arity {self.arity}")
+        return RingElem(self.ring, self.eval_raw(tuple(map(self.ring.coerce, point))))
 
     def eval_raw(self, values: tuple[int, ...]) -> int:
         """Evaluate at canonical integer values.  Fast path; no validation."""

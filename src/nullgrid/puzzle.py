@@ -127,6 +127,18 @@ def _tuples_order(m: int, s: int) -> int:
         return (s - 1) * (m.bit_length() - 1) * 30103 // 100000
 
 
+def _check_search(s: int, budget: int, value_range: int) -> None:
+    """Refuse what neither search can take; R = value_range must seat s distinct keys."""
+    if s < 1:
+        raise ValueError("s must be positive")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if value_range < 0:
+        raise ValueError("value_range must be nonnegative")
+    if 2 * value_range + 1 < s:
+        raise ValueError(f"range [-{value_range}, {value_range}] cannot seat {s} distinct keys")
+
+
 def exhaustive_search(s: int, value_range: int, budget: int = 100_000_000) -> SearchResult:
     """Best canonical instance with keys and offsets within [-R, R].
 
@@ -143,16 +155,9 @@ def exhaustive_search(s: int, value_range: int, budget: int = 100_000_000) -> Se
     than the budget and than ``errors.FULL_FIGURE``, the count is refused
     unbuilt, its order of magnitude taken from ``_tuples_order``.
     """
-    if s < 1:
-        raise ValueError("s must be positive")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if value_range < 0:
-        raise ValueError("value_range must be nonnegative")
+    _check_search(s, budget, value_range)
     R = value_range
     m = 2 * R + 1
-    if m < s:
-        raise ValueError(f"range [-{R}, {R}] cannot seat {s} distinct keys")
     # m^(s - 1) alone has at least this many bits: past the budget and the
     # figures shown in full, the count is never built, only its log taken
     charge((s - 1) * (m.bit_length() - 1), max(budget.bit_length(), FULL_FIGURE.bit_length()), SearchBudgetError,
@@ -216,15 +221,8 @@ def local_search(s: int, *, budget: int = 100_000, seed: int = 0,
     generator drives everything, and the best instance ever seen is
     returned with its re-verified pattern.
     """
-    if s < 1:
-        raise ValueError("s must be positive")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if value_range < 0:
-        raise ValueError("value_range must be nonnegative")
+    _check_search(s, budget, value_range)
     R = value_range
-    if 2 * R + 1 < s:
-        raise ValueError(f"range [-{R}, {R}] cannot seat {s} distinct keys")
     rng = random.Random(seed)
 
     def fresh() -> list[list[int]]:

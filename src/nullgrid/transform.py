@@ -43,20 +43,18 @@ from .ring import RingElem, RingSpec, require_grid_condition
 _MULTIPLIER_WORK = "the multipliers need {work} ring operations, limit is {limit}"
 
 
-def trim(f: Polynomial, grid: GridSpec, order: Sequence[int] | None = None) -> Polynomial:
+def trim(f: Polynomial, grid: GridSpec) -> Polynomial:
     """Remainder of f modulo the grid annihilators of every variable.
 
-    Variables are reduced in ascending index order by default; the result
-    is independent of the order (a tested property).  The grid must pass
+    Variables are reduced in ascending index order; the result is
+    independent of the order (a tested property).  The grid must pass
     the zero-divisor difference condition, which is what makes "agrees on
     the grid" a faithful notion over Z_m.
     """
     check_compatible(f, grid)
     require_grid_condition(f.ring, grid)
-    if order is None:
-        order = range(grid.arity)
     result = f
-    for var in order:
+    for var in range(grid.arity):
         result = _reduce_variable(result, grid, var)
     return result
 

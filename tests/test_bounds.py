@@ -32,7 +32,7 @@ from nullgrid.bounds import (
     zippel_bound,
 )
 from nullgrid.cli import jsonable
-from nullgrid.errors import SearchBudgetError
+from nullgrid.errors import HypothesisViolationError, SearchBudgetError
 from nullgrid.oracle import BoundCheck, random_polynomial, verify_bounds
 from nullgrid.parser import parse_poly
 from nullgrid.poly import GridSpec, Polynomial
@@ -83,6 +83,18 @@ def test_zippel_and_demillo_lipton():
     assert demillo_lipton_bound(7, 3, 2) == 16
     # both count forms agree for n = 1
     assert zippel_bound(9, 4, 1) == demillo_lipton_bound(9, 4, 1) == 5
+
+
+@pytest.mark.parametrize("bound,kind", [(schwartz_zippel_count, "total degree"),
+                                        (zippel_bound, "per-variable degree"),
+                                        (demillo_lipton_bound, "total degree")])
+def test_the_count_forms_refuse_with_their_own_degree(bound, kind):
+    with pytest.raises(ValueError, match="^arity must be positive$"):
+        bound(5, 2, 0)
+    for size, degree in ((5, 5), (5, -1)):
+        with pytest.raises(HypothesisViolationError) as info:
+            bound(size, degree, 2)
+        assert str(info.value) == f"need size {size} > {kind} {degree} >= 0"
 
 
 def test_min_products_by_total_small_frozen():

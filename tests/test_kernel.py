@@ -10,7 +10,8 @@ import os
 import random
 import subprocess
 import sys
-from math import gcd, prod
+import time
+from math import gcd, isqrt, prod
 from operator import mul
 from pathlib import Path
 from unittest import mock
@@ -25,7 +26,7 @@ from nullgrid import oracle
 from nullgrid.errors import GridTooLargeError, debug
 from nullgrid.oracle import _power_table, _reference_values, _word_primes, count_nonzeros, min_nonzero_search
 from nullgrid.parser import MAX_EXPONENT
-from nullgrid.poly import GridSpec, Polynomial
+from nullgrid.poly import GridSpec, Polynomial, words
 from nullgrid.ring import RingSpec
 from nullgrid.transform import grid_values
 
@@ -348,6 +349,61 @@ def test_the_cold_budget_is_charged_in_reference_steps(monkeypatch, caplog):
     monkeypatch.setattr(oracle, "_cold_work_left", 311)
     assert "path=kernel reason=none" in _path(caplog, lambda: oracle._plan(f, grid, False))
     assert oracle._cold_work_left == 311
+
+
+def _sliced_reference_steps(f, sizes, bounds):
+    """oracle._reference_steps as written when it walked the variables from
+    the first on, slicing each term's exponent suffix and summing its
+    prefix's bits afresh at every variable."""
+    m = f.ring.modulus
+    w = words(m.bit_length()) if m else 0
+    bits = [b.bit_length() for b in bounds]
+    steps, passes = 0, 1
+    for i, size in enumerate(sizes):
+        passes *= size
+        cost = {}
+        for key, c in f.terms.items():
+            if m:
+                step = (1 + key[i].bit_length()) * (8 + w * w)
+            else:
+                u, v = words(abs(c).bit_length() + sum(map(mul, key[:i], bits))), words(key[i] * bits[i])
+                step = u * v // 4 + v * (1 + isqrt(v // 2))
+            cost[key[i:]] = max(cost.get(key[i:], 0), 8 + step)
+        steps += passes * (8 + sum(cost.values()))
+    return steps
+
+
+@st.composite
+def _steps_cases(draw):
+    """Z, F_101, Z_35 and F_(2^61 - 1); up to 4 variables, exponents up to
+    2^70, coefficients up to 3,000 bits, and bounds of 0 to 200 bits."""
+    ring = draw(st.sampled_from([Z, RingSpec.prime_field(101), RingSpec.integers_mod(35),
+                                 RingSpec.prime_field(2**61 - 1)]))
+    n = draw(st.integers(1, 4))
+    exponent = st.integers(0, 3) | st.integers(0, 2**70)
+    terms = draw(st.dictionaries(st.tuples(*[exponent] * n), st.integers(-2**3000, 2**3000), max_size=8))
+    sizes = draw(st.tuples(*[st.integers(1, 6)] * n))
+    bounds = draw(st.lists(st.integers(0, 3) | st.integers(0, 2**200), min_size=n, max_size=n))
+    return Polynomial(n, ring, terms), sizes, bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(_steps_cases())
+def test_reference_steps_match_the_sliced_formula(case):
+    assert oracle._reference_steps(*case) == _sliced_reference_steps(*case)
+
+
+def test_the_plan_is_linear_in_the_number_of_variables():
+    # x1*...*x2827 + 1 on 2,827 singleton sets, the largest such product the
+    # expansion admits: its tensor passes the cell budget, so the plan also
+    # prices the reference, which once sliced every key per variable (0.63 s)
+    n = 2827
+    f = Polynomial(n, Z, {(1,) * n: 1, (0,) * n: 1})
+    grid = GridSpec(Z, [(2,)] * n)
+    start = time.perf_counter()
+    assert oracle._plan(f, grid, False) is None
+    assert time.perf_counter() - start < 0.1
+    assert oracle._reference_steps(f, grid.sizes, [2] * n) == _sliced_reference_steps(f, grid.sizes, [2] * n)
 
 
 def test_integer_grid_values_use_kernel(caplog):

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -397,3 +398,36 @@ def test_expansion_budget_weighs_coefficient_words(monkeypatch):
     assert _power_work(parse_poly("x + y", ["x", "y"], Z), 3000, MAX_WORK) > MAX_WORK
     assert _power_work(parse_poly("x + y", ["x", "y"], RingSpec.prime_field(101)), 3000, MAX_WORK) \
         < MAX_WORK
+
+
+@pytest.mark.parametrize("parse", [parse_poly, parse_dag])
+@pytest.mark.parametrize("limit", [0, 640, 4300])
+def test_tokens_past_the_digit_limit_are_refused_at_their_position(limit, parse):
+    """Up to Python's limit on the digits of an integer string (0: none) a
+    token is read and its value decides; one digit past it, leading zeros
+    counted, an integer is a ParseError and an exponent an
+    ExponentOverflowError, each at the token."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        n = limit or 5000
+        seven, ones = "0" * (n - 1) + "7", "1" * n
+        assert parse(f"x - {seven}", ["x"], Z) == parse("x - 7", ["x"], Z)
+        assert parse(f"x - {ones}", ["x"], Z) == parse(f"x - {int(ones)}", ["x"], Z)
+        assert parse(f"x^{seven}", ["x"], Z) == parse("x^7", ["x"], Z)
+        with pytest.raises(ExponentOverflowError) as info:
+            parse(f"x^{ones}", ["x"], Z)
+        assert str(info.value) == f"exponent {ones} exceeds the maximum {MAX_EXPONENT} (at position 2)"
+        for past in ("0" + seven, "0" + ones):
+            if not limit:
+                assert parse(f"x - {past}", ["x"], Z) == parse(f"x - {int(past)}", ["x"], Z)
+                continue
+            with pytest.raises(ParseError) as info:
+                parse(f"x - {past}", ["x"], Z)
+            assert type(info.value) is ParseError
+            assert str(info.value) == f"integer of {n + 1} digits exceeds the limit of {limit} digits (at position 4)"
+            with pytest.raises(ExponentOverflowError) as info:
+                parse(f"(x)^{past}", ["x"], Z)
+            assert str(info.value) == f"exponent of {n + 1} digits exceeds the maximum {MAX_EXPONENT} (at position 4)"
+    finally:
+        sys.set_int_max_str_digits(saved)

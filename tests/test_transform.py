@@ -22,6 +22,7 @@ from nullgrid.poly import GridSpec, Polynomial, annihilator, vanishing_poly
 from nullgrid.ring import RingSpec
 from nullgrid.transform import (
     GridValues,
+    _reduce_variable,
     coefficient_via_grid,
     grid_values,
     trim,
@@ -445,6 +446,19 @@ def test_trim_invariants(case):
     if not g.is_zero:
         assert all(d < s for d, s in zip(g.degrees()[0], grid.sizes))
     assert trim(g, grid) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_annihilator_cases())
+def test_trim_is_independent_of_the_variable_order(case):
+    # trim reduces x_1, ..., x_n in turn; every other order gives its result
+    grid, f, _ = case
+    g = trim(f, grid)
+    for order in itertools.permutations(range(grid.arity)):
+        h = f
+        for var in order:
+            h = _reduce_variable(h, grid, var)
+        assert h == g
 
 
 def test_trim_reduction_work_is_charged_before_reducing():
