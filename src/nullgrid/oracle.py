@@ -8,7 +8,11 @@ over every ring.  It contracts a coefficient tensor with power tables
 built by vectorized square-and-multiply (``_power_table``), for all its
 moduli at once: over Z the word primes ride on one leading axis, in
 batches sized to ``_CELL_BUDGET`` cells summed over the batch's primes,
-and ``_garner`` rebuilds integer values from the residues.  The
+and ``_garner`` rebuilds integer values from the residues.  A count over
+Z runs the first prime alone and the others only on an S_1 slice that
+still holds a zero candidate: a point is a zero exactly when f vanishes
+modulo every prime, and a nonzero value is a multiple of a word prime
+about once in 2^30, the Schwartz-Zippel argument run on the oracle.  The
 pure-Python generator ``_reference_values`` is kept on purpose as the
 independent reference the tests compare the kernel against: it yields
 f's values in odometer order, the kernel's order, substituting one
@@ -45,7 +49,7 @@ import random
 import sys
 from functools import lru_cache, partial
 from math import floor, isqrt, prod
-from operator import mul, not_
+from operator import getitem, mul, not_
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -242,10 +246,14 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
     carries a variable whose set is {0}, or there are no terms: f
     vanishes on the whole grid, no prime is needed (the empty product
     1 exceeds 0), and with no residue to say otherwise every point is
-    a zero of value 0.  H >= 2^least: at the bounds b_i = max |S_i|, a
-    term no set {0} zeroes is at least 2^(bits(c) - 1 + sum e_i
-    (bits(b_i) - 1)).  When 2^least passes the product of all
-    ``_MAX_PRIMES`` primes, that product stands in for H, never built.
+    a zero of value 0.  H < 2^top, top = bits(max |c|) + bits(T) +
+    sum_i max E_i bits(b_i) for T terms and the bounds b_i = max |S_i|,
+    found in O(n).  H >= 2^least: at those bounds a term no set {0}
+    zeroes is at least 2^(bits(c) - 1 + sum e_i (bits(b_i) - 1)), an
+    O(T) walk taken only when top passes the bits of the product of all
+    ``_MAX_PRIMES`` primes.  When 2^least passes that product too, the
+    product stands in for H, never built; otherwise H is built, each term
+    from one table {e: b_i^e} per variable.
 
     The kernel runs its primes in batches that share every contraction,
     and ``_CELL_BUDGET`` bounds each array of a batch summed over its
@@ -276,12 +284,17 @@ def _plan(f: Polynomial, grid: GridSpec, values: bool) -> tuple | None:
             reason = "overflow guard"
     else:
         primes = _word_primes(max(widths))
-        lows = [b.bit_length() - 1 for b in bounds]
-        least = max((abs(c).bit_length() - 1 + sum(map(mul, key, lows)) for key, c in f.terms.items()
-                     if 0 not in bounds or all(b or not e for b, e in zip(bounds, key))), default=-1)
         height = prod(primes)
-        if least < height.bit_length():
-            height = (2 if values else 1) * sum(abs(c) * prod(b ** e for b, e in zip(bounds, key))
+        bits = height.bit_length()
+        # H < 2^top, found in O(n): only a top past the product's bits needs the O(T) 2^least <= H
+        top = (max(map(abs, f.terms.values()), default=0).bit_length() + len(f.terms).bit_length()
+               + sum(ex[-1] * b.bit_length() for ex, b in zip(exps, bounds)))
+        lows = [b.bit_length() - 1 for b in bounds]
+        if top <= bits or max((abs(c).bit_length() - 1 + sum(map(mul, key, lows)) for key, c in f.terms.items()
+                               if 0 not in bounds or all(b or not e for b, e in zip(bounds, key))),
+                              default=-1) < bits:
+            powers = [{e: b ** e for e in ex} for b, ex in zip(bounds, exps)]
+            height = (2 if values else 1) * sum(abs(c) * prod(map(getitem, powers, key))
                                                 for key, c in f.terms.items())
         product = 1
         for q in primes:
@@ -338,19 +351,26 @@ def _power_table(s: tuple[int, ...], exps: list[int], moduli: list[int]):
 
 def _kernel_chunks(f: Polynomial, grid: GridSpec, exps: list[list[int]],
                    moduli: list[int], group: int, rows: int):
-    """Yield (start, stop, batches) for successive slices S_1[start:stop]:
-    f modulo each of ``moduli`` on the slice times S_2 x ... x S_n, as one
-    int64 array of shape (primes, stop - start, |S_2|, ..., |S_n|) per
-    batch of at most ``group`` primes, in odometer order.
+    """Yield (start, stop, passes) for successive slices S_1[start:stop].
+    ``passes`` lazily yields f modulo ``moduli`` on the slice times
+    S_2 x ... x S_n, in the order of ``moduli``, as int64 arrays of shape
+    (primes, stop - start, |S_2|, ..., |S_n|) in odometer order: the
+    first prime alone, then the rest of its batch of at most ``group``
+    primes, then each later batch.  A pass is contracted only when it is
+    read.  Over Z a point is a zero only if f vanishes modulo every
+    prime, and a nonzero value is a multiple of a word prime q about once
+    in q, so a count whose first pass leaves no zero in the slice reads no
+    other pass.
 
     The coefficient tensor T over the distinct exponents E_i is
     contracted with the power tables V_i[a, j] = a^{E_i[j]} mod q
     (``_power_table``), one variable at a time, reducing mod q after each
-    step.  Every prime of a batch rides on a leading axis, so each
-    ``matmul`` and each ``%`` runs once for the whole batch.  ``_plan``
-    supplies moduli that keep this exact, and a batch size and slice
-    height that keep the batch's tensor, its power tables and every
-    intermediate under the cell budget.
+    step.  Every prime of a pass rides on a leading axis, so each
+    ``matmul`` and each ``%`` runs once for the whole pass.  Tensors and
+    tables are built once per batch; the first two passes read slices of
+    the first batch's.  ``_plan`` supplies moduli that keep this exact,
+    and a batch size and slice height that keep the batch's tensor, its
+    power tables and every intermediate under the cell budget.
     """
     import numpy as np
 
@@ -358,19 +378,19 @@ def _kernel_chunks(f: Polynomial, grid: GridSpec, exps: list[list[int]],
     index = [{e: j for j, e in enumerate(ex)} for ex in exps]
     coords = (slice(None),) + tuple(np.array([ix[key[i]] for key in f.terms], dtype=np.intp)
                                     for i, ix in enumerate(index))
-    batches = []
+    operands = []  # of each pass: its moduli, tensor and power tables
     for at in range(0, len(moduli), group):
         qs = moduli[at:at + group]
         tensor = np.zeros([len(qs)] + widths, dtype=np.int64)
         tensor[coords] = [[c % q for c in f.terms.values()] for q in qs]
+        q = np.array(qs, dtype=np.int64).reshape(-1, 1, 1)
+        tensor = tensor.reshape(len(qs), widths[0], -1)
         tables = [_power_table(s, ex, qs) for s, ex in zip(grid.sets, exps)]
-        batches.append((np.array(qs, dtype=np.int64).reshape(-1, 1, 1),
-                        tensor.reshape(len(qs), widths[0], -1), tables))
-    first = len(grid.sets[0])
-    for start in range(0, first, rows):
-        stop = min(start + rows, first)
-        residues = []
-        for q, tensor, (head, *tail) in batches:
+        for cut in (slice(1), slice(1, None)) if at == 0 and len(qs) > 1 else (slice(None),):
+            operands.append((q[cut], tensor[cut], [v[cut] for v in tables]))
+
+    def passes(start: int, stop: int):
+        for q, tensor, (head, *tail) in operands:
             k = len(q)
             r = np.matmul(head[:, start:stop], tensor)
             r %= q
@@ -381,8 +401,12 @@ def _kernel_chunks(f: Polynomial, grid: GridSpec, exps: list[list[int]],
                 r = np.matmul(r.reshape(k, stop - start, w, -1).swapaxes(2, 3).reshape(k, -1, w),
                               v.swapaxes(1, 2))
                 r %= q
-            residues.append(r.reshape((k, stop - start) + grid.sizes[1:]))
-        yield start, stop, residues
+            yield r.reshape((k, stop - start) + grid.sizes[1:])
+
+    first = len(grid.sets[0])
+    for start in range(0, first, rows):
+        stop = min(start + rows, first)
+        yield start, stop, passes(start, stop)
 
 
 def _garner(residues, moduli: list[int]):
@@ -412,8 +436,10 @@ def _grid_values(f: Polynomial, grid: GridSpec) -> list[int]:
         return [0] * size
     import numpy as np
 
-    rebuild = (lambda res: res[0][0]) if f.ring.modulus else (lambda res: _garner(itertools.chain(*res), moduli))
-    return np.concatenate([rebuild(res).ravel() for _, _, res in _kernel_chunks(f, grid, *plan)]).tolist()
+    # Garner reads every pass; over F_p and Z_m the one pass holds the values
+    rebuild = ((lambda passes: next(passes)[0]) if f.ring.modulus
+               else (lambda passes: _garner(itertools.chain.from_iterable(passes), moduli)))
+    return np.concatenate([rebuild(passes).ravel() for _, _, passes in _kernel_chunks(f, grid, *plan)]).tolist()
 
 
 def count_nonzeros(f: Polynomial, grid: GridSpec, *,
@@ -449,10 +475,12 @@ def count_nonzeros(f: Polynomial, grid: GridSpec, *,
 
     columns = [np.array(s, dtype=object) for s in grid.sets]
     nonzeros = 0
-    for start, stop, residues in _kernel_chunks(f, grid, *plan):
+    for start, stop, passes in _kernel_chunks(f, grid, *plan):
         hit = np.zeros((stop - start,) + grid.sizes[1:], dtype=bool)
-        for r in residues:
+        for r in passes:
             hit |= r.any(axis=0)
+            if hit.all():  # no zero left in the slice for a later prime to confirm
+                break
         nonzeros += int(np.count_nonzero(hit))
         if zeros is not None:
             at = np.argwhere(~hit)
@@ -509,8 +537,8 @@ def tightness_family(grid: GridSpec, d: tuple[int, ...]) -> Polynomial:
     # coefficient is a product of one coefficient per factor
     factors = [[(k, c) for k, c in enumerate(annihilator(ring, s[:di])) if c]
                for di, s in zip(d, grid.sets)]
-    return Polynomial(grid.arity, ring, {tuple(k for k, _ in combo): prod(c for _, c in combo)
-                                         for combo in itertools.product(*factors)})
+    return Polynomial._from_raw(grid.arity, ring, {tuple(k for k, _ in combo): prod(c for _, c in combo)
+                                                   for combo in itertools.product(*factors)})
 
 
 class MinNonzeroResult(NamedTuple):

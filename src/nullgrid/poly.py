@@ -12,9 +12,11 @@ Representation:
 Polynomial and GridSpec are ``ring._Frozen`` values: each refuses to set
 or delete a field, pickles and copies by calling its class on its
 fields, and compares field by field.  No method mutates ``terms``, and
-arithmetic always builds a new object.  The constructor is the one place
-that reduces coefficients and drops zeros: arithmetic sums and
-multiplies plain ints and hands the raw dict to it.  Coefficients,
+arithmetic always builds a new object.  ``Polynomial._from_raw`` is the
+one place that reduces coefficients and drops zeros: the constructor
+hands it the caller's terms once their keys are checked, and arithmetic,
+whose keys are right by construction, sums and multiplies plain ints and
+hands it the raw dict unchecked.  Coefficients,
 scalars, grid elements and evaluation points given as ``RingElem`` are
 unwrapped by ``RingSpec.coerce``, which refuses another ring's values.
 
@@ -77,10 +79,20 @@ class Polynomial(_Frozen):
                 raise ValueError(f"negative exponent in {key}")
             # caller keys such as (1.0,) and (1,) that name the same exponents are summed
             raw[key] = raw.get(key, 0) + (ring.coerce(c) if isinstance(c, RingElem) else int(c))
+        self._from_raw(arity, ring, raw, into=self)
+
+    @classmethod
+    def _from_raw(cls, arity: int, ring: RingSpec, raw: dict[Exponents, int], into=None) -> "Polynomial":
+        """The polynomial of ``raw``, whose keys are exponent tuples of length
+        ``arity`` and whose values are plain ints, not yet reduced: it reduces
+        them and drops the zeros, with no check of the keys.  It fills
+        ``into``, the instance the constructor is building, or a new one."""
+        poly = object.__new__(cls) if into is None else into
         m = ring.modulus
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", {key: r for key, v in raw.items() if (r := v % m if m else v)})
+        object.__setattr__(poly, "arity", arity)
+        object.__setattr__(poly, "ring", ring)
+        object.__setattr__(poly, "terms", {key: r for key, v in raw.items() if (r := v % m if m else v)})
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -136,12 +148,12 @@ class Polynomial(_Frozen):
         out = dict(self.terms)
         for exps, c in other.terms.items():
             out[exps] = out.get(exps, 0) + c
-        return Polynomial(self.arity, self.ring, out)
+        return Polynomial._from_raw(self.arity, self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.arity, self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial._from_raw(self.arity, self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, RingElem)):
@@ -156,7 +168,7 @@ class Polynomial(_Frozen):
     def __mul__(self, other):
         if isinstance(other, (int, RingElem)):
             c = self.ring.coerce(other)
-            return Polynomial(self.arity, self.ring, {e: v * c for e, v in self.terms.items()})
+            return Polynomial._from_raw(self.arity, self.ring, {e: v * c for e, v in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_peer(other)
@@ -165,7 +177,7 @@ class Polynomial(_Frozen):
             for e2, c2 in other.terms.items():
                 key = tuple(map(add, e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
-        return Polynomial(self.arity, self.ring, out)
+        return Polynomial._from_raw(self.arity, self.ring, out)
 
     __rmul__ = __mul__
 

@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nullgrid
@@ -122,16 +122,21 @@ def test_power_table_edges():
 
 
 def _traced_kernel(monkeypatch):
-    """Record the prime count of every batch the kernel yields, and the
-    cells of every power table and of every operand and result of its
-    matrix products."""
-    seen = {"batches": [], "cells": []}
+    """Record the prime count of every pass the kernel contracts, one list
+    per S_1 slice, and the cells of every power table and of every operand
+    and result of its matrix products."""
+    seen = {"passes": [], "cells": []}
     chunks, table, matmul = oracle._kernel_chunks, oracle._power_table, np.matmul
 
+    def traced_passes(passes, record):
+        for r in passes:
+            record.append(len(r))
+            yield r
+
     def traced_chunks(*args):
-        for start, stop, batches in chunks(*args):
-            seen["batches"].append([len(b) for b in batches])
-            yield start, stop, batches
+        for start, stop, passes in chunks(*args):
+            seen["passes"].append([])
+            yield start, stop, traced_passes(passes, seen["passes"][-1])
 
     def traced_table(*args):
         out = table(*args)
@@ -155,37 +160,109 @@ def _points_of(f, grid):
 
 BIG = 10**60 + 7
 BATCHED = [
-    # (f, grid, budget, primes per batch in each slice, slices)
-    # 8 primes, 2 per batch (a power table of 8 x 4 cells each), 6 of the 8 S_1 rows per slice
+    # (f, grid, budget, primes in each pass of a slice of the values, slices,
+    #  primes in each pass of each slice of the count): the first prime runs
+    # alone, and the count reads the others only for a slice with a zero
+    # 8 primes, 2 per batch (a power table of 8 x 4 cells each), 6 of the 8 S_1 rows per slice;
+    # the one zero, at (-4, 0), is in the first slice
     (Polynomial(2, Z, {(3, 3): BIG, (0, 2): -BIG, (1, 0): 3, (2, 1): -(10**59)}),
-     GridSpec(Z, [range(-4, 4), (-4, -1, 0, 2, 9)]), 64, [2, 2, 2, 2], 2),
-    # arity 1: 7 primes, 3 per batch (a power table of 20 x 4 cells each), one slice
+     GridSpec(Z, [range(-4, 4), (-4, -1, 0, 2, 9)]), 64, [1, 1, 2, 2, 2], 2, [[1, 1, 2, 2, 2], [1]]),
+    # arity 1: 7 primes, 3 per batch (a power table of 20 x 4 cells each), one slice, no zero
     (Polynomial(1, Z, {(3,): BIG, (2,): -BIG, (1,): 5, (0,): -(10**58)}),
-     GridSpec(Z, [range(-10, 10)]), 256, [3, 3, 1], 1),
-    # arity 3: 7 primes, 3 per batch, one S_1 row per slice (9 cells per prime after S_2)
+     GridSpec(Z, [range(-10, 10)]), 256, [1, 2, 3, 1], 1, [[1]]),
+    # arity 3: 7 primes, 3 per batch, one S_1 row per slice (9 cells per prime after S_2);
+    # the zeros are the three points (0, y, 0), in the fourth slice
     (Polynomial(3, Z, {(1, 2, 1): BIG, (0, 0, 2): -BIG, (1, 0, 0): 1}),
-     GridSpec(Z, [range(-3, 3), (-1, 2, 5), (0, 4)]), 40, [3, 3, 1], 6),
-    # H = 0: no prime, so no batch
-    (Polynomial(2, Z, {(1, 0): BIG, (2, 3): -7}), GridSpec(Z, [(0,), range(-5, 5)]), 16, [], 1),
+     GridSpec(Z, [range(-3, 3), (-1, 2, 5), (0, 4)]), 40, [1, 2, 3, 1], 6,
+     [[1], [1], [1], [1, 2, 3, 1], [1], [1]]),
+    # H = 0: no prime, so no pass
+    (Polynomial(2, Z, {(1, 0): BIG, (2, 3): -7}), GridSpec(Z, [(0,), range(-5, 5)]), 16, [], 1, [[]]),
 ]
 
 
-@pytest.mark.parametrize("f,grid,budget,groups,slices", BATCHED, ids=["arity-2", "arity-1", "arity-3",
-                                                                      "height-zero"])
-def test_batched_contraction_under_a_small_budget(monkeypatch, f, grid, budget, groups, slices):
+@pytest.mark.parametrize("f,grid,budget,passes,slices,counted", BATCHED,
+                         ids=["arity-2", "arity-1", "arity-3", "height-zero"])
+def test_batched_contraction_under_a_small_budget(monkeypatch, f, grid, budget, passes, slices, counted):
     monkeypatch.setattr(oracle, "_CELL_BUDGET", budget)
     expected = _points_of(f, grid)
     seen = _traced_kernel(monkeypatch)
     # Garner rebuilds each value from its residues on every prime; with
     # no prime, every value is 0 without a pass of the kernel
     assert grid_values(f, grid) == expected
-    assert seen["batches"] == ([groups] * slices if groups else [])
-    seen["batches"].clear()
+    assert seen["passes"] == ([passes] * slices if passes else [])
+    seen["passes"].clear()
     count = count_nonzeros(f, grid)
     assert count.zero_set == tuple(pt for pt, v in expected.items() if v == 0)
     assert count.nonzeros == sum(1 for v in expected.values() if v)
-    assert seen["batches"] == [groups] * slices
+    assert seen["passes"] == counted
     assert max(seen["cells"], default=0) <= budget
+
+
+@st.composite
+def integer_poly_on_grid(draw):
+    """A Z polynomial on a small grid: random terms, a tightness product
+    (a dense zero set) or a multiple of the first prime of its plan, whose
+    every value vanishes modulo that prime, so every point stays a zero
+    candidate after the first pass and only a later prime clears it."""
+    arity = draw(st.integers(1, 3))
+    grid = GridSpec(Z, [draw(st.lists(st.integers(-20, 20), min_size=1, max_size=5, unique=True)
+                             | st.just([0])) for _ in range(arity)])
+    kind = draw(st.sampled_from(["terms", "tightness", "multiple"]))
+    if kind == "tightness":
+        return oracle.tightness_family(grid, tuple(draw(st.integers(0, n)) for n in grid.sizes)), grid
+    coeffs = st.integers(-10**6, 10**6) | st.integers(-10**40, 10**40)
+    f = Polynomial(arity, Z, draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * arity), coeffs, max_size=8)))
+    if kind == "multiple" and f:
+        f = f * _word_primes(max(len({key[i] for key in f.terms}) for i in range(arity)))[0]
+    return f, grid
+
+
+Q1 = _word_primes(1)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_poly_on_grid(), st.sampled_from([oracle._CELL_BUDGET, 64, 512]), st.booleans())
+# H = 0; one prime; false candidates q1 x y^2 at x = 1, 2 beside the zeros at x = 0; a dense zero set
+@example((Polynomial(2, Z, {(1, 1): 7, (2, 0): -3}), GridSpec(Z, [(0,), (1, 2)])), 64, True)
+@example((Polynomial(1, Z, {(1,): 3, (0,): -6}), GridSpec(Z, [(2, 3, 5)])), oracle._CELL_BUDGET, True)
+@example((Polynomial(2, Z, {(1, 2): Q1}), GridSpec(Z, [(0, 1, 2), (-1, 3)])), 64, True)
+@example((oracle.tightness_family(GridSpec(Z, [range(-5, 5)] * 3), (4, 6, 2)),
+          GridSpec(Z, [range(-5, 5)] * 3)), 512, False)
+def test_lazy_count_matches_the_reference(case, budget, collect_zeros):
+    f, grid = case
+    with mock.patch.object(oracle, "_plan", return_value=None):
+        expected = count_nonzeros(f, grid, collect_zeros=collect_zeros)
+    with mock.patch.object(oracle, "_CELL_BUDGET", budget):
+        assert count_nonzeros(f, grid, collect_zeros=collect_zeros) == expected
+
+
+def _slices(f, grid):
+    return -(-grid.sizes[0] // oracle._plan(f, grid, False)[3])
+
+
+@pytest.mark.parametrize("budget", [oracle._CELL_BUDGET, 64])
+def test_the_count_reads_no_more_passes_than_it_needs(monkeypatch, budget):
+    monkeypatch.setattr(oracle, "_CELL_BUDGET", budget)
+    grid = GridSpec(Z, [range(-4, 4), (-4, -1, 0, 2, 9)])
+    # no zero modulo the first prime: each slice contracts that prime alone
+    f = Polynomial(2, Z, {(3, 3): BIG, (0, 2): -BIG, (1, 0): 3, (0, 0): 1})
+    seen = _traced_kernel(monkeypatch)
+    assert all(v % oracle._plan(f, grid, False)[1][0] for v in _points_of(f, grid).values())
+    assert count_nonzeros(f, grid).nonzeros == grid.size()
+    assert seen["passes"] == [[1]] * _slices(f, grid)
+    # a multiple of the first prime: every value is a zero candidate after
+    # it and the second prime clears them, but a slice with a true zero, at
+    # x = 0, reads every prime
+    xf = Polynomial.variable(2, Z, 0) * f
+    g = xf * oracle._plan(xf, grid, False)[1][0]
+    seen["passes"].clear()
+    count = count_nonzeros(g, grid)
+    assert count.zero_set == tuple((0, y) for y in grid.sets[1])
+    _, primes, _, rows = oracle._plan(g, grid, False)
+    assert len(primes) > 2 and (budget > 64 or rows < 8)
+    holds_zero = [start <= 4 < start + rows for start in range(0, 8, rows)]
+    assert [sum(p) if zero else len(p) for p, zero in zip(seen["passes"], holds_zero)] == \
+        [len(primes) if zero else 2 for zero in holds_zero]
 
 
 def test_batches_split_before_the_reference_takes_over(monkeypatch, caplog):
@@ -202,7 +279,7 @@ def test_batches_split_before_the_reference_takes_over(monkeypatch, caplog):
     primes = int(message.split("primes=")[1].split()[0])
     assert primes >= 4
     assert grid_values(f, grid) == expected
-    assert seen["batches"][0] == [1] * primes
+    assert seen["passes"][0] == [1] * primes
     assert max(seen["cells"]) <= 64
     assert "path=kernel" in _path(caplog, lambda: count_nonzeros(f, grid))
     assert count_nonzeros(f, grid).nonzeros == sum(1 for v in expected.values() if v)
@@ -590,9 +667,13 @@ def test_one_pass_plan_matches_the_three_pass_plan(monkeypatch, caplog):
                 outcomes.append((outcome, [r.getMessage() for r in caplog.records]))
             assert outcomes[0] == outcomes[1], (f, grid, values)
         width = max(len({key[i] for key in f.terms}) for i in range(f.arity))
-        least = _least(f, [max(map(abs, s)) for s in grid.sets])
-        built = least < prod(_word_primes(width)).bit_length()
-        seen.add((built, outcomes[0][1][0].split("reason=")[1].split(" chunks")[0]))
+        bounds = [max(map(abs, s)) for s in grid.sets]
+        bits = prod(_word_primes(width)).bit_length()
+        # H < 2^top: at or under the product's bits, H is built without finding least
+        top = (max(map(abs, f.terms.values())).bit_length() + len(f.terms).bit_length()
+               + sum(max(key[i] for key in f.terms) * b.bit_length() for i, b in enumerate(bounds)))
+        built = _least(f, bounds) < bits
+        seen.add((built, top <= bits, outcomes[0][1][0].split("reason=")[1].split(" chunks")[0]))
         if not isinstance(outcomes[0][0], str):
             answers = [(count_nonzeros(f, grid), grid_values(f, grid))]
             with monkeypatch.context() as patch:
@@ -601,4 +682,7 @@ def test_one_pass_plan_matches_the_three_pass_plan(monkeypatch, caplog):
             assert answers[0] == answers[1]
     # H = 0 on a set {0}; H built and passed by the primes or not; H never built
     assert {(True, "none primes=0"), (True, "none primes=1"), (True, "prime count primes=16"),
-            (False, "prime count primes=16")} <= seen
+            (False, "prime count primes=16")} <= {(built, reason) for built, _, reason in seen}
+    # H built at top <= bits(P), with least never found, and at top > bits(P) from least < bits(P)
+    assert {(True, True), (True, False)} <= {(built, short) for built, short, _ in seen}
+    assert (False, True) not in {(built, short) for built, short, _ in seen}

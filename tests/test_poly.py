@@ -12,7 +12,8 @@ from nullgrid.poly import (
     check_compatible,
     vanishing_poly,
 )
-from nullgrid.ring import RingSpec
+from nullgrid.oracle import tightness_family
+from nullgrid.ring import RingElem, RingSpec
 
 Z = RingSpec.integers()
 F5 = RingSpec.prime_field(5)
@@ -125,6 +126,60 @@ def test_render_parse_round_trip(ring, terms):
     names = [f"x{i}" for i in range(1, n + 1)]
     f = Polynomial(n, ring, terms)
     assert parse_poly(f.render(names), names, ring) == f
+
+
+def _assert_built_as_by_the_constructor(f):
+    again = Polynomial(f.arity, f.ring, f.terms)
+    assert f == again and f.terms == again.terms
+    assert repr(f) == repr(again) and hash(f) == hash(again)
+
+
+@st.composite
+def _ring_and_polys(draw):
+    ring = draw(st.sampled_from((Z, F5, RingSpec.prime_field(101), RingSpec.integers_mod(12),
+                                 RingSpec.integers_mod(35))))
+    arity = draw(st.integers(1, 3))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * arity),
+                            st.integers(-10**20, 10**20) | st.integers(-3, 3), max_size=6)
+    return ring, [Polynomial(arity, ring, t) for t in draw(st.lists(terms, min_size=1, max_size=4))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ring_and_polys(), st.lists(st.tuples(st.sampled_from("+-*^n&s"), st.integers(0, 3),
+                                             st.integers(-40, 40)), max_size=8))
+def test_arithmetic_builds_what_the_constructor_builds(case, steps):
+    # arithmetic hands its raw sums and products to Polynomial._from_raw with
+    # no key check: each result must equal the constructor's from its terms
+    ring, polys = case
+    f = polys[0]
+    for op, i, c in steps:
+        g = polys[i % len(polys)]
+        if op == "+":
+            f = f + g if c % 2 else c + f
+        elif op == "-":
+            f = f - g if c % 2 else c - f
+        elif op == "*":
+            f = f * g
+        elif op == "^":
+            f = g ** (i % 3)
+        elif op == "n":
+            f = -f
+        elif op == "&":
+            f = c * f
+        else:
+            f = f * RingElem(ring, ring.canon(c))
+        _assert_built_as_by_the_constructor(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((Z, F5, RingSpec.prime_field(101), RingSpec.integers_mod(12))),
+       st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=4, unique=True), min_size=1, max_size=3),
+       st.data())
+def test_tightness_family_builds_what_the_constructor_builds(ring, sets, data):
+    sets = [list(dict.fromkeys(map(ring.canon, s))) for s in sets]
+    grid = GridSpec(ring, sets)
+    d = tuple(data.draw(st.integers(0, len(s))) for s in sets)
+    _assert_built_as_by_the_constructor(tightness_family(grid, d))
 
 
 def test_gridspec_basics():
