@@ -164,7 +164,7 @@ BATCHED = [
     #  primes in each pass of each slice of the count): the first prime runs
     # alone, and the count reads the others only for a slice with a zero
     # 8 primes, 2 per batch (a power table of 8 x 4 cells each), 6 of the 8 S_1 rows per slice;
-    # the one zero, at (-4, 0), is in the first slice
+    # the one zero, (0, 0), is in the first slice
     (Polynomial(2, Z, {(3, 3): BIG, (0, 2): -BIG, (1, 0): 3, (2, 1): -(10**59)}),
      GridSpec(Z, [range(-4, 4), (-4, -1, 0, 2, 9)]), 64, [1, 1, 2, 2, 2], 2, [[1, 1, 2, 2, 2], [1]]),
     # arity 1: 7 primes, 3 per batch (a power table of 20 x 4 cells each), one slice, no zero
