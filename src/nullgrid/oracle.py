@@ -105,8 +105,12 @@ class BoundCheck(NamedTuple):
     """One bound held against brute-force truth.  slack is how far the
     claim is from tight: nonzeros minus the claimed count (or, for
     zero-probability claims, allowed zeros minus actual zeros).  A
-    NamedTuple, since one is built per catalogue entry: 0.35 us each,
-    against 0.7 us for a frozen dataclass."""
+    NamedTuple, since one is built per catalogue entry: 0.27 us through
+    this constructor, against 0.52 us for a frozen dataclass.
+    ``verify_bounds`` builds each as ``tuple.__new__(BoundCheck, (report,
+    sound, slack))``, the same record without the generated Python
+    ``__new__`` frame: 0.16 us (one pinned core of a 2-vCPU VM, Python
+    3.11)."""
 
     report: BoundReport
     sound: bool
@@ -507,6 +511,7 @@ def verify_bounds(f: Polynomial, grid: GridSpec, *,
         count = count_nonzeros(f, grid, collect_zeros=False)
     nonzeros, zeros, size = count.nonzeros, count.zeros, count.grid_size
     checks: list[BoundCheck] = []
+    row = tuple.__new__  # a literal row, see BoundCheck
     for rep in bounds.collect_bounds(f, grid):
         if rep.asymptotic or (rep.requires_nonzero_on_grid and not nonzeros):
             continue
@@ -514,7 +519,7 @@ def verify_bounds(f: Polynomial, grid: GridSpec, *,
             slack = floor(rep.value * size) - zeros
         else:
             slack = nonzeros - rep.value
-        checks.append(BoundCheck(rep, slack >= 0, slack))
+        checks.append(row(BoundCheck, (rep, slack >= 0, slack)))
     return VerificationReport(nonzeros, zeros, size, tuple(checks))
 
 

@@ -6,13 +6,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import ceil, floor, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nullgrid import analysis, poly
+from nullgrid import analysis, bounds, poly
 from nullgrid.analysis import classify
 from nullgrid.bounds import (
     AFInstance,
@@ -33,10 +34,17 @@ from nullgrid.bounds import (
 )
 from nullgrid.cli import jsonable
 from nullgrid.errors import HypothesisViolationError, SearchBudgetError
-from nullgrid.oracle import BoundCheck, random_polynomial, verify_bounds
+from nullgrid.oracle import (
+    BoundCheck,
+    VerificationReport,
+    count_nonzeros,
+    random_polynomial,
+    tightness_family,
+    verify_bounds,
+)
 from nullgrid.parser import parse_poly
 from nullgrid.poly import GridSpec, Polynomial
-from nullgrid.ring import RingSpec
+from nullgrid.ring import RingSpec, grid_condition_check
 import catalogue_reference
 from record_contract import as_reference, assert_same_record, reference_jsonable
 from test_analysis import _reference_classify
@@ -57,9 +65,36 @@ def test_schwartz_additive_bound():
     assert schwartz_additive_bound((5, 5), (2, 2)) == 5
     # negative content clamps to zero
     assert schwartz_additive_bound((4, 3), (2, 2)) == 0
-    # ceil of a non-integer: 12 * (1 - 1/4 - 1/3) = 5
+    # 12 * (1 - 1/4 - 1/3) = 12 - 3 - 4
     assert schwartz_additive_bound((4, 3), (1, 1)) == 5
     assert schwartz_additive_bound((4, 3), (0, 0)) == 12
+
+
+def _rational_schwartz_additive(sizes, d):
+    """schwartz_additive_bound as the Fraction formula it states."""
+    bounds._check_sizes_exceed(sizes, d)
+    return max(0, ceil(prod(sizes) * (1 - sum(Fraction(di, s) for di, s in zip(d, sizes)))))
+
+
+def _outcome(bound, sizes, d):
+    try:
+        return bound(sizes, d)
+    except ValueError as exc:
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(-1, 12)), max_size=5))
+@example([])
+@example([(1, 0)])
+@example([(4, 1), (3, 1)])
+@example([(4, 2), (3, 2)])
+@example([(5, 5), (5, 2)])
+def test_schwartz_additive_bound_matches_the_rational_formula(pairs):
+    # the integer form P - sum d_i * (P // |S_i|) against the ceiling of
+    # the rational one, refusals included
+    sizes, d = tuple(s for s, _ in pairs), tuple(di for _, di in pairs)
+    assert _outcome(schwartz_additive_bound, sizes, d) == _outcome(_rational_schwartz_additive, sizes, d)
 
 
 def test_sz_probability():
@@ -401,11 +436,20 @@ def _cases(draw):
     return f, GridSpec(ring, sets)
 
 
+def _same_entries(got, want):
+    """got equals want entry for entry, in repr, and each entry is a real
+    BoundReport: tuple equality alone cannot tell a plain tuple from one."""
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+    for r, w in zip(got, want):
+        assert type(r) is BoundReport
+        assert r._asdict() == w._asdict()
+
+
 def _holds_against_the_reference(f, grid):
     reports = [] if f.is_zero else _reference_classify(f)
     if reports:
         assert classify(f) == reports
-    assert collect_bounds(f, grid) == _reference_collect_bounds(f, grid, reports)
+    _same_entries(collect_bounds(f, grid), _reference_collect_bounds(f, grid, reports))
 
 
 @settings(max_examples=300, deadline=None)
@@ -488,7 +532,7 @@ def test_catalogue_matches_the_per_report_walk_on_dense_supports():
         for f, grid in _dense_cases(name):
             reports = classify(f)
             assert reports == catalogue_reference.classify(f)
-            assert collect_bounds(f, grid) == catalogue_reference.collect_bounds(f, grid)
+            _same_entries(collect_bounds(f, grid), catalogue_reference.collect_bounds(f, grid))
             pairs = [(r.witness_e, r.witness_d) for r in reports if r.condition == analysis.SUCCESSIVELY_LARGEST]
             assert len(set(pairs)) < len(pairs)
 
@@ -507,3 +551,49 @@ def test_verify_bounds_json_is_pinned_on_dense_supports():
         f, grid = list(_dense_cases(name))[draw]
         text = json.dumps(jsonable(verify_bounds(f, grid)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, draw)
+
+
+def _reference_verify_bounds(f, grid, count):
+    """verify_bounds's check loop with the public BoundCheck constructor,
+    over the reference catalogue."""
+    checks = []
+    for rep in catalogue_reference.collect_bounds(f, grid):
+        if rep.asymptotic or (rep.requires_nonzero_on_grid and not count.nonzeros):
+            continue
+        if rep.kind == "zero-probability":
+            slack = floor(rep.value * count.grid_size) - count.zeros
+        else:
+            slack = count.nonzeros - rep.value
+        checks.append(BoundCheck(rep, slack >= 0, slack))
+    return VerificationReport(count.nonzeros, count.zeros, count.grid_size, tuple(checks))
+
+
+@st.composite
+def _verify_cases(draw):
+    # the grid must pass the condition the count needs; times the annihilator
+    # of S_1, f vanishes on the whole grid, so the entry that presumes a
+    # nonzero on the grid is skipped
+    f, grid = draw(_cases())
+    assume(not grid_condition_check(grid.ring, grid.sets).failures)
+    if draw(st.booleans()):
+        f = f * tightness_family(grid, (len(grid.sets[0]),) + (0,) * (grid.arity - 1))
+    return f, grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(_verify_cases())
+@example((parse_poly("x^2 - 4*x*y + y^2", ["x", "y"], Z), GridSpec(Z, [range(5), range(5)])))
+@example((parse_poly("x^2 - x", ["x", "y"], Z), GridSpec(Z, [range(2), range(3)])))
+@example((parse_poly("x*y - y", ["x", "y"], RingSpec.prime_field(5)),
+          GridSpec(RingSpec.prime_field(5), [(1,), range(5)])))
+def test_verify_bounds_matches_the_constructor_loop(case):
+    # the ellipse has zero-probability and asymptotic entries; the other two
+    # examples vanish on their grids
+    f, grid = case
+    count = count_nonzeros(f, grid, collect_zeros=False)
+    got, want = verify_bounds(f, grid, count=count), _reference_verify_bounds(f, grid, count)
+    assert repr(got) == repr(want)
+    assert type(got) is VerificationReport
+    for c in got.checks:
+        assert type(c) is BoundCheck
+        assert type(c.report) is BoundReport
