@@ -27,9 +27,9 @@ seed) when it samples.  When there are fewer classes of vectors that
 differ by a scalar than candidates, and their table fits the cell budget
 like any other array here, it counts each class's zeros by hyperplane
 incidence, one ``np.bincount`` per chunk of grid points, and looks each
-candidate up (``_class_lookup``); otherwise ``_scorer`` decides p | v
-for each value by one multiplication with the inverse of p modulo 2^64,
-with no division.  Each evaluation and each search logs its path at
+candidate up (``_class_lookup``); otherwise ``_scorer`` scores each
+block with one integer matrix product and ``% p``, in int64 while the
+values stay below 2^62.  Each evaluation and each search logs its path at
 DEBUG level on the ``nullgrid`` logger.  numpy is imported only when the
 kernel or the search runs, so a short run never loads it.
 
@@ -648,7 +648,7 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
     rows = max(1, min(_BLOCK_ROWS, _CELL_BUDGET // grid.size()))
 
     if space <= exhaustive_limit:
-        blocks = _product_blocks(p, k, req_idx, space, rows)
+        blocks = _product_blocks(p, k, req_idx, rows)
         exhaustive, tried, source = True, space, "radix"
     else:
         blocks = _sample_blocks(random.Random(seed), p, k, req_idx, sample_budget, rows)
@@ -657,7 +657,7 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
     by_class = classes < tried and classes <= _CELL_BUDGET
     scored = classes if by_class else tried
     # a multiply-add on Python integers (``_scorer`` past 2^62) took 110 to
-    # 230 ns on one core of a 2-vCPU VM, 64 of them in int64 120 to 200 ns,
+    # 230 ns on one core of a 2-vCPU VM, 64 of them in int64 210 to 240 ns,
     # and 64 of the table's, whose rows are the p^(k-2) solutions it finds
     # at each point, 190 to 370 ns
     wide = not by_class and p * p * k >= 2**62
@@ -681,16 +681,15 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
 _BLOCK_ROWS = 4096
 
 
-def _product_blocks(p: int, k: int, req: int, space: int, rows: int):
-    """Yield the vectors of ``itertools.product`` over range(1, 1 + r) in
-    slot ``req`` and range(p) elsewhere, r = space // p^(k-1), as int64
-    blocks of ``rows`` rows: candidate number t is t written in mixed
-    radix (r for slot req, p for the others, last slot least
-    significant), plus 1 in slot req.  r = p - 1 gives every candidate
-    of the search, r = 1 every class representative."""
+def _product_blocks(p: int, k: int, req: int, rows: int):
+    """Yield the vectors of ``itertools.product`` over range(1, p) in slot
+    ``req`` and range(p) elsewhere, as int64 blocks of ``rows`` rows:
+    candidate number t is t written in mixed radix (p - 1 for slot req, p
+    for the others, last slot least significant), plus 1 in slot req."""
     import numpy as np
 
-    radices = [space // p ** (k - 1) if i == req else p for i in range(k)]
+    radices = [p - 1 if i == req else p for i in range(k)]
+    space = prod(radices)
     for start in range(0, space, rows):
         block = np.stack(np.unravel_index(np.arange(start, min(start + rows, space), dtype=np.int64), radices), 1)
         block[:, req] += 1
@@ -754,34 +753,14 @@ def _accepted_values(words, p: int, k: int, req: int, slot: int):
 def _scorer(matrix: list[list[int]], p: int):
     """The function that maps a block of coefficient vectors to each row's
     count of nonzero grid values, given the value matrix (one row per
-    support monomial, one column per grid point) over F_p.
-
-    Scores each block with one integer matrix product.  While every
-    value v <= (p - 1)^2 k stays below 2^62, the product runs in int64
-    and p | v is decided without a division (Granlund and Montgomery):
-    for odd p, with p' the inverse of p modulo 2^64, the map
-    v -> v p' mod 2^64 permutes [0, 2^64) and sends the multiples of p,
-    and only them, to [0, (2^64 - 1) // p]; for p = 2, v 2^63 mod 2^64 is
-    0 exactly when v is even.  One uint64 multiply and one compare per
-    value replace int64 ``% p``.  Nothing is kept from block to block.
-    Beyond 2^62 the product runs on Python integers (object arrays), where
-    no word-size test applies, and keeps ``% p``.
-    """
+    support monomial, one column per grid point) over F_p: one integer
+    matrix product and ``% p``, in int64 while every value
+    v <= (p - 1)^2 k stays below 2^62, on Python integers (object arrays)
+    beyond."""
     import numpy as np
 
-    wide = p * p * len(matrix) >= 2**62
-    mat = np.array(matrix, dtype=object if wide else np.int64)
-    factor, limit = (1 << 63, 0) if p == 2 else (pow(p, -1, 1 << 64), ((1 << 64) - 1) // p)
-    factor, limit = np.uint64(factor), np.uint64(limit)
-
-    def score(block):
-        if wide:
-            return np.count_nonzero((block.astype(object, copy=False) @ mat) % p, axis=1)
-        u = (block.astype(np.int64, copy=False) @ mat).view(np.uint64)
-        u *= factor
-        return np.count_nonzero(u > limit, axis=1)
-
-    return score
+    mat = np.array(matrix, dtype=object if p * p * len(matrix) >= 2**62 else np.int64)
+    return lambda block: np.count_nonzero(block.astype(mat.dtype, copy=False) @ mat % p, axis=1)
 
 
 def _class_lookup(matrix: list[list[int]], p: int, k: int, req: int):
@@ -798,7 +777,7 @@ def _class_lookup(matrix: list[list[int]], p: int, k: int, req: int):
     One ``np.bincount`` per chunk of ``_CELL_BUDGET`` // p^(k-2) points
     counts the zeros.  A class's entry, in the smallest dtype that holds
     the number of points, is its free slots read in radix p, last slot
-    least significant (``_product_blocks`` order); candidate c reads that
+    least significant (``itertools.product`` order); candidate c reads that
     of c * c[req]^-1 mod p, which vanishes where c does.  All of it is
     int64: partial sums stay below p + (k-2)(p-1)^2, and for k >= 2 the
     caller's rule p^(k-1) <= ``_CELL_BUDGET`` keeps p <= 2^22, so every

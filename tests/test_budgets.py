@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import nullgrid
-from nullgrid import analysis, bounds, cli, oracle, pit, poly, puzzle, transform
+from nullgrid import analysis, bounds, cli, errors, oracle, pit, poly, puzzle, transform
 from nullgrid.errors import (
     ExponentOverflowError,
     ExpansionTooLargeError,
@@ -151,6 +151,39 @@ def test_only_charge_raises_a_resource_limit():
                 if (getattr(exc, "id", None) or getattr(exc, "attr", None)) in RESOURCE_LIMITS:
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _charge_sites():
+    """The ``module.function`` around every ``charge(...)`` call outside
+    ``errors``: a method keeps its class, and a nested function counts as
+    the function it is nested in."""
+    sites = set()
+
+    def walk(node, name, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and (getattr(child.func, "id", None)
+                                                or getattr(child.func, "attr", None)) == "charge":
+                sites.add(name)
+            if isinstance(child, ast.ClassDef) or isinstance(child, ast.FunctionDef) and not in_function:
+                walk(child, f"{name}.{child.name}", isinstance(child, ast.FunctionDef))
+            else:
+                walk(child, name, in_function)
+
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.stem != "errors":
+            walk(ast.parse(path.read_text(), str(path)), path.stem, False)
+    return sites
+
+
+def test_every_charge_site_is_in_the_budget_table():
+    # the site column of the table in the errors docstring, a continuation
+    # line being one that starts with "("
+    lines = errors.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("====")]
+    assert len(rules) == 3
+    table = [line.split()[0] for line in lines[rules[1] + 1:rules[2]] if not line.startswith("(")]
+    assert len(table) == len(set(table)) == 16
+    assert _charge_sites() == set(table)
 
 
 def test_the_resource_limits_keep_their_names_and_ancestry():
@@ -387,7 +420,7 @@ def test_the_largest_grid_the_reference_takes_runs_in_seconds(caplog, ring, term
 def test_the_largest_search_admitted_runs_in_seconds(p, side):
     # a sample past the charge is refused before anything is scored; the
     # largest one it admits, found from the limit its message gives, is
-    # scored within 5 s (0.5 to 0.8 s on a 2-vCPU VM), in int64 and, where
+    # scored within 5 s (0.4 to 1.2 s on a 2-vCPU VM), in int64 and, where
     # p^2 k passes 2^62, on Python integers
     grid = GridSpec(RingSpec.prime_field(p), [range(side), range(side)])
 

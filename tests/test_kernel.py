@@ -5,6 +5,7 @@ reference exactly on every ring, including the inputs where the kernel
 hands over to the reference.
 """
 
+import gc
 import logging
 import os
 import random
@@ -473,13 +474,19 @@ def test_reference_steps_match_the_sliced_formula(case):
 def test_the_plan_is_linear_in_the_number_of_variables():
     # x1*...*x2827 + 1 on 2,827 singleton sets, the largest such product the
     # expansion admits: its tensor passes the cell budget, so the plan also
-    # prices the reference, which once sliced every key per variable (0.63 s)
+    # prices the reference, which once sliced every key per variable (0.63 s);
+    # the best of three calls after a collection keeps a pause out of it
     n = 2827
     f = Polynomial(n, Z, {(1,) * n: 1, (0,) * n: 1})
     grid = GridSpec(Z, [(2,)] * n)
-    start = time.perf_counter()
-    assert oracle._plan(f, grid, False) is None
-    assert time.perf_counter() - start < 0.1
+
+    def timed():
+        start = time.perf_counter()
+        assert oracle._plan(f, grid, False) is None
+        return time.perf_counter() - start
+
+    gc.collect()
+    assert min(timed() for _ in range(3)) < 0.1
     assert oracle._reference_steps(f, grid.sizes, [2] * n) == _sliced_reference_steps(f, grid.sizes, [2] * n)
 
 

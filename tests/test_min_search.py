@@ -64,18 +64,19 @@ def test_product_blocks_follow_itertools_product_order(p, k, rows):
     for req in range(k):
         space = (p - 1) * p ** (k - 1)
         ranges = [range(1, p) if i == req else range(p) for i in range(k)]
-        blocks = list(_product_blocks(p, k, req, space, rows))
+        blocks = list(_product_blocks(p, k, req, rows))
         assert _rows(blocks) == list(itertools.product(*ranges))
         assert max(len(b) for b in blocks) == min(rows, space)
 
 
 def _reference_best_assignment(blocks, matrix, p):
-    """The scoring as it was, with int64 ``% p`` over every value block."""
-    dtype = np.int64 if p * p * len(matrix) < 2**62 else object
-    mat = np.array(matrix, dtype=dtype)
+    """The first candidate with the least count, every value block scored
+    with ``% p`` on Python integers (object arrays), exact at every p: the
+    reference for the int64 path of ``_scorer``."""
+    mat = np.array(matrix, dtype=object)
     best_count = best_coeffs = None
     for block in blocks:
-        values = (block.astype(dtype, copy=False) @ mat) % p
+        values = (block.astype(object) @ mat) % p
         counts = np.count_nonzero(values, axis=1)
         i = int(np.argmin(counts))
         if best_count is None or counts[i] < best_count:
@@ -155,20 +156,28 @@ def test_class_table_matches_the_reference(p, points, data, seed):
     space = (p - 1) * p ** (k - 1)
     streams = [list(_sample_blocks(random.Random(seed), p, k, req, data.draw(st.integers(1, 300)), rows))]
     if space <= 20_000:
-        streams.append(list(_product_blocks(p, k, req, space, rows)))
+        streams.append(list(_product_blocks(p, k, req, rows)))
     for blocks in streams:
         score, least = _class_lookup(matrix, p, k, req)
         assert _best_assignment(iter(blocks), score, least) \
             == _reference_best_assignment([np.concatenate(blocks)], matrix, p)
 
 
-def _scored_table(matrix, p, k, req):
-    """The class table by scoring every class representative, in
-    ``_product_blocks`` order: the reference for the incidence count."""
-    classes, score = p ** (k - 1), _scorer(matrix, p)
-    table = np.empty(classes, dtype=np.min_scalar_type(len(matrix[0])))
-    for start, block in zip(range(0, classes, 4096), _product_blocks(p, k, req, classes, 4096)):
-        table[start:start + len(block)] = score(block)
+def _representatives(p, k, req):
+    """Every class representative, 1 in slot ``req``, in
+    ``itertools.product`` order."""
+    ranges = [(1,) if i == req else range(p) for i in range(k)]
+    flat = itertools.chain.from_iterable(itertools.product(*ranges))
+    return np.fromiter(flat, dtype=np.int64, count=p ** (k - 1) * k).reshape(-1, k)
+
+
+def _scored_table(matrix, p, reps):
+    """The class table by scoring every class representative: the
+    reference for the incidence count."""
+    score = _scorer(matrix, p)
+    table = np.empty(len(reps), dtype=np.min_scalar_type(len(matrix[0])))
+    for start in range(0, len(reps), 4096):
+        table[start:start + 4096] = score(reps[start:start + 4096])
     return table
 
 
@@ -189,10 +198,10 @@ def test_incidence_table_equals_the_scored_table(p, points, data, seed):
         columns.append([0 if (kind & 1 and i != req) or (kind & 2 and i == req) else v
                         for i, v in enumerate(column)])
     matrix = [list(row) for row in zip(*columns)]
-    expected = _scored_table(matrix, p, k, req)
+    reps = _representatives(p, k, req)
+    expected = _scored_table(matrix, p, reps)
     with mock.patch.object(oracle, "_CELL_BUDGET", cells):
         lookup, least = _class_lookup(matrix, p, k, req)
-    reps = np.concatenate(list(_product_blocks(p, k, req, p ** (k - 1), 4096)))
     table = lookup(reps)
     assert table.dtype == expected.dtype
     assert table.tolist() == expected.tolist()
