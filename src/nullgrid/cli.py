@@ -322,16 +322,21 @@ def build_parser() -> argparse.ArgumentParser:
                                 "elements or a..b ranges, or a file with one set per line")
         return p
 
-    common(sub.add_parser("analyze", help="detect monomial hypotheses"), grid=False)
-    common(sub.add_parser("bounds", help="list certified lower bounds"))
-    v = common(sub.add_parser("verify", help="check every bound against brute force"))
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    common(command("analyze", _cmd_analyze, "detect monomial hypotheses"), grid=False)
+    common(command("bounds", _cmd_bounds, "list certified lower bounds"))
+    v = common(command("verify", _cmd_verify, "check every bound against brute force"))
     v.add_argument("--list-zeros", action="store_true")
     v.add_argument("--limit-grid", type=int, default=None)
-    common(sub.add_parser("trim", help="reduce modulo the grid annihilators"))
-    c = common(sub.add_parser("coeff", help="coefficient of a monomial from grid values"))
+    common(command("trim", _cmd_trim, "reduce modulo the grid annihilators"))
+    c = common(command("coeff", _cmd_coeff, "coefficient of a monomial from grid values"))
     c.add_argument("--monomial", required=True, help="comma-separated exponents")
 
-    p = sub.add_parser("pit", help="randomized identity test of two expressions")
+    p = command("pit", _cmd_pit, "randomized identity test of two expressions")
     p.add_argument("expr1")
     p.add_argument("expr2")
     p.add_argument("--ring", default="fp:101")
@@ -340,31 +345,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
 
-    z = sub.add_parser("puzzle", help="search for table agreement patterns")
+    z = command("puzzle", _cmd_puzzle, "search for table agreement patterns")
     z.add_argument("mode", choices=("exhaustive", "local"))
     z.add_argument("--size", type=int, required=True, help="table side s")
     z.add_argument("--range", type=int, default=8, help="entries live in [-R, R]")
     z.add_argument("--budget", type=int, default=100_000)
     z.add_argument("--seed", type=int, default=0)
 
-    t = sub.add_parser("tightness", help="product-bound-tight polynomial for a grid")
+    t = command("tightness", _cmd_tightness, "product-bound-tight polynomial for a grid")
     t.add_argument("--ring", default="int")
     t.add_argument("--grid", required=True)
     t.add_argument("--d", required=True, help="comma-separated subset sizes")
     t.add_argument("--limit-grid", type=int, default=None)
     return top
-
-
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "bounds": _cmd_bounds,
-    "verify": _cmd_verify,
-    "trim": _cmd_trim,
-    "coeff": _cmd_coeff,
-    "pit": _cmd_pit,
-    "puzzle": _cmd_puzzle,
-    "tightness": _cmd_tightness,
-}
 
 
 def _render(payload: dict, fmt: str) -> str:
@@ -407,31 +400,13 @@ def _emit_error(code: str, message: str, fmt: str):
         print(f"error ({code}): {message}")
 
 
-def _leading_format(argv: list[str]) -> str:
-    """The --format given before the subcommand, read from the raw
-    arguments, so that a usage error argparse raises before it has read
-    them prints in that format too; "json" when none is given or its
-    value is not one of the choices, as argparse then fails on it."""
-    fmt, args = "json", iter(argv)
-    for arg in args:
-        if not arg.startswith("-"):
-            break
-        name, eq, value = arg.partition("=")
-        # argparse takes any prefix of an option's name that names no other
-        if len(name) > 2 and "--format".startswith(name):
-            fmt = value if eq else next(args, "")
-            if fmt not in ("json", "text"):
-                return "json"
-    return fmt
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    fmt = _leading_format(sys.argv[1:] if argv is None else argv)
+    # argparse sets format here when it reads --format, so a usage error it
+    # raises later in the arguments prints in that format too
+    args = argparse.Namespace(format="json")
     handler = None
     try:
-        args = parser.parse_args(argv)
-        fmt = args.format
+        build_parser().parse_args(argv, args)
         if args.verbose:
             import logging  # only here: runs without -v never load it
 
@@ -441,21 +416,22 @@ def main(argv=None) -> int:
             handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
             logger.addHandler(handler)
             logger.setLevel(logging.DEBUG)
-        text = _render(_HANDLERS[args.cmd](args), fmt)
+        text = _render(args.run(args), args.format)
     except _UsageError as e:
-        _emit_error("usage", str(e), fmt)
+        # an error in --format itself prints JSON, whatever an earlier --format said
+        _emit_error("usage", str(e), "json" if str(e).startswith("argument --format:") else args.format)
         return EXIT_USAGE
     except ParseError as e:
-        _emit_error("parse", str(e), fmt)
+        _emit_error("parse", str(e), args.format)
         return EXIT_USAGE
     except HypothesisViolationError as e:
-        _emit_error("hypothesis-violation", str(e), fmt)
+        _emit_error("hypothesis-violation", str(e), args.format)
         return EXIT_HYPOTHESIS
     except ResourceLimitError as e:
-        _emit_error("resource-limit", str(e), fmt)
+        _emit_error("resource-limit", str(e), args.format)
         return EXIT_RESOURCE
     except (NullgridError, ValueError) as e:
-        _emit_error("invalid-input", str(e), fmt)
+        _emit_error("invalid-input", str(e), args.format)
         return EXIT_USAGE
     finally:
         if handler is not None:

@@ -37,7 +37,7 @@ MAX_PAIRWISE_PAIRS 10^6, MAX_INFERRED 10^3; the
 exhaustive search's budget defaults to 10^8 and the point limit to 10^8.
 The minimum search charges its multiply-adds, rows x points x monomials
 (rows: the candidates scored, or the solutions its class table finds at
-each point), against 64 MAX_WORK in int64 and MAX_WORK on Python integers.
+each point), against 32 MAX_WORK in int64 and MAX_WORK on Python integers.
 A running site charges a total that grows step by step.  A negative
 budget or point limit is invalid input (ValueError), not a limit; 0 is a
 limit.  ``Polynomial.render`` and the command line's output also refuse,

@@ -461,7 +461,7 @@ def count_nonzeros(f: Polynomial, grid: GridSpec, *,
     if point_limit < 0:
         raise ValueError("point_limit must be nonnegative")
     check_compatible(f, grid)
-    require_grid_condition(f.ring, grid)
+    require_grid_condition(grid)
     size = grid.size()
     charge(size, point_limit, GridTooLargeError, "grid has {work} points, limit is {limit}")
     want_zeros = collect_zeros and size <= DEFAULT_ZERO_SET_CAP
@@ -591,7 +591,7 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
     those of scoring every candidate one by one.
     Before any grid value is computed, rows x points x k multiply-adds
     are charged, rows being the candidates scored or the p^(k-2)
-    solutions the table finds at each point, against 64 ``MAX_WORK`` in
+    solutions the table finds at each point, against 32 ``MAX_WORK`` in
     int64 and ``MAX_WORK`` on Python integers (where p^2 k >= 2^62), and
     refused past that with SearchBudgetError.
     Rows are scored in int64 blocks of at most ``_BLOCK_ROWS`` rows
@@ -656,12 +656,13 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
         source = "words" if p.bit_length() <= 32 else "randrange"
     by_class = classes < tried and classes <= _CELL_BUDGET
     scored = classes if by_class else tried
-    # a multiply-add on Python integers (``_scorer`` past 2^62) took 110 to
-    # 230 ns on one core of a 2-vCPU VM, 64 of them in int64 210 to 240 ns,
-    # and 64 of the table's, whose rows are the p^(k-2) solutions it finds
-    # at each point, 190 to 370 ns
+    # on one core of a 2-vCPU VM a multiply-add on Python integers
+    # (``_scorer`` past 2^62) took 92 to 108 ns, 32 of them in int64 102 to
+    # 124 ns, and 32 of the table's, whose rows are the p^(k-2) solutions it
+    # finds at each point, 165 to 215 ns: the largest searches admitted ran
+    # 0.37 to 0.43 s, 0.41 to 0.50 s and 0.66 to 0.86 s
     wide = not by_class and p * p * k >= 2**62
-    charge((classes // p if by_class else tried) * grid.size() * k, MAX_WORK * (1 if wide else 64),
+    charge((classes // p if by_class else tried) * grid.size() * k, MAX_WORK * (1 if wide else 32),
            SearchBudgetError, "minimum search needs {work} multiply-adds on {} points, limit is {limit}",
            grid.size())
     # value matrix: one column per grid point, one row per support monomial

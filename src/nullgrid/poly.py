@@ -15,10 +15,11 @@ fields, and compares field by field.  No method mutates ``terms``, and
 arithmetic always builds a new object.  ``Polynomial._from_raw`` is the
 one place that reduces coefficients and drops zeros: the constructor
 hands it the caller's terms once their keys are checked, and arithmetic,
-whose keys are right by construction, sums and multiplies plain ints and
-hands it the raw dict unchecked.  Coefficients,
-scalars, grid elements and evaluation points given as ``RingElem`` are
-unwrapped by ``RingSpec.coerce``, which refuses another ring's values.
+``oracle.tightness_family`` and ``transform.trim``'s reduction, whose
+keys are right by construction, sum and multiply plain ints and hand it
+the raw dict unchecked.  Coefficients, scalars, grid elements and
+evaluation points given as ``RingElem`` are unwrapped by
+``RingSpec.coerce``, which refuses another ring's values.
 
 GridSpec lives here too: a finite evaluation grid S_1 x ... x S_n whose
 per-variable sets keep their stored order.  Order matters downstream
@@ -86,7 +87,9 @@ class Polynomial(_Frozen):
         """The polynomial of ``raw``, whose keys are exponent tuples of length
         ``arity`` and whose values are plain ints, not yet reduced: it reduces
         them and drops the zeros, with no check of the keys.  It fills
-        ``into``, the instance the constructor is building, or a new one."""
+        ``into``, the instance the constructor is building, or a new one
+        for arithmetic, ``oracle.tightness_family`` and ``transform.trim``'s
+        reduction, whose keys are right by construction."""
         poly = object.__new__(cls) if into is None else into
         m = ring.modulus
         object.__setattr__(poly, "arity", arity)

@@ -342,9 +342,14 @@ def grid_condition_check(ring: RingSpec, sets) -> CheckResult:
     return CheckResult(count == 0, tuple(failures), count)
 
 
-def require_grid_condition(ring: RingSpec, sets) -> None:
-    """Raise HypothesisViolationError unless ``grid_condition_check`` passes."""
-    condition = grid_condition_check(ring, sets)
+def require_grid_condition(grid) -> None:
+    """Raise HypothesisViolationError unless the ``poly.GridSpec`` ``grid``
+    passes ``grid_condition_check``, called over Z_m alone: over F_p and Z
+    the condition is that each set's elements are distinct, as GridSpec
+    already ensures."""
+    if grid.ring.kind != ZMOD:
+        return
+    condition = grid_condition_check(grid.ring, grid)
     if not condition.ok:
         raise HypothesisViolationError(
             f"grid fails the zero-divisor difference condition: {condition.describe()}")

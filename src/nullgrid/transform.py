@@ -52,7 +52,7 @@ def trim(f: Polynomial, grid: GridSpec) -> Polynomial:
     the grid" a faithful notion over Z_m.
     """
     check_compatible(f, grid)
-    require_grid_condition(f.ring, grid)
+    require_grid_condition(grid)
     result = f
     for var in range(grid.arity):
         result = _reduce_variable(result, grid, var)
@@ -66,7 +66,8 @@ def _reduce_variable(f: Polynomial, grid: GridSpec, var: int) -> Polynomial:
     partial degree d down to s, layer t is popped, reduced once (over Z_m
     coefficients stay below about s·m^2; a zero layer is skipped), and
     c·(-r_j) is added raw into layer t - s + j, r_j the annihilator's lower
-    coefficients.  The constructor of the one result reduces the rest.
+    coefficients.  ``Polynomial._from_raw`` builds the one result and
+    reduces the rest; its keys, made from f's, need no check.
 
     Before the annihilator is built, (d - s + 1) pops × distinct rests ×
     (s - [0 in S]) products, weighted by ``product_work``, are charged
@@ -107,8 +108,8 @@ def _reduce_variable(f: Polynomial, grid: GridSpec, var: int) -> Polynomial:
             dst = layers.setdefault(t - s + j, {})
             for rest, c in layer.items():
                 dst[rest] = dst.get(rest, 0) + c * r
-    return Polynomial(f.arity, ring, {rest[:var] + (k,) + rest[var:]: c
-                                      for k, layer in layers.items() for rest, c in layer.items()})
+    return Polynomial._from_raw(f.arity, ring, {rest[:var] + (k,) + rest[var:]: c
+                                                for k, layer in layers.items() for rest, c in layer.items()})
 
 
 class Multipliers(NamedTuple):

@@ -243,10 +243,26 @@ def test_exit_usage_on_unknown_flag(tmp_path, capsys):
     (["--form", "text", "analyze", "--bogus"], "unrecognized arguments: --bogus"),
 ])
 def test_an_argparse_error_prints_in_the_leading_format(capsys, monkeypatch, argv, message):
-    # argparse fails before it has read --format; from a list and from sys.argv
+    # argparse fails after it has read --format, before parse_args returns; from a list and from sys.argv
     assert run_cli(capsys, *argv) == (1, f"error (usage): {message}\n")
     monkeypatch.setattr(sys, "argv", ["nullgrid", *argv])
     assert (main(), capsys.readouterr().out) == (1, f"error (usage): {message}\n")
+
+
+USAGE_ERRORS = json.loads((Path(__file__).parent / "cli_usage_errors.json").read_text())
+
+
+@pytest.mark.parametrize("row", USAGE_ERRORS, ids=[" ".join(row["argv"]) for row in USAGE_ERRORS])
+def test_usage_errors_print_as_recorded(capsys, monkeypatch, row):
+    # cli_usage_errors.json holds exit code and stdout as recorded while main
+    # still read --format from the raw arguments itself: prefixes and =
+    # forms, repeated, missing and bad values, --format after the
+    # subcommand, unknown subcommands and options, and handlers' usage
+    # errors; from a list and from sys.argv
+    expected = (row["code"], row["stdout"])
+    assert run_cli(capsys, *row["argv"]) == expected
+    monkeypatch.setattr(sys, "argv", ["nullgrid", *row["argv"]])
+    assert (main(), capsys.readouterr().out) == expected
 
 
 @pytest.mark.parametrize("argv", [["--format", "xml", "analyze", "--bogus"],

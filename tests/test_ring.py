@@ -3,8 +3,11 @@ import time
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullgrid.errors import UnsupportedRingError
+from nullgrid.poly import GridSpec
 from nullgrid.ring import LISTED_FAILURES, RingSpec, grid_condition_check, is_prime
 
 
@@ -132,6 +135,21 @@ def test_grid_condition_check():
     # every pairwise difference is even, so all three pairs fail
     assert len(res.failures) == 3
     assert "zero-divisor difference" in res.describe()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((RingSpec.integers(), RingSpec.prime_field(2), RingSpec.prime_field(7),
+                        RingSpec.prime_field(101))),
+       st.lists(st.lists(st.integers(-300, 300), min_size=1, max_size=12), min_size=1, max_size=3))
+def test_every_grid_over_z_and_fp_passes_the_condition(ring, sets):
+    # so require_grid_condition checks a GridSpec only over Z_m; the
+    # refusals over Z_m stay covered by test_count_rejects_zero_divisor_grid,
+    # test_trim_rejects_zero_divisor_grid and the 30 zmod:12 rows of
+    # cli_golden.json, which exit 2.  Repeats after canonicalization, which
+    # GridSpec rejects, are dropped first.
+    grid = GridSpec(ring, [[v for j, v in enumerate(s) if ring.canon(v) not in {ring.canon(u) for u in s[:j]}]
+                           for s in sets])
+    assert grid_condition_check(grid.ring, grid).ok
 
 
 def _pairwise_failures(ring, sets):

@@ -28,6 +28,7 @@ from nullgrid.transform import (
     trim,
     vandermonde_multipliers,
 )
+from test_poly import _assert_built_as_by_the_constructor
 
 Z = RingSpec.integers()
 F5 = RingSpec.prime_field(5)
@@ -446,6 +447,7 @@ def test_trim_invariants(case):
     if not g.is_zero:
         assert all(d < s for d, s in zip(g.degrees()[0], grid.sizes))
     assert trim(g, grid) == g
+    _assert_built_as_by_the_constructor(g)
 
 
 @settings(max_examples=200, deadline=None)
