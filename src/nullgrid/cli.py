@@ -159,7 +159,7 @@ def _cmd_verify(args):
     charge(args.list_zeros and grid.size(), oracle.DEFAULT_ZERO_SET_CAP, GridTooLargeError,
            "grid has {work} points, --list-zeros limit is {limit}")
     count = oracle.count_nonzeros(f, grid, collect_zeros=args.list_zeros,
-                                  point_limit=_point_limit(args))
+                                  point_limit=args.limit_grid)
     report = oracle.verify_bounds(f, grid, count=count)
     payload = {
         **_poly_header("verify", ring, names, f),
@@ -266,7 +266,7 @@ def _cmd_tightness(args):
     d = _parse_vector(args.d, grid.arity)
     f = oracle.tightness_family(grid, d)
     count = oracle.count_nonzeros(f, grid, collect_zeros=False,
-                                  point_limit=_point_limit(args))
+                                  point_limit=args.limit_grid)
     expected = prod(s - di for s, di in zip(grid.sizes, d))
     return {
         "command": "tightness",
@@ -278,14 +278,6 @@ def _cmd_tightness(args):
         "product_value": expected,
         "slack": count.nonzeros - expected,
     }
-
-
-def _point_limit(args) -> int:
-    """--limit-grid, or the oracle's default; read here, not when the
-    parser is built, so that commands without a count load no oracle."""
-    from .oracle import DEFAULT_POINT_LIMIT
-
-    return DEFAULT_POINT_LIMIT if args.limit_grid is None else args.limit_grid
 
 
 def _parse_vector(text: str, arity: int) -> tuple[int, ...]:

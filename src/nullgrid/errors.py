@@ -25,7 +25,8 @@ ring.grid_condition_check         ring.MAX_PAIRWISE_PAIRS pairs        GridTooLa
 (running over the sets)
 oracle._plan                      oracle._REFERENCE_WORK  steps        GridTooLargeError
 oracle._grid_values               DEFAULT_ZERO_SET_CAP    points       GridTooLargeError
-oracle.count_nonzeros             ``point_limit`` arg     points       GridTooLargeError
+oracle.count_nonzeros             DEFAULT_POINT_LIMIT     points       GridTooLargeError
+(or its ``point_limit`` argument)
 oracle.min_nonzero_search         poly.MAX_WORK           mult-adds    SearchBudgetError
 cli._cmd_verify --list-zeros      DEFAULT_ZERO_SET_CAP    points       GridTooLargeError
 parser.infer_variables            parser.MAX_INFERRED     names        ResourceLimitError
@@ -34,7 +35,7 @@ parser.infer_variables            parser.MAX_INFERRED     names        ResourceL
 MAX_SET_SIZE and DEFAULT_ZERO_SET_CAP are 10^6, MAX_WORK 4·10^6,
 _REFERENCE_WORK 3·10^7 steps of 8 to 27 ns (``oracle._reference_steps``),
 MAX_PAIRWISE_PAIRS 10^6, MAX_INFERRED 10^3; the
-exhaustive search's budget defaults to 10^8 and the point limit to 10^8.
+exhaustive search's budget defaults to 10^8, DEFAULT_POINT_LIMIT is 10^8.
 The minimum search charges its multiply-adds, rows x points x monomials
 (rows: the candidates scored, or the solutions its class table finds at
 each point), against 32 MAX_WORK in int64 and MAX_WORK on Python integers.

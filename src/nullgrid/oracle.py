@@ -448,17 +448,19 @@ def _grid_values(f: Polynomial, grid: GridSpec) -> list[int]:
 
 def count_nonzeros(f: Polynomial, grid: GridSpec, *,
                    collect_zeros: bool = True,
-                   point_limit: int = DEFAULT_POINT_LIMIT) -> GridCount:
+                   point_limit: int | None = None) -> GridCount:
     """Count the grid points where f is nonzero, by full enumeration.
 
     The zero set is collected only when the grid has at most
     ``DEFAULT_ZERO_SET_CAP`` points and ``collect_zeros`` is set.  Grids
-    larger than ``point_limit`` raise GridTooLargeError.  The grid must
-    pass the zero-divisor difference condition; otherwise zero counts
-    over Z_m would not mean what callers assume.  A negative
-    ``point_limit`` is invalid input (ValueError), not a limit.
+    larger than ``point_limit`` (None: ``DEFAULT_POINT_LIMIT``) raise
+    GridTooLargeError.  The grid must pass the zero-divisor difference
+    condition; otherwise zero counts over Z_m would not mean what callers
+    assume.  A negative ``point_limit`` is invalid input (ValueError).
     """
-    if point_limit < 0:
+    if point_limit is None:
+        point_limit = DEFAULT_POINT_LIMIT
+    elif point_limit < 0:
         raise ValueError("point_limit must be nonnegative")
     check_compatible(f, grid)
     require_grid_condition(grid)
@@ -568,7 +570,8 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
     minimum is meaningful.  The space has (p-1) * p^(k-1) candidate
     coefficient vectors; when that exceeds ``exhaustive_limit`` a seeded
     random sample of ``sample_budget`` candidates is scored instead and
-    the result is flagged non-exhaustive.
+    the result is flagged non-exhaustive.  ``sample_budget`` must then be
+    positive: anything less raises ValueError before any work.
 
     Scaling a coefficient vector by any lambda != 0 leaves its zeros on
     the grid where they are, so the candidates fall into p^(k-1) classes
@@ -651,6 +654,8 @@ def min_nonzero_search(support: tuple[tuple[int, ...], ...], required: tuple[int
         blocks = _product_blocks(p, k, req_idx, rows)
         exhaustive, tried, source = True, space, "radix"
     else:
+        if sample_budget < 1:
+            raise ValueError(f"sample_budget must be positive to sample, got {sample_budget}")
         blocks = _sample_blocks(random.Random(seed), p, k, req_idx, sample_budget, rows)
         exhaustive, tried = False, sample_budget
         source = "words" if p.bit_length() <= 32 else "randrange"
@@ -825,11 +830,11 @@ def _best_assignment(blocks, score, least: int = 0) -> tuple[int, tuple[int, ...
     Ties keep the earliest row, within a block and across blocks, so the
     answer does not depend on where the block boundaries fall.  ``least``
     is a count no row goes below: the scan stops at the first row that
-    reaches it, without drawing further blocks."""
+    reaches it, without drawing further blocks.  The caller hands over at
+    least one row: the whole space, or a sample of at least one."""
     import numpy as np
 
     best_count: int | None = None
-    best_coeffs: tuple[int, ...] | None = None
     for block in blocks:
         counts = score(block)
         i = int(np.argmin(counts))
@@ -838,8 +843,6 @@ def _best_assignment(blocks, score, least: int = 0) -> tuple[int, tuple[int, ...
             best_coeffs = tuple(int(c) for c in block[i])
             if best_count <= least:
                 break
-    if best_coeffs is None:
-        raise ValueError("no candidate coefficient vectors")
     return best_count, best_coeffs
 
 

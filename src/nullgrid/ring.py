@@ -17,6 +17,7 @@ ring and unwrapped: a value of another ring raises RingMismatchError.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -275,9 +276,11 @@ LISTED_FAILURES = 10
 MAX_PAIRWISE_PAIRS = 10**6
 
 
+@lru_cache(maxsize=64)
 def _prime_factors(m: int) -> tuple[int, ...] | None:
     """The distinct prime factors of m, or None when trial division below
-    2^16 leaves a cofactor that is not certainly prime."""
+    2^16 leaves a cofactor that is not certainly prime; kept per modulus,
+    since every count and ``trim`` over Z_m checks its grid again."""
     factors = []
     d = 2
     while d * d <= m and d < 1 << 16:

@@ -250,18 +250,18 @@ def coefficient_via_grid(values: Mapping[tuple[int, ...], int], grid: GridSpec,
     """Recover the coefficient of x^d in f from its values on the grid.
 
     Computed as the sum over the grid of f(x) * prod_i g_i(x_i) with the
-    degree-d_i multipliers g_i of S_i.  The result equals the coefficient
-    of x^d whenever x^d is a maximal monomial of f (zero if absent); for
-    non-maximal d it is still a well-defined functional of the values,
-    just not the coefficient.
+    degree-d_i multipliers g_i of S_i, which are zero past its first
+    d_i + 1 elements and are built from those alone.  The result equals
+    the coefficient of x^d whenever x^d is a maximal monomial of f (zero
+    if absent); for non-maximal d it is still a well-defined functional of
+    the values, just not the coefficient.
 
     The sum only touches the prod (d_i + 1) points where the multipliers
-    are nonzero, the first d_i + 1 elements per variable, one row of the
-    last variable at a time.  A ``GridValues`` view of an equal grid
-    covers that grid by construction, and its flat list is read in place.
-    Any other value map must cover the whole grid, checked point by point;
-    its values are ints or elements of the grid's ring, and an element of
-    another ring raises RingMismatchError.
+    are nonzero, one row of the last variable at a time.  A ``GridValues``
+    view of an equal grid covers that grid by construction, and its flat
+    list is read in place.  Any other value map must cover the whole grid,
+    checked point by point; its values are ints or elements of the grid's
+    ring, and an element of another ring raises RingMismatchError.
     """
     ring = grid.ring
     d = require_extractable(grid, d)
@@ -274,7 +274,7 @@ def coefficient_via_grid(values: Mapping[tuple[int, ...], int], grid: GridSpec,
         box = itertools.product(*(s[:di + 1] for s, di in zip(grid.sets, d)))
         flat, sizes = [ring.coerce(values[pt]) for pt in box], tuple(di + 1 for di in d)
 
-    *lead, last = [vandermonde_multipliers(ring, s, di).values[:di + 1] for s, di in zip(grid.sets, d)]
+    *lead, last = [vandermonde_multipliers(ring, s[:di + 1]).values for s, di in zip(grid.sets, d)]
     p = ring.modulus
     acc = 0
     for entry in itertools.product(*map(enumerate, lead)):

@@ -288,6 +288,17 @@ def test_min_nonzero_search_frozen(call, expected):
     assert count_nonzeros(res.witness, grid, collect_zeros=False).nonzeros == res.min_count
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_a_sample_of_no_candidates_is_refused_before_any_work(monkeypatch, budget):
+    monkeypatch.setattr(oracle, "_grid_values", mock.Mock(side_effect=AssertionError("grid values were built")))
+    grid = GridSpec(RingSpec.prime_field(101), [range(3)])
+    with pytest.raises(ValueError, match=f"sample_budget must be positive to sample, got {budget}"):
+        min_nonzero_search(((1,), (0,)), (1,), grid, exhaustive_limit=0, sample_budget=budget)
+    # an exhaustive search draws no sample, so its sample count is not read
+    monkeypatch.undo()
+    assert min_nonzero_search(((1,), (0,)), (1,), grid, sample_budget=budget).exhaustive
+
+
 @pytest.mark.parametrize("p,limit,message", [
     (101, 10**6, "min search path=exhaustive candidates=10100 blocks=1 source=radix scored=classes rows=101"),
     (101, 0, "min search path=sampled candidates=9000 blocks=1 source=words scored=classes rows=101"),

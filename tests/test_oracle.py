@@ -200,6 +200,21 @@ def test_point_limit():
         count_nonzeros(f, grid, point_limit=9999)
 
 
+def test_no_point_limit_means_the_default_and_is_charged_before_any_evaluation(monkeypatch):
+    f = parse_poly("x*y*z", ["x", "y", "z"], Z)
+    monkeypatch.setattr(oracle, "_plan", mock.Mock(side_effect=AssertionError("the grid was evaluated")))
+    monkeypatch.setattr(oracle, "_reference_values", mock.Mock(side_effect=AssertionError("the grid was evaluated")))
+    big = GridSpec(Z, [range(100), range(1000), range(1001)])
+    assert big.size() > oracle.DEFAULT_POINT_LIMIT
+    with pytest.raises(GridTooLargeError, match=f"limit is {oracle.DEFAULT_POINT_LIMIT}$"):
+        count_nonzeros(f, big, point_limit=None)
+    # the constant is read when the count is called; one point past it is refused
+    grid = GridSpec(Z, [range(4), range(5), range(6)])
+    monkeypatch.setattr(oracle, "DEFAULT_POINT_LIMIT", grid.size() - 1)
+    with pytest.raises(GridTooLargeError, match="grid has 120 points, limit is 119"):
+        count_nonzeros(f, grid, point_limit=None)
+
+
 def test_zero_set_cap_suppresses_collection(monkeypatch):
     f = parse_poly("x*y", ["x", "y"], Z)
     grid = GridSpec(Z, [range(4), range(4)])

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from nullgrid.errors import UnsupportedRingError
 from nullgrid.poly import GridSpec
-from nullgrid.ring import LISTED_FAILURES, RingSpec, grid_condition_check, is_prime
+from nullgrid.ring import (
+    LISTED_FAILURES,
+    RingSpec,
+    _prime_factors,
+    grid_condition_check,
+    is_prime,
+    require_grid_condition,
+)
 
 
 def test_is_prime_small():
@@ -216,3 +223,17 @@ def test_grid_condition_counts_millions_of_pairs_without_listing_them():
         "S_1 contains 0 and 4 with zero-divisor difference 999996; "
         "S_1 contains 0 and 5 with zero-divisor difference 999995; and 2698497 more")
     assert res.describe(limit=LISTED_FAILURES).endswith(f"; and {2698500 - LISTED_FAILURES} more")
+
+
+def test_a_modulus_is_factored_once():
+    # trial division below 2^16 gives up on this modulus, which takes it
+    # milliseconds; a second check of a grid over it must not pay again
+    m = 1000003 * 1000033 * 998244353
+    grid = GridSpec(RingSpec.integers_mod(m), [range(3)] * 3)
+    require_grid_condition(grid)
+    before = _prime_factors.cache_info()
+    require_grid_condition(grid)
+    after = _prime_factors.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert _prime_factors(m) is None
+    assert grid_condition_check(grid.ring, grid).ok

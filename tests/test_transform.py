@@ -248,6 +248,28 @@ def test_the_view_gives_the_coefficients_a_dict_gives(path, case):
             assert coefficient_via_grid(view, grid, d) == f.coefficient(d)
 
 
+@settings(max_examples=80, deadline=None)
+@given(case=_extraction_cases(), data=st.data())
+def test_the_multipliers_are_built_from_the_elements_they_weight(case, data):
+    grid, f = case
+    d = tuple(data.draw(st.integers(0, s - 1)) for s in grid.sizes)
+    values = grid_values(f, grid)
+    seen = []
+
+    def spy(ring, elements, degree=None):
+        seen.append((tuple(elements), degree))
+        return vandermonde_multipliers(ring, elements, degree)
+
+    with mock.patch("nullgrid.transform.vandermonde_multipliers", spy):
+        got = coefficient_via_grid(values, grid, d)
+    assert seen == [(s[:di + 1], None) for s, di in zip(grid.sets, d)]
+    # the same functional with the multipliers of the whole sets, summed over every point
+    p = grid.ring.modulus
+    full = [dict(zip(s, vandermonde_multipliers(grid.ring, s, di).values)) for s, di in zip(grid.sets, d)]
+    want = sum(values[pt] * prod(g[x] for g, x in zip(full, pt)) for pt in grid.points()) % p
+    assert got.value == want
+
+
 def _evaluated(f, grid):
     return {pt: f.eval_raw(pt) for pt in grid.points()}
 
